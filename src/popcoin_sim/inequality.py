@@ -75,7 +75,8 @@ def gini_pairwise(values) -> float:
         raise UndefinedGiniError("gini is undefined for an all-zero distribution")
     n = arr.size
     mad = float(np.abs(arr[:, None] - arr[None, :]).sum())
-    return mad / (2.0 * n * n * (total / n))
+    # 2·N²·mean written as 2·N·total: the mean of subnormal values underflows
+    return mad / (2.0 * n * total)
 
 
 def inequality_ratio(balance_a: float, balance_b: float) -> float:

@@ -161,9 +161,6 @@ def genesis(
         raise InvalidGenesisError(
             f"poplet_scale must be a positive integer, got {poplet_scale!r}"
         )
-    if params.demurrage_alpha == 0:
-        # Admitted for limit experiments; an unbounded supply is intentional there.
-        pass
     return LedgerState(
         epoch=0,
         exchange_rate=Fraction(1, poplet_scale),

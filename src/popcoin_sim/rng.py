@@ -13,6 +13,10 @@ Stream contract (documented for independent reimplementation):
 * each step adds 0x9E3779B97F4A7C15 to the state and returns the state
   passed through two xor-shift-multiply rounds (0xBF58476D1CE4E5B9 with
   shift 30, 0x94D049BB133111EB with shift 27) and a final 31-bit xor-shift;
+* the stream is therefore counter-based: the i-th output mixes the state
+  ``seed + i*0x9E3779B97F4A7C15 mod 2**64``, so any contiguous run of draws
+  can be computed at once (``SplitMix64.block``) and equals the same run of
+  single steps;
 * bounded draws use plain modulo. The modulo bias is at most ``bound/2**64``
   and is accepted in exchange for exact reproducibility — rejection
   sampling would make the number of raw draws data-dependent.
@@ -20,10 +24,18 @@ Stream contract (documented for independent reimplementation):
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# uint64 array arithmetic wraps modulo 2**64, exactly like the masked ints above
+_U_GAMMA = np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 class SplitMix64:
@@ -41,6 +53,25 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def block(self, count: int) -> list[int]:
+        """Return the next ``count`` outputs at once, as ``next_uint64`` would.
+
+        The stream is counter-based: output i (from 1) of a generator in
+        state s mixes ``s + i*GAMMA mod 2**64``, so the whole block is one
+        vectorised pass over those states. The state then advances by
+        ``count`` steps.
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self._state)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return z.tolist()
 
     def below(self, bound: int) -> int:
         """Return an integer in [0, bound) via one modulo-reduced draw.

@@ -29,6 +29,18 @@ recipient index ``below(A-1)`` skipping the sender (add 1 when the draw is
 ``cap = balance * frac_num // frac_den`` in exact integer arithmetic from
 the decimal ``max_fraction``. Zero-amount draws are no-ops but still
 consume their draws; with fewer than two accounts the epoch consumes none.
+Transfers apply in order, each seeing the balances the previous ones left.
+
+An epoch's ``3 * count_per_epoch`` raw draws are one contiguous block of
+the stream: if the generator enters the epoch in state ``s``, draw i (from
+1) mixes the counter ``s + i*GAMMA mod 2**64`` (see ``rng``). The runner
+computes the block in one vectorised pass; the order and meaning of the
+draws are the ones above.
+
+Account ids are ``p%08d``, created in increasing order, so creation order
+is sorted order. Validation therefore rejects census paths that would open
+more than ``MAX_ACCOUNTS`` (10**8) accounts, and paths that leave the
+floats.
 """
 
 from __future__ import annotations
@@ -56,13 +68,14 @@ from .inequality import (
     variance_bound,
 )
 from .ledger import (
+    LedgerState,
     PolicyParams,
     exact,
     genesis,
     mint_epoch_poplet,
     state_to_json,
     total_supply_popcoin_exact,
-    transfer,
+    transfer,  # noqa: F401  (the oracle of _mix_transfers; kept as a patchable attribute)
 )
 from .monetary import interest_rate, run_macro
 from .rng import SplitMix64
@@ -74,6 +87,9 @@ EPOCH_COLUMNS = ["t", "N", "n", "E", "M_total", "D", "R", "gini", "variance", "m
 POPULATION_KINDS = ("fixed", "exponential", "logistic", "step_shock", "degrowth")
 
 DEFAULT_POPLET_SCALE = 10**8
+# Account ids are p%08d, created in increasing order; below this many accounts
+# their creation order is also their sorted order, which the epoch loop relies on.
+MAX_ACCOUNTS = 10**8
 DEFAULT_FIAT_SHOCKS = [0.0, 0.01, 0.05, 0.1, 0.25]
 DEFAULT_ELASTICITIES = [0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -139,6 +155,24 @@ def census_path(population: dict, epochs: int) -> list[int]:
 
 
 # --- config validation -------------------------------------------------------
+
+
+def _validate_census_path(population: dict, epochs: int, out: list[str]) -> None:
+    """Reject census paths that leave the floats or open too many accounts."""
+    if population["kind"] == "fixed":  # constant; skip building the list
+        path = [population["N"]]
+    else:
+        try:
+            path = census_path(population, epochs)
+        except (OverflowError, ValueError):  # float overflow, round() of inf or nan
+            out.append(f"population: the census path is not finite within {epochs} epochs")
+            return
+    accounts = path[0] + sum(max(0, now - before) for before, now in zip(path, path[1:]))
+    if accounts > MAX_ACCOUNTS:
+        out.append(
+            f"population: the census path opens more than {MAX_ACCOUNTS} accounts, "
+            "the most that 8-digit account ids support"
+        )
 
 
 def _validate_policy(policy, out: list[str]) -> None:
@@ -305,11 +339,16 @@ def validate_config(doc) -> list[str]:
             out.append(f"config: missing required key {key!r}")
     if "policy" in doc:
         _validate_policy(doc["policy"], out)
+    population_ok = False
     if "population" in doc:
+        found = len(out)
         _validate_population(doc["population"], out)
+        population_ok = len(out) == found
     epochs = doc.get("epochs")
     if "epochs" in doc and (not _is_int(epochs) or epochs < 0):
         out.append(f"epochs: must be a non-negative integer, got {epochs!r}")
+    elif "epochs" in doc and population_ok:
+        _validate_census_path(doc["population"], epochs, out)
 
     scale = doc.get("poplet_scale", DEFAULT_POPLET_SCALE)
     if not _is_int(scale) or scale < 1:
@@ -479,20 +518,44 @@ def _account_id(index: int) -> str:
 
 
 def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
-    """Apply one epoch's random transfer mix; see the module docstring."""
+    """Apply one epoch's random transfer mix; see the module docstring.
+
+    Equal to folding ``ledger.transfer`` over the drawn transfers with
+    scalar ``rng.below`` draws, but the epoch's ``3 * count`` raw draws come
+    from one ``rng.block`` and the transfers update one copy of the
+    balances in place.
+    """
     accounts = sorted(state.balances)
-    if len(accounts) < 2:
+    n = len(accounts)
+    if n < 2:
         return state
-    for _ in range(count):
-        sender_idx = rng.below(len(accounts))
-        recipient_idx = rng.below(len(accounts) - 1)
+    balances = dict(state.balances)
+    num, den = frac.numerator, frac.denominator
+    draws = iter(rng.block(3 * count))
+    for sender_raw, recipient_raw, amount_raw in zip(draws, draws, draws):
+        sender_idx = sender_raw % n
+        recipient_idx = recipient_raw % (n - 1)
         if recipient_idx >= sender_idx:
             recipient_idx += 1
-        cap = state.balances[accounts[sender_idx]] * frac.numerator // frac.denominator
-        amount = rng.below(cap + 1)
+        sender = accounts[sender_idx]
+        held = balances[sender]
+        amount = amount_raw % (held * num // den + 1)
         if amount > 0:
-            state = transfer(state, accounts[sender_idx], accounts[recipient_idx], amount)
-    return state
+            if amount > held:
+                raise InvariantViolation(
+                    f"transfer mix drew {amount} poplets from {sender!r}, which holds {held}"
+                )
+            balances[sender] = held - amount
+            balances[accounts[recipient_idx]] += amount
+    if sum(balances.values()) != sum(state.balances.values()):
+        raise InvariantViolation(f"epoch {state.epoch}: the transfer mix changed the poplet total")
+    return LedgerState(
+        epoch=state.epoch,
+        exchange_rate=state.exchange_rate,
+        balances=balances,
+        participants=state.participants,
+        poplet_scale=state.poplet_scale,
+    )
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
@@ -504,7 +567,11 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     alpha = float(params.demurrage_alpha)
     income = float(params.basic_income)
 
-    state = genesis(params, [_account_id(i) for i in range(path[0])], config.poplet_scale)
+    # Census members in sorted order, kept without sorting: ids are created in
+    # increasing order and removals take the highest ids, so growth appends
+    # and shrinkage truncates.
+    members = [_account_id(i) for i in range(path[0])]
+    state = genesis(params, members, config.poplet_scale)
     next_id = path[0]
     rng = None
     frac = Fraction(0)
@@ -523,8 +590,10 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         if n_now > n_prev:
             new_accounts = [_account_id(next_id + k) for k in range(n_now - n_prev)]
             next_id += n_now - n_prev
+            members.extend(new_accounts)
         elif n_now < n_prev:
-            removed = sorted(state.participants)[-(n_prev - n_now):]
+            removed = members[n_now:]
+            del members[n_now:]
         state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
         if rng is not None:
             state = _mix_transfers(state, rng, transfer_count, frac)
@@ -532,9 +601,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         rate_float = float(state.exchange_rate)
         total = float(total_supply_popcoin_exact(state))
         ledger_totals.append(total)
-        member_poplets = np.array(
-            [state.balances[a] for a in sorted(state.participants)], dtype=float
-        )
+        member_poplets = np.array([state.balances[a] for a in members], dtype=float)
         values = member_poplets * rate_float
         try:
             gini_value = gini(values)

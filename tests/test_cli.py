@@ -1,9 +1,12 @@
 """CLI behavior: subcommands, exit codes, and the env-var logging knob."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import popcoin_sim
 from popcoin_sim.cli import main
 
 CONFIG = {
@@ -28,6 +31,27 @@ def test_run_and_validate_happy_path(tmp_path, capsys):
     assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "epochs.csv").exists()
     assert (tmp_path / "out" / "supply.csv").exists()
+
+
+def test_run_rejects_census_path_overflow(tmp_path, capsys):
+    # (1 + 1e6)^t leaves the floats after about 51 epochs
+    bad = dict(CONFIG, epochs=60, population={"kind": "exponential", "N0": 3, "n": 1e6})
+    config = write_json(tmp_path / "bad.json", bad)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_census_path_beyond_account_ids(tmp_path, capsys):
+    bad = dict(
+        CONFIG,
+        epochs=5,
+        population={"kind": "step_shock", "N0": 4, "factor": 1e300, "at_epoch": 2},
+    )
+    config = write_json(tmp_path / "bad.json", bad)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    assert "more than 100000000 accounts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_bad_config_exits_2(tmp_path, capsys):
@@ -120,17 +144,20 @@ def test_exchange_rejects_policy_shock_key(tmp_path, capsys):
 
 def test_log_env_var_controls_verbosity(tmp_path):
     config = write_json(tmp_path / "cfg.json", CONFIG)
+    # the child must import the same package as this process, installed or not
+    src_dir = str(Path(popcoin_sim.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     quiet = subprocess.run(
         [sys.executable, "-m", "popcoin_sim.cli", "run", config, "--out", str(tmp_path / "q")],
         capture_output=True,
         text=True,
-        env={"PATH": "", "POPCOIN_SIM_LOG": "warning"},
+        env={"PATH": "", "PYTHONPATH": pythonpath, "POPCOIN_SIM_LOG": "warning"},
     )
     chatty = subprocess.run(
         [sys.executable, "-m", "popcoin_sim.cli", "run", config, "--out", str(tmp_path / "v")],
         capture_output=True,
         text=True,
-        env={"PATH": "", "POPCOIN_SIM_LOG": "info"},
+        env={"PATH": "", "PYTHONPATH": pythonpath, "POPCOIN_SIM_LOG": "info"},
     )
     assert quiet.returncode == 0 and chatty.returncode == 0
     assert "run complete" not in quiet.stderr

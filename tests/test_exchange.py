@@ -169,7 +169,12 @@ def test_uip_no_equilibrium():
 )
 def test_uip_back_substitution(rate_pop, rate_fiat, expected):
     """Holding either currency for one epoch earns the same expected gross
-    return at the UIP spot price."""
+    return at the UIP spot price. The corners of the square where
+    1 + i_p - i_f reaches zero have no positive spot price."""
+    if 1 + rate_pop - rate_fiat <= 0:
+        with pytest.raises(NoEquilibriumError):
+            uip_spot_rate(rate_pop, rate_fiat, expected)
+        return
     spot = uip_spot_rate(rate_pop, rate_fiat, expected)
     assert spot * (1 + rate_pop - rate_fiat) == approx(expected, rel=1e-12)
 

@@ -1,0 +1,185 @@
+"""Golden outputs: sha256 of every file written for a few small scenarios.
+
+The digests pin the bytes of ``run_scenario`` for shapes the larger
+benchmark workloads do not reach: every population kind with transfers, a
+census that grows from a single account (epochs that draw nothing, then
+start drawing), shrinking censuses that leave dormant holders, transfers of
+up to the whole balance, a seed whose counter wraps past 2**64 at once,
+and the optional plot data. A change to any output byte must re-record
+them deliberately.
+
+Re-record with ``python tests/test_golden.py`` (prints the table).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from popcoin_sim import parse_config, run_scenario
+
+POLICY = {"basic_income": 2922.0, "demurrage_alpha": 0.02}
+
+AGENT_PROBLEMS = [
+    {"basic_income": 2922.0, "earned_income": 5000.0, "interest_rate": -0.02},
+    {
+        "basic_income": 2922.0,
+        "earned_income": 70000.0,
+        "interest_rate": -0.02,
+        "allow_borrowing": True,
+    },
+]
+
+# name -> (config, include_plot_data)
+CASES = {
+    "fixed_all_studies": (
+        {
+            "policy": POLICY,
+            "epochs": 25,
+            "population": {"kind": "fixed", "N": 12},
+            "seed": 2**64 - 1,
+            "transfers": {"count_per_epoch": 30, "max_fraction": 0.5},
+            "outputs": [
+                {"study": "supply"},
+                {"study": "inequality"},
+                {"study": "exchange"},
+                {"study": "agent", "params": {"problems": AGENT_PROBLEMS}},
+            ],
+        },
+        False,
+    ),
+    "exponential_from_one": (
+        {
+            "policy": POLICY,
+            "epochs": 40,
+            "population": {"kind": "exponential", "N0": 1, "n": 0.08},
+            "seed": 11,
+            "transfers": {"count_per_epoch": 4, "max_fraction": 0.25},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
+        },
+        False,
+    ),
+    "logistic_plot_data": (
+        {
+            "policy": POLICY,
+            "epochs": 30,
+            "population": {"kind": "logistic", "N0": 5, "K": 40, "rate": 0.3},
+            "seed": -3,
+            "transfers": {"count_per_epoch": 10, "max_fraction": 0.3},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
+        },
+        True,
+    ),
+    "step_shock_whole_balance": (
+        {
+            "policy": POLICY,
+            "epochs": 30,
+            "population": {"kind": "step_shock", "N0": 20, "factor": 0.4, "at_epoch": 9},
+            "seed": 123456789,
+            "transfers": {"count_per_epoch": 15, "max_fraction": 1.0},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
+        },
+        False,
+    ),
+    "step_shock_growth": (
+        {
+            "policy": POLICY,
+            "epochs": 20,
+            "population": {"kind": "step_shock", "N0": 6, "factor": 2.5, "at_epoch": 7},
+            "seed": 5,
+            "transfers": {"count_per_epoch": 8, "max_fraction": 0.75},
+            "outputs": [{"study": "supply"}],
+        },
+        False,
+    ),
+    "degrowth_dormant": (
+        {
+            "policy": POLICY,
+            "epochs": 40,
+            "population": {"kind": "degrowth", "N0": 40, "n": -0.04},
+            "seed": 2024,
+            "poplet_scale": 1000,
+            "transfers": {"count_per_epoch": 12, "max_fraction": 0.25},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
+        },
+        False,
+    ),
+}
+
+# recorded from the scalar, one-transfer-at-a-time mix, which the vectorised mix must match
+GOLDEN = {
+    "degrowth_dormant": {
+        "epochs.csv": "0299d6c682061390262ff5420a8de4f38ec48addce7eb1b53ea2330e91339c1c",
+        "final_state.json": "f957beb0801f964a6b8db7e467add10b66a80c92c43a3dbd2c0a58bd29d1f260",
+        "inequality.csv": "83ff33921214996ee987cd1476a5e6dd8d649fa1f1ec2b1ac645727198bda236",
+        "manifest.json": "880464fa79f971df5b5b4119c300f478b5f0db07359bc6b002bfbd638b8caf78",
+        "supply.csv": "d9a0befd3e77d943597a91620b878674f8d8d7187b8adef0889307a8e1b64332",
+    },
+    "exponential_from_one": {
+        "epochs.csv": "2b66bfeb8e33a48a9b1697b1e0e14e89245a1383cab926e35b09649f2bf8b258",
+        "final_state.json": "fa2d7e88885275ad955a9867960afb0b34de26ba328dd12a54cbdfc0598edeb7",
+        "inequality.csv": "4e6f3d4c528dc99abde24f29de26cee410889f95d84bc1c124d16fd5bcac6cd4",
+        "manifest.json": "2d2959278af9b8f5ada9ec1293e7523e0a8547cba07b25211f9047e995e7bca3",
+        "supply.csv": "ee814381b665b1ebd9fe8167ca078aae32a73145f071e22981571eebbe1b9fd5",
+    },
+    "fixed_all_studies": {
+        "agent.csv": "70e7891b12f806895ef7b6dd1496b1bd1e67e759c3ac9f7fd7a0cc761a6cbc17",
+        "epochs.csv": "3df94e54880c37a8b436a0da3724de7c1c7f2944991da24b61090642c8ccbcf4",
+        "exchange.csv": "58ab27a52c0ba31b0ed09bcdd1d6b4d88aa0a70bab7570102b860896b33adb90",
+        "exchange_summary.json": "07e1abcd4602dc7c44a1974ec5fdeb2cb10dafb0b22ab8455f8567a5d18a2e95",
+        "final_state.json": "9f250702c6237794bc7dfa2a46dc0af522dee974850c6995265d07d5c841c7a0",
+        "inequality.csv": "8f52bd2907a780564af9d96f3109f9a9fa9deadc30c01ddde63f215faa0cce5a",
+        "manifest.json": "61bbaef9454c1fde6e4aa812b103678fb2beeffee9e45b29a6c1c3cd36a0c3f5",
+        "supply.csv": "cdb0da5423ead0c451af3ddb3c6bea30e21be2488a75fefd9350a09f70ff0dd5",
+    },
+    "logistic_plot_data": {
+        "epochs.csv": "d3b057d0556717a8c1192a3cd8fa89df58b70f7dd0678c509a27000b30a327d5",
+        "final_state.json": "a2be15383b83aa579369919869aecf2fbf2570c06005b525d2e087ba6ca2d5a7",
+        "inequality.csv": "2063975cc28de7d31f3aaebd91fdc49d786c1f557caf681301214563e99bea80",
+        "manifest.json": "e82cb186c5e71fe07e7f56dd08fba2f9aef5969cb040f3473e4dc7780eda2f42",
+        "plot_data.csv": "70c14dfff666c7fbe94676db8385dfd7724017ba8a9abe404b8d37cf4c1ad445",
+        "supply.csv": "9915a4a8fb82f35693cda9c5beb06cadd5bf7eb014da07599413994cf5624859",
+    },
+    "step_shock_growth": {
+        "epochs.csv": "7c4ec9dcccbd53134af32d67de7929a7c767064be09c9b1a13c96bca37f2d68e",
+        "final_state.json": "9f11791ec313490d58ccbc7db20b7db052909b54f884bf5894830b90b2c7a259",
+        "manifest.json": "e627e35749844f718cd0e7464c9081003cd1e41245597693265bd7f8af8de03b",
+        "supply.csv": "f099f0c3abccae14900bef8a8fa3dac0ff6d82cd26c4e923c8f8d01ed30fba8b",
+    },
+    "step_shock_whole_balance": {
+        "epochs.csv": "245f67419361b540aceb051a94c9387d6b97686a812ab4b011cc6be148d81e23",
+        "final_state.json": "da5d268e86e810fa6091cdc9b3d259524f2ab0b2bc8d35d498a5ddd1c00a8023",
+        "inequality.csv": "0cf6ebfd23374330292d529259ac1778a789adf06f41be17809905ba3c2ca85e",
+        "manifest.json": "c13f0ecf1406f102e237009490748899754cd383ae961beaf9d95f712c2a85b3",
+        "supply.csv": "9243334ffc9ceda580617fa73ddd9948dae2e6b59bca5ffa86db408c31068bfb",
+    },
+}
+
+
+def digests(name: str, out_dir: Path) -> dict[str, str]:
+    config, plot_data = CASES[name]
+    run_scenario(parse_config(config), out_dir, include_plot_data=plot_data)
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_bytes(name, tmp_path):
+    assert digests(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        for case in sorted(CASES):
+            table = digests(case, Path(work_dir) / case)
+            sys.stdout.write(f'    "{case}": {{\n')
+            for file_name, digest in table.items():
+                sys.stdout.write(f'        "{file_name}": "{digest}",\n')
+            sys.stdout.write("    },\n")
