@@ -34,6 +34,7 @@ from .exchange import (
     uip_spot_rate,
 )
 from .inequality import (
+    epoch_metrics,
     gini,
     gini_bound,
     gini_bound_limit,

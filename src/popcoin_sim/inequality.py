@@ -55,16 +55,35 @@ def gini(values) -> float:
     For ascending x with total S: G = (2 * sum(i * x_i) - (N+1) * S) / (N * S)
     with 1-based ranks — algebraically equal to the pairwise form below.
     """
-    arr = np.sort(_as_distribution(values))
-    total = float(arr.sum())
+    ordered = np.sort(_as_distribution(values))
+    total = float(ordered.sum())
     if total == 0.0:
         raise UndefinedGiniError("gini is undefined for an all-zero distribution")
-    n = arr.size
+    return _gini_sorted(ordered, total)
+
+
+def _gini_sorted(ordered: np.ndarray, total: float) -> float:
+    n = ordered.size
     ranks = np.arange(1, n + 1, dtype=float)
-    raw = float((2.0 * np.dot(ranks, arr) - (n + 1) * total) / (n * total))
+    raw = float((2.0 * np.dot(ranks, ordered) - (n + 1) * total) / (n * total))
     # Cancellation can land a perfectly equal distribution an ulp below zero;
     # the coefficient itself is non-negative for non-negative data.
     return max(0.0, raw)
+
+
+def epoch_metrics(values) -> tuple[float, float, float]:
+    """``(gini, variance, max_inequality_ratio)`` of one balance vector.
+
+    The vector is validated once and sorted once; each value is bit for bit
+    the one the public function returns, except that an all-zero vector
+    gets a nan Gini instead of ``UndefinedGiniError``.
+    """
+    arr = _as_distribution(values)
+    ordered = np.sort(arr)
+    total = float(ordered.sum())
+    gini_value = _gini_sorted(ordered, total) if total != 0.0 else float("nan")
+    ratio = inequality_ratio(float(ordered[-1]), float(ordered[0]))
+    return gini_value, float(np.var(arr)), ratio
 
 
 def gini_pairwise(values) -> float:

@@ -19,6 +19,14 @@ unusable here: the rate shrinks geometrically and relative drift would
 accumulate across epochs, while exactness makes determinism and the supply
 cap checkable by integer comparison.
 
+The rate's numerator and denominator grow by O(1) digits per epoch, so each
+epoch does the least big-integer work it can: E' is one ``Fraction``
+multiply by the small step factor ``(1 - alpha) * N_new / N_old``, and
+``issued`` and the rounding residue come from integer ``divmod`` of the
+unreduced ratio ``B.num * E'.den / (B.den * E'.num)``, rounded half to even.
+``MintReport`` stores the incoming poplet total and both rates; its supply
+fields and exact residue are computed from them only when read.
+
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
 It exists as an independent oracle for equivalence tests and is not meant
@@ -126,20 +134,39 @@ class MintReport:
     """Audit record for one minting epoch.
 
     ``rounding_residue_poplets`` is the half-even rounding of the exact
-    residue ``census * (issued - B/E')``, which is itself carried in
-    ``residue_exact_poplets``; its magnitude never exceeds the census.
-    Supplies are reported in currency units: ``pre`` at the incoming
-    exchange rate, ``post`` at the updated one.
+    residue ``census * (issued - B/E')``, which ``residue_exact_poplets``
+    carries; its magnitude never exceeds ``(census + 1) // 2``, half a
+    poplet per participant. The supply fields, in currency units (``pre``
+    at the incoming exchange rate, ``post`` at the updated one), and the
+    exact residue are computed from the stored totals and rates when read.
     """
 
     epoch: int
     census: int
     issued_per_participant: int
-    minted_total_popcoin: float
     rounding_residue_poplets: int
-    residue_exact_poplets: Fraction
-    pre_supply_popcoin: float
-    post_supply_popcoin: float
+    pre_total_poplets: int
+    previous_rate: Fraction
+    exchange_rate: Fraction
+    basic_income: Fraction
+
+    @property
+    def minted_total_popcoin(self) -> float:
+        return float(self.census * self.issued_per_participant * self.exchange_rate)
+
+    @property
+    def residue_exact_poplets(self) -> Fraction:
+        minted = self.census * self.issued_per_participant
+        return minted - self.census * self.basic_income / self.exchange_rate
+
+    @property
+    def pre_supply_popcoin(self) -> float:
+        return float(self.pre_total_poplets * self.previous_rate)
+
+    @property
+    def post_supply_popcoin(self) -> float:
+        minted = self.census * self.issued_per_participant
+        return float((self.pre_total_poplets + minted) * self.exchange_rate)
 
 
 def genesis(
@@ -171,7 +198,7 @@ def genesis(
 
 
 def _apply_census_deltas(
-    state: LedgerState,
+    participants: frozenset[Account],
     new_census: int,
     new_accounts: Iterable[Account],
     removed_accounts: Iterable[Account],
@@ -183,21 +210,29 @@ def _apply_census_deltas(
     new_set, removed_set = set(new), set(removed)
     if new_set & removed_set:
         raise CensusMismatchError("an id cannot be both added and removed")
-    if not removed_set <= state.participants:
-        missing = sorted(removed_set - state.participants)
+    if not removed_set <= participants:
+        missing = sorted(removed_set - participants)
         raise CensusMismatchError(f"removed ids are not current participants: {missing}")
-    if new_set & state.participants:
-        dupes = sorted(new_set & state.participants)
+    if new_set & participants:
+        dupes = sorted(new_set & participants)
         raise CensusMismatchError(f"added ids are already participants: {dupes}")
     if not isinstance(new_census, int) or isinstance(new_census, bool) or new_census < 1:
         raise CensusMismatchError(f"census must be a positive integer, got {new_census!r}")
-    expected = state.census + len(new_set) - len(removed_set)
+    expected = len(participants) + len(new_set) - len(removed_set)
     if new_census != expected:
         raise CensusMismatchError(
             f"declared census {new_census} does not match "
-            f"{state.census} + {len(new_set)} added - {len(removed_set)} removed = {expected}"
+            f"{len(participants)} + {len(new_set)} added - {len(removed_set)} removed = {expected}"
         )
-    return (state.participants | new_set) - removed_set
+    return (participants | new_set) - removed_set
+
+
+def _round_half_even(num: int, den: int) -> tuple[int, int]:
+    """``q = round_half_even(num / den)`` for ``den > 0``, and ``q*den - num``."""
+    floor, remainder = divmod(num, den)
+    if 2 * remainder > den or (2 * remainder == den and floor % 2):
+        return floor + 1, den - remainder
+    return floor, -remainder
 
 
 def mint_epoch_poplet(
@@ -214,31 +249,28 @@ def mint_epoch_poplet(
     income. Newly added accounts receive this epoch's issuance; removed ones
     keep their poplets but receive nothing further.
     """
-    participants = _apply_census_deltas(state, new_census, new_accounts, removed_accounts)
-    rate = (
-        state.exchange_rate
-        * (1 - params.demurrage_alpha)
-        * Fraction(new_census, state.census)
+    participants = _apply_census_deltas(
+        state.participants, new_census, new_accounts, removed_accounts
     )
-    # Fraction.__round__ is round-half-even, matching the minting rule.
-    issued = round(params.basic_income / rate)
+    step = (1 - params.demurrage_alpha) * Fraction(new_census, state.census)
+    rate = state.exchange_rate * step
+    # B / E' as one unreduced integer ratio; ``excess`` is den * (issued - B/E').
+    income = params.basic_income
+    den = income.denominator * rate.numerator
+    issued, excess = _round_half_even(income.numerator * rate.denominator, den)
+    pre_total = sum(state.balances.values())
     balances = dict(state.balances)
     for account in participants:
         balances[account] = balances.get(account, 0) + issued
-
-    ideal_total = new_census * params.basic_income / rate
-    residue = new_census * issued - ideal_total
-    pre_supply = sum(state.balances.values()) * state.exchange_rate
-    post_supply = sum(balances.values()) * rate
     report = MintReport(
         epoch=state.epoch + 1,
         census=new_census,
         issued_per_participant=issued,
-        minted_total_popcoin=float(new_census * issued * rate),
-        rounding_residue_poplets=round(residue),
-        residue_exact_poplets=residue,
-        pre_supply_popcoin=float(pre_supply),
-        post_supply_popcoin=float(post_supply),
+        rounding_residue_poplets=_round_half_even(new_census * excess, den)[0],
+        pre_total_poplets=pre_total,
+        previous_rate=state.exchange_rate,
+        exchange_rate=rate,
+        basic_income=income,
     )
     next_state = LedgerState(
         epoch=state.epoch + 1,
@@ -404,15 +436,9 @@ def mint_epoch_direct(
     removed_accounts: Iterable[Account] = (),
 ) -> DirectLedgerState:
     """One epoch of per-account rebasing: scale everyone, credit participants."""
-    # Reuse the census-delta validation by viewing this state through the
-    # fields the helper touches.
-    proxy = LedgerState(
-        epoch=state.epoch,
-        exchange_rate=Fraction(1),
-        balances=state.balances,
-        participants=state.participants,
+    participants = _apply_census_deltas(
+        state.participants, new_census, new_accounts, removed_accounts
     )
-    participants = _apply_census_deltas(proxy, new_census, new_accounts, removed_accounts)
     scale = (1 - params.demurrage_alpha) * Fraction(new_census, state.census)
     balances = {a: b * scale for a, b in state.balances.items()}
     for account in participants:

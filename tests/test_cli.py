@@ -1,12 +1,16 @@
 """CLI behavior: subcommands, exit codes, and the env-var logging knob."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import popcoin_sim
+from popcoin_sim import scenario
 from popcoin_sim.cli import main
 
 CONFIG = {
@@ -52,6 +56,22 @@ def test_run_rejects_census_path_beyond_account_ids(tmp_path, capsys):
     assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
     assert "more than 100000000 accounts" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 3)])
+def test_run_checks_the_rounding_residue_bound(tmp_path, capsys, monkeypatch, excess, code):
+    # half a poplet per participant, rounded: at most (N + 1) // 2 in all
+    real_mint = scenario.mint_epoch_poplet
+
+    def mint_with_residue(state, params, census, *deltas):
+        state, report = real_mint(state, params, census, *deltas)
+        residue = -((census + 1) // 2 + excess)
+        return state, dataclasses.replace(report, rounding_residue_poplets=residue)
+
+    monkeypatch.setattr(scenario, "mint_epoch_poplet", mint_with_residue)
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == code
+    assert ("rounding residue of -3 poplets" in capsys.readouterr().err) == (code == 3)
 
 
 def test_validate_bad_config_exits_2(tmp_path, capsys):

@@ -5,7 +5,8 @@ benchmark workloads do not reach: every population kind with transfers, a
 census that grows from a single account (epochs that draw nothing, then
 start drawing), shrinking censuses that leave dormant holders, transfers of
 up to the whole balance, a seed whose counter wraps past 2**64 at once,
-and the optional plot data. A change to any output byte must re-record
+issuance that is an exact half tie every epoch, and the optional plot
+data. A change to any output byte must re-record
 them deliberately.
 
 Re-record with ``python tests/test_golden.py`` (prints the table).
@@ -107,6 +108,22 @@ CASES = {
         },
         False,
     ),
+    # With alpha = 0 and one poplet per unit, E_t = N_t / N_0 and B / E' is
+    # 2.5 at N = 9 and 1.5 at N = 15: every epoch's issuance is an exact half
+    # tie, rounded down and then up by half-even, and at N = 15 the rounding
+    # residue 7.5 rounds to 8 = (N + 1) // 2, the largest the bound admits.
+    "tie_every_epoch": (
+        {
+            "policy": {"basic_income": 2.5, "demurrage_alpha": 0},
+            "epochs": 20,
+            "population": {"kind": "step_shock", "N0": 9, "factor": 5 / 3, "at_epoch": 8},
+            "seed": 31,
+            "poplet_scale": 1,
+            "transfers": {"count_per_epoch": 6, "max_fraction": 0.5},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
+        },
+        False,
+    ),
 }
 
 # recorded from the scalar, one-transfer-at-a-time mix, which the vectorised mix must match
@@ -155,6 +172,14 @@ GOLDEN = {
         "inequality.csv": "0cf6ebfd23374330292d529259ac1778a789adf06f41be17809905ba3c2ca85e",
         "manifest.json": "c13f0ecf1406f102e237009490748899754cd383ae961beaf9d95f712c2a85b3",
         "supply.csv": "9243334ffc9ceda580617fa73ddd9948dae2e6b59bca5ffa86db408c31068bfb",
+    },
+    # recorded from the Fraction issuance step, which the integer step must match
+    "tie_every_epoch": {
+        "epochs.csv": "697b2eb43f4eeb392cc9a8b8b70c7d0ced6185f229507724b9801887db91b40c",
+        "final_state.json": "90a8b82d711f65d913fc605325c6f477d7b7f5643017e6c5febdfe950b5942f7",
+        "inequality.csv": "43a6c095f257e445320db8507c8d44c5c30d828148ba81cc112aa219f9a88f8e",
+        "manifest.json": "86ac31acb7c87b3cba01cbffaccc79434a8392bcf638e78ef36b533a60812430",
+        "supply.csv": "ff778aada5773dfb7d80725bfc786e937257c48c1da5b093fd237c915afce157",
     },
 }
 

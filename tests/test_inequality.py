@@ -2,13 +2,14 @@
 contracts dispersion, and the worst case attains every bound."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from pytest import approx
 
 from popcoin_sim import (
     UndefinedGiniError,
+    epoch_metrics,
     gini,
     gini_bound,
     gini_bound_limit,
@@ -113,6 +114,56 @@ def test_ratio_examples():
 def test_max_ratio_over_vector():
     assert max_inequality_ratio([2.0, 8.0, 4.0]) == approx(4.0)
     assert max_inequality_ratio([3.0]) == 1.0
+
+
+# --- the epoch metric block ------------------------------------------------------------
+
+
+def _one_metric_at_a_time(values):
+    try:
+        gini_value = gini(values)
+    except UndefinedGiniError:
+        gini_value = float("nan")
+    return gini_value, variance(values), max_inequality_ratio(values)
+
+
+def _bits(floats):
+    return [x.hex() if x == x else "nan" for x in floats]
+
+
+@given(
+    arrays(
+        float,
+        st.integers(min_value=1, max_value=60),
+        elements=st.one_of(
+            st.floats(min_value=0, max_value=1e9),
+            st.floats(min_value=0, max_value=1e-300),  # subnormals included
+            st.just(0.0),
+        ),
+    )
+)
+@example([0.0, 0.0, 0.0])  # all zero: nan Gini
+@example([0.0])
+@example([42.5])  # one account
+@example([5e-324, 1e-310, 0.0])  # subnormal
+def test_epoch_metrics_equal_the_public_functions_bit_for_bit(values):
+    got = epoch_metrics(values)
+    want = _one_metric_at_a_time(values)
+    assert all(isinstance(x, float) for x in got)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, -2.0], [float("nan"), 1.0], [1.0, float("inf")], [], [[1.0]]]
+)
+def test_epoch_metrics_rejects_what_each_public_function_rejects(values):
+    with pytest.raises(ValueError) as block:
+        epoch_metrics(values)
+    for public in (gini, variance, max_inequality_ratio):
+        with pytest.raises(ValueError) as single:
+            public(values)
+        assert type(single.value) is type(block.value)
+        assert str(single.value) == str(block.value)
 
 
 # --- contraction properties -----------------------------------------------------------

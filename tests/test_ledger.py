@@ -2,6 +2,7 @@
 poplet-vs-direct-rebasing equivalence."""
 
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from popcoin_sim import (
     DirectLedgerState,
     InsufficientBalanceError,
     InvalidGenesisError,
+    LedgerState,
     PolicyParams,
     UnknownAccountError,
     balance_popcoin,
@@ -184,6 +186,111 @@ def test_mint_report_supplies_bracket_the_step():
     assert report.minted_total_popcoin == approx(
         10 * report.issued_per_participant * float(state.exchange_rate)
     )
+
+
+def _mint_reference(state, params, new_census, new_accounts=(), removed_accounts=()):
+    """The all-``Fraction`` issuance step that the integer one replaced."""
+    participants = (state.participants | set(new_accounts)) - set(removed_accounts)
+    rate = (
+        state.exchange_rate
+        * (1 - params.demurrage_alpha)
+        * Fraction(new_census, state.census)
+    )
+    # Fraction.__round__ is round-half-even, matching the minting rule.
+    issued = round(params.basic_income / rate)
+    balances = dict(state.balances)
+    for account in participants:
+        balances[account] = balances.get(account, 0) + issued
+
+    ideal_total = new_census * params.basic_income / rate
+    residue = new_census * issued - ideal_total
+    pre_supply = sum(state.balances.values()) * state.exchange_rate
+    post_supply = sum(balances.values()) * rate
+    report = {
+        "epoch": state.epoch + 1,
+        "census": new_census,
+        "issued_per_participant": issued,
+        "minted_total_popcoin": float(new_census * issued * rate),
+        "rounding_residue_poplets": round(residue),
+        "residue_exact_poplets": residue,
+        "pre_supply_popcoin": float(pre_supply),
+        "post_supply_popcoin": float(post_supply),
+    }
+    return rate, balances, participants, report
+
+
+incomes = st.one_of(
+    st.integers(min_value=1, max_value=10_000),
+    st.builds(
+        lambda digits, places: Fraction(digits, 10**places),
+        st.integers(min_value=1, max_value=10**7),
+        st.integers(min_value=1, max_value=4),
+    ),
+    # odd halves: with alpha 0 and scale 1 these tie at E = 1
+    st.integers(min_value=0, max_value=20).map(lambda k: Fraction(2 * k + 1, 2)),
+)
+alphas = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 50), Fraction(123, 10_000)]),
+    st.integers(min_value=1, max_value=99).map(lambda k: Fraction(k, 100)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    income=incomes,
+    alpha=alphas,
+    scale=st.sampled_from([1, 10**8]),
+    n0=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_mint_matches_fraction_reference(income, alpha, scale, n0, data):
+    params = PolicyParams(basic_income=income, demurrage_alpha=alpha)
+    state = make_ledger(n0, scale=scale, params=params)
+    fresh = iter(f"b{i}" for i in range(1000))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12), label="epochs")):
+        members = sorted(state.participants)
+        dormant = sorted(set(state.balances) - state.participants)
+        removed = data.draw(
+            st.lists(st.sampled_from(members), unique=True, max_size=min(3, len(members) - 1))
+            if len(members) > 1
+            else st.just([]),
+            label="removed",
+        )
+        readded = data.draw(
+            st.lists(st.sampled_from(dormant), unique=True, max_size=2) if dormant else st.just([]),
+            label="readded",
+        )
+        added = readded + [next(fresh) for _ in range(data.draw(st.integers(0, 3), label="new"))]
+        census = state.census + len(added) - len(removed)
+
+        rate, balances, participants, expected = _mint_reference(
+            state, params, census, added, removed
+        )
+        state, report = mint_epoch_poplet(state, params, census, added, removed)
+        assert state.exchange_rate == rate
+        assert state.balances == balances
+        assert state.participants == participants
+        assert {name: getattr(report, name) for name in expected} == expected
+        assert abs(report.rounding_residue_poplets) <= (census + 1) // 2
+        for value in vars(report).values():
+            assert not isinstance(value, (Mapping, LedgerState))
+
+
+def test_mint_half_ties_round_to_even():
+    # alpha 0, scale 1: E = N / N0, so B / E' is exactly 2.5, then 1.5, then 0.5
+    params = PolicyParams(basic_income=Fraction(5, 2), demurrage_alpha=0)
+    state = make_ledger(3, params=params)
+    issued = []
+    for census, added in ((3, []), (5, ["x", "y"]), (15, [f"z{i}" for i in range(10)])):
+        *_, expected = _mint_reference(state, params, census, added)
+        state, report = mint_epoch_poplet(state, params, census, added)
+        assert {name: getattr(report, name) for name in expected} == expected
+        issued.append(report.issued_per_participant)
+    assert issued == [2, 2, 0]
+    # 15 participants each short by half a poplet: -7.5 rounds to -8 = -(15 + 1) // 2
+    assert report.residue_exact_poplets == Fraction(-15, 2)
+    assert report.rounding_residue_poplets == -8
 
 
 # --- transfers ------------------------------------------------------------------
