@@ -16,22 +16,27 @@ error); it never changes outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, PopcoinError
 from .scenario import (
-    _validate_exchange_params,
+    AGENT_COLUMNS,
+    EXCHANGE_COLUMNS,
+    check_alpha,
     load_config,
+    normalize_agent_input,
+    normalize_exchange_params,
     run_agent_batch,
     run_exchange_grid,
     run_scenario,
-    validate_agent_problem,
     validate_config,
+    write_agent_csv,
+    write_exchange,
+    write_rows,
 )
 
 log = logging.getLogger("popcoin_sim.cli")
@@ -79,103 +84,30 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _parse_agent_input(doc) -> tuple[list[dict], float]:
-    """Accept either a bare problem list or {demurrage_alpha, problems}."""
-    diagnostics: list[str] = []
-    if isinstance(doc, list):
-        problems, alpha = doc, 0.0
-        if not problems:
-            diagnostics.append("problems: must be a non-empty list")
-    elif isinstance(doc, dict):
-        for key in doc:
-            if key not in ("problems", "demurrage_alpha"):
-                diagnostics.append(f"input: unknown key {key!r}")
-        problems = doc.get("problems")
-        alpha = doc.get("demurrage_alpha", 0.0)
-        if not isinstance(problems, list) or not problems:
-            diagnostics.append("problems: must be a non-empty list")
-            problems = []
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 <= alpha < 1:
-            diagnostics.append(f"demurrage_alpha: must lie in [0, 1), got {alpha!r}")
-    else:
-        raise ConfigError(["input: must be a problem list or an object with 'problems'"])
-    for i, problem in enumerate(problems):
-        validate_agent_problem(problem, f"problems[{i}]", diagnostics)
-    if diagnostics:
-        raise ConfigError(diagnostics)
-    return problems, float(alpha)
-
-
-def _write_rows(header, rows, out_path) -> None:
-    from .scenario import _format_cell
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
-        print(f"wrote {out_path}")
-    else:
-        sys.stdout.write(buffer.getvalue())
-
-
 def _cmd_agent(args) -> int:
-    doc = _load_json(args.problems)
-    problems, alpha = _parse_agent_input(doc)
+    problems, alpha = normalize_agent_input(_load_json(args.problems))
     if args.alpha is not None:
-        if not 0 <= args.alpha < 1:
-            raise ConfigError([f"--alpha: must lie in [0, 1), got {args.alpha}"])
+        problem = check_alpha(args.alpha)
+        if problem:
+            raise ConfigError([f"--alpha: must {problem}"])
         alpha = args.alpha
-    rows = run_agent_batch(problems, alpha)
-    _write_rows(["in1", "out1", "savings", "tax_rate"], rows, args.out)
+    if args.out:
+        write_agent_csv(Path(args.out), problems, alpha)
+        print(f"wrote {args.out}")
+    else:
+        write_rows(sys.stdout, AGENT_COLUMNS, run_agent_batch(problems, alpha))
     return EXIT_OK
 
 
 def _cmd_exchange(args) -> int:
-    doc = _load_json(args.scenario)
-    diagnostics: list[str] = []
-    if not isinstance(doc, dict):
-        raise ConfigError(["input: must be an object"])
-    _validate_exchange_params(doc, "input", diagnostics)
-    if diagnostics:
-        raise ConfigError(diagnostics)
-    from .scenario import DEFAULT_ELASTICITIES, DEFAULT_EXCHANGE_FIELDS, DEFAULT_FIAT_SHOCKS
-
-    scenario = dict(DEFAULT_EXCHANGE_FIELDS)
-    scenario.update(doc.get("scenario", {}))
-    params = {
-        "scenario": scenario,
-        "fiat_supply_shocks": list(doc.get("fiat_supply_shocks", DEFAULT_FIAT_SHOCKS)),
-        "elasticities": list(doc.get("elasticities", DEFAULT_ELASTICITIES)),
-    }
-    rows, summary = run_exchange_grid(params)
-    header = [
-        "shock",
-        "eta",
-        "spot_before",
-        "longrun_before",
-        "spot_after",
-        "longrun_after",
-        "rate_pop",
-        "rate_fiat_before",
-        "rate_fiat_after",
-        "overshoot",
-    ]
+    params = normalize_exchange_params(_load_json(args.scenario))
     if args.out:
-        from pathlib import Path
-
-        from .scenario import _write_csv, _write_json
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "exchange.csv", header, rows)
-        _write_json(out / "exchange_summary.json", summary)
-        print(f"wrote exchange.csv, exchange_summary.json to {out}")
+        print(f"wrote {', '.join(write_exchange(out, params))} to {out}")
     else:
-        _write_rows(header, rows, None)
+        rows, _ = run_exchange_grid(params)
+        write_rows(sys.stdout, EXCHANGE_COLUMNS, rows)
     return EXIT_OK
 
 

@@ -46,14 +46,16 @@ floats.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
 import math
+import dataclasses
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,50 +90,26 @@ from .rng import SplitMix64
 log = logging.getLogger("popcoin_sim.scenario")
 
 EPOCH_COLUMNS = ["t", "N", "n", "E", "M_total", "D", "R", "gini", "variance", "max_ratio"]
+SUPPLY_COLUMNS = ["t", "M_ledger", "M_recurrence", "cap"]
+INEQUALITY_COLUMNS = ["t", *EPOCH_COLUMNS[7:], "gini_bound", "variance_bound", "ratio_bound"]
+EXCHANGE_COLUMNS = [
+    "shock",
+    "eta",
+    "spot_before",
+    "longrun_before",
+    "spot_after",
+    "longrun_after",
+    "rate_pop",
+    "rate_fiat_before",
+    "rate_fiat_after",
+    "overshoot",
+]
+AGENT_COLUMNS = ["in1", "out1", "savings", "tax_rate"]
+PLOT_COLUMNS = ["t", "series", "value"]
 
-POPULATION_KINDS = ("fixed", "exponential", "logistic", "step_shock", "degrowth")
-
-DEFAULT_POPLET_SCALE = 10**8
 # Account ids are p%08d, created in increasing order; below this many accounts
 # their creation order is also their sorted order, which the epoch loop relies on.
 MAX_ACCOUNTS = 10**8
-DEFAULT_FIAT_SHOCKS = [0.0, 0.01, 0.05, 0.1, 0.25]
-DEFAULT_ELASTICITIES = [0.25, 0.5, 1.0, 2.0, 4.0]
-
-# Symmetric two-economy baseline: parity anchor, zero rates on both sides.
-DEFAULT_EXCHANGE_FIELDS = {
-    "money_supply_pop": 1.0,
-    "money_supply_fiat": 1.0,
-    "liquidity_pop": 1.0,
-    "liquidity_fiat": 1.0,
-    "income_pop": 1.0,
-    "income_fiat": 1.0,
-    "sticky_price_pop": 1.0,
-    "sticky_price_fiat": 1.0,
-    "liquidity_elasticity": 1.0,
-    "supply_growth_pop": 0.0,
-    "supply_growth_fiat": 0.0,
-    "income_growth_pop": 0.0,
-    "income_growth_fiat": 0.0,
-}
-
-_AGENT_PROBLEM_KEYS = {
-    "basic_income",
-    "earned_income",
-    "interest_rate",
-    "price_1",
-    "price_2",
-    "allow_borrowing",
-    "demurrage_alpha",
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -159,7 +137,197 @@ def census_path(population: dict, epochs: int) -> list[int]:
     raise ValueError(f"unknown population kind {kind!r}")
 
 
-# --- config validation -------------------------------------------------------
+# --- the config schema -------------------------------------------------------
+#
+# Every block of a config is a table of fields. One walker checks a block
+# against its table and returns the block with its defaults filled, so the
+# diagnostics, the defaults and the manifest echo all come from the tables.
+# Only the rules that tie fields together are code.
+
+_ABSENT = object()
+
+
+class Field(NamedTuple):
+    """One key of a config block.
+
+    ``check`` returns None for a value in the field's domain, and otherwise
+    the rest of the diagnostic after "must". A field with a ``block`` is a
+    nested block, walked with that table instead.
+    """
+
+    key: str
+    check: Callable[[object], str | None] | None = None
+    required: bool = False
+    default: object = _ABSENT
+    block: tuple = ()
+
+
+def _is_number(value) -> bool:
+    """A JSON number other than a boolean, NaN or an infinity."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _must(ok, expect: str):
+    """A check that admits the values ``ok`` accepts and names any other."""
+    return lambda value: None if ok(value) else f"{expect}, got {value!r}"
+
+
+def _reword(check, expect: str):
+    """The domain of ``check``, with a diagnostic worded by ``expect``."""
+    return lambda value: check(value) and f"{expect}, got {value!r}"
+
+
+def _list_of(check, expect: str):
+    """A check for a non-empty list of items ``check`` admits; it names no value."""
+    return lambda value: (
+        None if isinstance(value, list) and value and not any(map(check, value)) else expect
+    )
+
+
+_NUMBER = _must(_is_number, "be a number")
+_POSITIVE_NUMBER = _must(lambda v: _is_number(v) and v > 0, "be a positive number")
+_NON_NEGATIVE_NUMBER = _must(lambda v: _is_number(v) and v >= 0, "be a number >= 0")
+_ABOVE_MINUS_ONE = _must(lambda v: _is_number(v) and v > -1, "be a number above -1")
+_POSITIVE_INTEGER = _must(lambda v: _is_int(v) and v >= 1, "be a positive integer")
+_NON_NEGATIVE_INTEGER = _must(lambda v: _is_int(v) and v >= 0, "be a non-negative integer")
+# public: the ``agent`` subcommand checks its --alpha with it
+check_alpha = _must(lambda v: _is_number(v) and 0 <= v < 1, "lie in [0, 1)")
+
+
+_POSITIVE = _reword(_POSITIVE_NUMBER, "be positive")
+
+
+def _positive_parameter(value) -> str | None:
+    """An exchange level: ``be a number`` first, then ``be positive``."""
+    return _NUMBER(value) or _POSITIVE(value)
+
+
+POLICY_FIELDS = (
+    Field("basic_income", _POSITIVE_NUMBER, required=True),
+    Field("demurrage_alpha", check_alpha, required=True),
+    Field("epochs_per_year", _POSITIVE_INTEGER, default=1),
+)
+
+_N0 = Field("N0", _POSITIVE_INTEGER, required=True)
+_GROWTH = Field("n", _ABOVE_MINUS_ONE, required=True)
+POPULATION_FIELDS = {
+    "fixed": (Field("N", _POSITIVE_INTEGER, required=True),),
+    "exponential": (_N0, _GROWTH),
+    "logistic": (
+        _N0,
+        Field("K", _must(lambda v: _is_number(v) and v >= 1, "be a number >= 1"), required=True),
+        Field("rate", _POSITIVE_NUMBER, required=True),
+    ),
+    "step_shock": (
+        _N0,
+        Field("factor", _POSITIVE_NUMBER, required=True),
+        Field("at_epoch", _reword(_POSITIVE_INTEGER, "be an integer >= 1"), required=True),
+    ),
+    "degrowth": (_N0, _GROWTH),
+}
+POPULATION_KINDS = tuple(POPULATION_FIELDS)
+_KIND = Field("kind", _must(lambda v: v in POPULATION_KINDS, f"be one of {POPULATION_KINDS}"))
+
+TRANSFER_FIELDS = (
+    Field("count_per_epoch", _NON_NEGATIVE_INTEGER, required=True),
+    Field(
+        "max_fraction", _must(lambda v: _is_number(v) and 0 < v <= 1, "lie in (0, 1]"), required=True
+    ),
+)
+
+# Symmetric two-economy baseline: parity anchor, zero rates on both sides.
+EXCHANGE_SCENARIO_FIELDS = tuple(
+    Field(spec.name, _NUMBER, default=0.0)
+    if "growth" in spec.name
+    else Field(spec.name, _positive_parameter, default=1.0)
+    for spec in dataclasses.fields(ExchangeScenario)
+)
+EXCHANGE_FIELDS = (
+    Field("scenario", block=EXCHANGE_SCENARIO_FIELDS, default={}),
+    Field(
+        "fiat_supply_shocks",
+        _list_of(_NON_NEGATIVE_NUMBER, "be a non-empty list of numbers >= 0"),
+        default=[0.0, 0.01, 0.05, 0.1, 0.25],
+    ),
+    Field(
+        "elasticities",
+        _list_of(_POSITIVE_NUMBER, "be a non-empty list of positive numbers"),
+        default=[0.25, 0.5, 1.0, 2.0, 4.0],
+    ),
+)
+_POLICY_SHOCK_KEYS = ("pop_supply_shocks", "pop_supply_shock")
+
+# An agent study's params, or the object form of the ``agent`` input.
+AGENT_FIELDS = (
+    Field("demurrage_alpha", check_alpha, default=0.0),
+    Field("problems", _list_of(lambda problem: None, "be a non-empty list"), required=True),
+)
+PROBLEM_FIELDS = (
+    Field("basic_income", _NON_NEGATIVE_NUMBER, required=True),
+    Field("earned_income", _NON_NEGATIVE_NUMBER),
+    Field("interest_rate", _ABOVE_MINUS_ONE),
+    Field("price_1", _POSITIVE_NUMBER),
+    Field("price_2", _POSITIVE_NUMBER),
+    Field("allow_borrowing", _must(lambda v: isinstance(v, bool), "be a boolean")),
+    Field("demurrage_alpha", _reword(check_alpha, "be in [0, 1)")),
+)
+
+CONFIG_KEYS = ("policy", "epochs", "population", "seed", "poplet_scale", "transfers", "outputs")
+_SEED = _must(lambda v: v is None or _is_int(v) and -(2**63) <= v < 2**64, "be a 64-bit integer")
+STUDIES = ("supply", "inequality", "exchange", "agent")
+
+
+def _report(check, where: str, value, out: list[str]) -> bool:
+    """Report ``value`` at ``where`` unless ``check`` admits it; True if it does."""
+    problem = check(value)
+    if problem:
+        out.append(f"{where}: must {problem}")
+    return not problem
+
+
+def _walk(doc, fields, where: str, out: list[str], missing=None, unknown=None) -> dict:
+    """Check one block against its table; return it with its defaults filled.
+
+    ``where`` names the block ("" for the root of an input, whose unknown
+    keys are reported as ``input``). The unknown keys come first, in
+    document order and worded by ``unknown`` when given, then each field in
+    table order. An absent required key reads ``<key>: <missing>``, or,
+    without ``missing``, is checked as null.
+    """
+    label = where or "input"
+    if not isinstance(doc, dict):
+        out.append(f"{label}: must be an object")
+        return {}
+    known = {spec.key for spec in fields}
+    for key in doc:
+        if key not in known:
+            out.append(unknown(key) if unknown else f"{label}: unknown key {key!r}")
+    prefix = f"{where}." if where else ""
+    values = {}
+    for spec in fields:
+        if spec.key in doc:
+            value = doc[spec.key]
+        elif spec.default is not _ABSENT:
+            value = spec.default
+        elif not spec.required:
+            continue
+        elif missing:
+            out.append(f"{prefix}{spec.key}: {missing}")
+            continue
+        else:
+            value = None
+        if spec.block:
+            values[spec.key] = _walk(value, spec.block, prefix + spec.key, out)
+        else:
+            _report(spec.check, prefix + spec.key, value, out)
+            values[spec.key] = copy.copy(value)
+    return values
 
 
 def _validate_census_path(population: dict, epochs: int, out: list[str]) -> None:
@@ -180,238 +348,162 @@ def _validate_census_path(population: dict, epochs: int, out: list[str]) -> None
         )
 
 
-def _validate_policy(policy, out: list[str]) -> None:
-    if not isinstance(policy, dict):
-        out.append("policy: must be an object")
-        return
-    for key in policy:
-        if key not in ("basic_income", "demurrage_alpha", "epochs_per_year"):
-            out.append(f"policy: unknown key {key!r}")
-    income = policy.get("basic_income")
-    if not _is_number(income) or income <= 0:
-        out.append(f"policy.basic_income: must be a positive number, got {income!r}")
-    alpha = policy.get("demurrage_alpha")
-    if not _is_number(alpha) or not 0 <= alpha < 1:
-        out.append(f"policy.demurrage_alpha: must lie in [0, 1), got {alpha!r}")
-    per_year = policy.get("epochs_per_year", 1)
-    if not _is_int(per_year) or per_year < 1:
-        out.append(f"policy.epochs_per_year: must be a positive integer, got {per_year!r}")
-
-
-def _validate_population(population, out: list[str]) -> None:
-    if not isinstance(population, dict):
+def _population(doc, out: list[str]) -> dict | None:
+    """The population block, or None when anything in it is wrong."""
+    if not isinstance(doc, dict):
         out.append("population: must be an object")
-        return
-    kind = population.get("kind")
-    if kind not in POPULATION_KINDS:
-        out.append(f"population.kind: must be one of {POPULATION_KINDS}, got {kind!r}")
-        return
-    required = {
-        "fixed": {"N"},
-        "exponential": {"N0", "n"},
-        "degrowth": {"N0", "n"},
-        "logistic": {"N0", "K", "rate"},
-        "step_shock": {"N0", "factor", "at_epoch"},
-    }[kind]
-    for key in population:
-        if key != "kind" and key not in required:
-            out.append(f"population: unknown key {key!r} for kind {kind!r}")
-    for key in required:
-        if key not in population:
-            out.append(f"population.{key}: required for kind {kind!r}")
-    def num(key):
-        return population.get(key) if _is_number(population.get(key)) else None
-
-    if "N" in required and (not _is_int(population.get("N")) or population.get("N", 0) < 1):
-        out.append(f"population.N: must be a positive integer, got {population.get('N')!r}")
-    if "N0" in required and (not _is_int(population.get("N0")) or population.get("N0", 0) < 1):
-        out.append(f"population.N0: must be a positive integer, got {population.get('N0')!r}")
-    if "n" in required:
-        growth = population.get("n")
-        if not _is_number(growth) or growth <= -1:
-            out.append(f"population.n: must be a number above -1, got {growth!r}")
-        elif kind == "degrowth" and growth >= 0:
-            out.append(f"population.n: degrowth requires n < 0, got {growth!r}")
-    if "K" in required and (num("K") is None or num("K") < 1):
-        out.append(f"population.K: must be a number >= 1, got {population.get('K')!r}")
-    if "rate" in required and (num("rate") is None or num("rate") <= 0):
-        out.append(f"population.rate: must be a positive number, got {population.get('rate')!r}")
-    if "factor" in required and (num("factor") is None or num("factor") <= 0):
-        out.append(f"population.factor: must be a positive number, got {population.get('factor')!r}")
-    if "at_epoch" in required and (
-        not _is_int(population.get("at_epoch")) or population.get("at_epoch", -1) < 1
-    ):
-        out.append(
-            f"population.at_epoch: must be an integer >= 1, got {population.get('at_epoch')!r}"
-        )
+        return None
+    kind = doc.get("kind")
+    if not _report(_KIND.check, "population.kind", kind, out):
+        return None
+    found = len(out)
+    population = _walk(
+        doc,
+        (_KIND, *POPULATION_FIELDS[kind]),
+        "population",
+        out,
+        missing=f"required for kind {kind!r}",
+        unknown=lambda key: f"population: unknown key {key!r} for kind {kind!r}",
+    )
+    growth = population.get("n")
+    if kind == "degrowth" and _is_number(growth) and growth >= 0:
+        out.append(f"population.n: degrowth requires n < 0, got {growth!r}")
+    return population if len(out) == found else None
 
 
-def _validate_exchange_params(params, where: str, out: list[str]) -> None:
-    if not isinstance(params, dict):
-        out.append(f"{where}: params must be an object")
-        return
-    for key in params:
-        if key in ("pop_supply_shocks", "pop_supply_shock"):
-            out.append(
+def _exchange_params(params, where: str, out: list[str]) -> dict:
+    def unknown(key):
+        if key in _POLICY_SHOCK_KEYS:
+            return (
                 f"{where}.{key}: the policy currency's supply is census-determined "
                 "and cannot be shocked; only fiat_supply_shocks is supported"
             )
-        elif key not in ("scenario", "fiat_supply_shocks", "elasticities"):
+        return f"{where}: unknown key {key!r}"
+
+    return _walk(params, EXCHANGE_FIELDS, where, out, unknown=unknown)
+
+
+def _agent_params(params, where: str, out: list[str]) -> dict:
+    values = _walk(params, AGENT_FIELDS, where, out)
+    problems = values.get("problems")
+    if isinstance(problems, list):
+        prefix = f"{where}." if where else ""
+        values["problems"] = [
+            _walk(problem, PROBLEM_FIELDS, f"{prefix}problems[{i}]", out, missing="required")
+            for i, problem in enumerate(problems)
+        ]
+    return values
+
+
+def normalize_exchange_params(doc) -> dict:
+    """An exchange study's params, which are also the ``exchange`` input,
+    with every default filled; raises ConfigError with every diagnostic."""
+    out: list[str] = []
+    params = _exchange_params(doc, "input", out)
+    if out:
+        raise ConfigError(out)
+    return params
+
+
+def normalize_agent_input(doc) -> tuple[list[dict], float]:
+    """The problems and demurrage rate of an ``agent`` input.
+
+    The input is a bare problem list or an agent study's params,
+    ``{demurrage_alpha, problems}``; the rate defaults to 0. Raises
+    ConfigError with every diagnostic.
+    """
+    if isinstance(doc, list):
+        doc = {"problems": doc}
+    elif not isinstance(doc, dict):
+        raise ConfigError(["input: must be a problem list or an object with 'problems'"])
+    out: list[str] = []
+    params = _agent_params(doc, "", out)
+    if out:
+        raise ConfigError(out)
+    return params["problems"], params["demurrage_alpha"]
+
+
+def _study(entry, where: str, policy: dict, out: list[str]) -> dict | None:
+    """One normalised output selector (None when it is not one)."""
+    if not isinstance(entry, dict):
+        out.append(f"{where}: must be an object")
+        return None
+    for key in entry:
+        if key not in ("study", "params"):
             out.append(f"{where}: unknown key {key!r}")
-    scenario = params.get("scenario", {})
-    if not isinstance(scenario, dict):
-        out.append(f"{where}.scenario: must be an object")
-    else:
-        growth_keys = {
-            "supply_growth_pop",
-            "supply_growth_fiat",
-            "income_growth_pop",
-            "income_growth_fiat",
-        }
-        for key, value in scenario.items():
-            if key not in DEFAULT_EXCHANGE_FIELDS:
-                out.append(f"{where}.scenario: unknown key {key!r}")
-            elif not _is_number(value):
-                out.append(f"{where}.scenario.{key}: must be a number, got {value!r}")
-            elif key not in growth_keys and value <= 0:
-                out.append(f"{where}.scenario.{key}: must be positive, got {value!r}")
-    shocks = params.get("fiat_supply_shocks", DEFAULT_FIAT_SHOCKS)
-    if not isinstance(shocks, list) or not shocks or not all(
-        _is_number(s) and s >= 0 for s in shocks
-    ):
-        out.append(f"{where}.fiat_supply_shocks: must be a non-empty list of numbers >= 0")
-    elasticities = params.get("elasticities", DEFAULT_ELASTICITIES)
-    if not isinstance(elasticities, list) or not elasticities or not all(
-        _is_number(e) and e > 0 for e in elasticities
-    ):
-        out.append(f"{where}.elasticities: must be a non-empty list of positive numbers")
-
-
-def _validate_agent_params(params, where: str, out: list[str]) -> None:
+    study = entry.get("study")
+    if study not in STUDIES:
+        out.append(f"{where}.study: must be one of {', '.join(STUDIES)}; got {study!r}")
+        return None
+    params = entry.get("params")
+    if study in ("supply", "inequality"):
+        if params not in (None, {}):
+            out.append(f"{where}: study {study!r} takes no params")
+        return {"study": study, "params": {}}
+    if params is None:
+        params = {}
     if not isinstance(params, dict):
         out.append(f"{where}: params must be an object")
-        return
-    for key in params:
-        if key not in ("problems", "demurrage_alpha"):
-            out.append(f"{where}: unknown key {key!r}")
-    alpha = params.get("demurrage_alpha")
-    if alpha is not None and (not _is_number(alpha) or not 0 <= alpha < 1):
-        out.append(f"{where}.demurrage_alpha: must lie in [0, 1), got {alpha!r}")
-    problems = params.get("problems")
-    if not isinstance(problems, list) or not problems:
-        out.append(f"{where}.problems: must be a non-empty list")
-        return
-    for i, problem in enumerate(problems):
-        validate_agent_problem(problem, f"{where}.problems[{i}]", out)
+        return None
+    if study == "exchange":
+        return {"study": study, "params": _exchange_params(params, where, out)}
+    normalized = _agent_params(params, where, out)
+    if "demurrage_alpha" not in params:  # the study's rate defaults to the policy's
+        normalized["demurrage_alpha"] = policy.get("demurrage_alpha")
+    return {"study": study, "params": normalized}
 
 
-def validate_agent_problem(problem, where: str, out: list[str]) -> None:
-    """Append diagnostics for one agent-problem object to ``out``."""
-    if not isinstance(problem, dict):
-        out.append(f"{where}: must be an object")
-        return
-    for key in problem:
-        if key not in _AGENT_PROBLEM_KEYS:
-            out.append(f"{where}: unknown key {key!r}")
-    checks = [
-        ("basic_income", lambda v: _is_number(v) and v >= 0, "a number >= 0", True),
-        ("earned_income", lambda v: _is_number(v) and v >= 0, "a number >= 0", False),
-        ("interest_rate", lambda v: _is_number(v) and v > -1, "a number above -1", False),
-        ("price_1", lambda v: _is_number(v) and v > 0, "a positive number", False),
-        ("price_2", lambda v: _is_number(v) and v > 0, "a positive number", False),
-        ("allow_borrowing", lambda v: isinstance(v, bool), "a boolean", False),
-        ("demurrage_alpha", lambda v: _is_number(v) and 0 <= v < 1, "in [0, 1)", False),
-    ]
-    for key, ok, expect, required in checks:
-        if key in problem:
-            if not ok(problem[key]):
-                out.append(f"{where}.{key}: must be {expect}, got {problem[key]!r}")
-        elif required:
-            out.append(f"{where}.{key}: required")
+def _normalize(doc) -> tuple[dict, list[str]]:
+    """The config with every default filled, and every diagnostic.
 
-
-def validate_config(doc) -> list[str]:
-    """Return every diagnostic for a scenario config; empty means valid."""
-    out: list[str] = []
+    The top level reports its unknown and missing keys first, then each
+    block and field in turn. Each rule that ties fields together follows the
+    last field it reads: the census path after ``epochs``, the seed that
+    random transfers need after ``seed``.
+    """
     if not isinstance(doc, dict):
-        return ["config: must be a JSON object"]
-    allowed = {"policy", "epochs", "population", "seed", "poplet_scale", "transfers", "outputs"}
-    for key in doc:
-        if key not in allowed:
-            out.append(f"config: unknown key {key!r}")
-    for key in ("policy", "epochs", "population"):
-        if key not in doc:
-            out.append(f"config: missing required key {key!r}")
-    if "policy" in doc:
-        _validate_policy(doc["policy"], out)
-    population_ok = False
-    if "population" in doc:
-        found = len(out)
-        _validate_population(doc["population"], out)
-        population_ok = len(out) == found
+        return {}, ["config: must be a JSON object"]
+    out = [f"config: unknown key {key!r}" for key in doc if key not in CONFIG_KEYS]
+    out += [
+        f"config: missing required key {key!r}"
+        for key in ("policy", "epochs", "population")
+        if key not in doc
+    ]
+    policy = _walk(doc["policy"], POLICY_FIELDS, "policy", out) if "policy" in doc else {}
+    population = _population(doc["population"], out) if "population" in doc else None
     epochs = doc.get("epochs")
-    if "epochs" in doc and (not _is_int(epochs) or epochs < 0):
-        out.append(f"epochs: must be a non-negative integer, got {epochs!r}")
-    elif "epochs" in doc and population_ok:
-        _validate_census_path(doc["population"], epochs, out)
-
-    scale = doc.get("poplet_scale", DEFAULT_POPLET_SCALE)
-    if not _is_int(scale) or scale < 1:
-        out.append(f"poplet_scale: must be a positive integer, got {scale!r}")
-
+    if "epochs" in doc and _report(_NON_NEGATIVE_INTEGER, "epochs", epochs, out) and population:
+        _validate_census_path(population, epochs, out)
+    poplet_scale = doc.get("poplet_scale", 10**8)
+    _report(_POSITIVE_INTEGER, "poplet_scale", poplet_scale, out)
     transfers = doc.get("transfers")
-    transfers_active = False
     if transfers is not None:
-        if not isinstance(transfers, dict):
-            out.append("transfers: must be an object")
-        else:
-            for key in transfers:
-                if key not in ("count_per_epoch", "max_fraction"):
-                    out.append(f"transfers: unknown key {key!r}")
-            count = transfers.get("count_per_epoch")
-            if not _is_int(count) or count < 0:
-                out.append(
-                    f"transfers.count_per_epoch: must be a non-negative integer, got {count!r}"
-                )
-            else:
-                transfers_active = count > 0
-            frac = transfers.get("max_fraction")
-            if not _is_number(frac) or not 0 < frac <= 1:
-                out.append(f"transfers.max_fraction: must lie in (0, 1], got {frac!r}")
-
+        transfers = _walk(transfers, TRANSFER_FIELDS, "transfers", out)
     seed = doc.get("seed")
-    if seed is not None and (not _is_int(seed) or not -(2**63) <= seed < 2**64):
-        out.append(f"seed: must be a 64-bit integer, got {seed!r}")
-    if transfers_active and seed is None:
+    _report(_SEED, "seed", seed, out)
+    count = transfers.get("count_per_epoch") if transfers else None
+    if seed is None and _is_int(count) and count > 0:
         out.append("seed: required when random transfers are enabled")
-
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list):
         out.append("outputs: must be a list of study selectors")
         outputs = []
-    for i, entry in enumerate(outputs):
-        where = f"outputs[{i}]"
-        if not isinstance(entry, dict):
-            out.append(f"{where}: must be an object")
-            continue
-        for key in entry:
-            if key not in ("study", "params"):
-                out.append(f"{where}: unknown key {key!r}")
-        study = entry.get("study")
-        if study not in ("supply", "inequality", "exchange", "agent"):
-            out.append(
-                f"{where}.study: must be one of supply, inequality, exchange, agent; got {study!r}"
-            )
-            continue
-        params = entry.get("params")
-        if study in ("supply", "inequality"):
-            if params not in (None, {}):
-                out.append(f"{where}: study {study!r} takes no params")
-        elif study == "exchange":
-            _validate_exchange_params(params if params is not None else {}, where, out)
-        elif study == "agent":
-            _validate_agent_params(params if params is not None else {}, where, out)
-    return out
+    studies = [_study(entry, f"outputs[{i}]", policy, out) for i, entry in enumerate(outputs)]
+    normalized = {
+        "policy": policy,
+        "epochs": epochs,
+        "population": population,
+        "seed": seed,
+        "poplet_scale": poplet_scale,
+        "transfers": transfers,
+        "outputs": studies,
+    }
+    return normalized, out
+
+
+def validate_config(doc) -> list[str]:
+    """Return every diagnostic for a scenario config; empty means valid."""
+    return _normalize(doc)[1]
 
 
 @dataclass(frozen=True)
@@ -430,78 +522,22 @@ class ScenarioConfig:
 
 def parse_config(doc) -> ScenarioConfig:
     """Validate a raw config object and bind defaults; raises ConfigError."""
-    diagnostics = validate_config(doc)
+    normalized, diagnostics = _normalize(doc)
     if diagnostics:
         raise ConfigError(diagnostics)
-    policy_doc = doc["policy"]
-    policy = PolicyParams(
-        basic_income=exact(policy_doc["basic_income"]),
-        demurrage_alpha=exact(policy_doc["demurrage_alpha"]),
-        epochs_per_year=policy_doc.get("epochs_per_year", 1),
-    )
-    transfers = doc.get("transfers")
-    if transfers is not None:
-        transfers = {
-            "count_per_epoch": transfers["count_per_epoch"],
-            "max_fraction": transfers["max_fraction"],
-        }
-    outputs = []
-    for entry in doc.get("outputs", []):
-        study = entry["study"]
-        if study in ("supply", "inequality"):
-            outputs.append({"study": study, "params": {}})
-        elif study == "exchange":
-            params = entry.get("params") or {}
-            scenario = dict(DEFAULT_EXCHANGE_FIELDS)
-            scenario.update(params.get("scenario", {}))
-            outputs.append(
-                {
-                    "study": "exchange",
-                    "params": {
-                        "scenario": scenario,
-                        "fiat_supply_shocks": list(
-                            params.get("fiat_supply_shocks", DEFAULT_FIAT_SHOCKS)
-                        ),
-                        "elasticities": list(
-                            params.get("elasticities", DEFAULT_ELASTICITIES)
-                        ),
-                    },
-                }
-            )
-        else:
-            params = entry.get("params") or {}
-            outputs.append(
-                {
-                    "study": "agent",
-                    "params": {
-                        "demurrage_alpha": params.get(
-                            "demurrage_alpha", policy_doc["demurrage_alpha"]
-                        ),
-                        "problems": [dict(p) for p in params["problems"]],
-                    },
-                }
-            )
-    normalized = {
-        "policy": {
-            "basic_income": policy_doc["basic_income"],
-            "demurrage_alpha": policy_doc["demurrage_alpha"],
-            "epochs_per_year": policy_doc.get("epochs_per_year", 1),
-        },
-        "epochs": doc["epochs"],
-        "population": dict(doc["population"]),
-        "seed": doc.get("seed"),
-        "poplet_scale": doc.get("poplet_scale", DEFAULT_POPLET_SCALE),
-        "transfers": transfers,
-        "outputs": outputs,
-    }
+    policy = normalized["policy"]
     return ScenarioConfig(
-        policy=policy,
-        epochs=doc["epochs"],
-        population=dict(doc["population"]),
-        seed=doc.get("seed"),
-        poplet_scale=doc.get("poplet_scale", DEFAULT_POPLET_SCALE),
-        transfers=transfers,
-        outputs=tuple(outputs),
+        policy=PolicyParams(
+            basic_income=exact(policy["basic_income"]),
+            demurrage_alpha=exact(policy["demurrage_alpha"]),
+            epochs_per_year=policy["epochs_per_year"],
+        ),
+        epochs=normalized["epochs"],
+        population=dict(normalized["population"]),
+        seed=normalized["seed"],
+        poplet_scale=normalized["poplet_scale"],
+        transfers=normalized["transfers"],
+        outputs=tuple(normalized["outputs"]),
         normalized=normalized,
     )
 
@@ -649,17 +685,16 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         elif study == "inequality":
             files["inequality.csv"] = _emit_inequality(out, rows, params)
         elif study == "exchange":
-            for name, written in _emit_exchange(out, entry["params"]).items():
-                files[name] = written
+            files.update(write_exchange(out, entry["params"]))
         elif study == "agent":
-            files["agent.csv"] = _emit_agent_csv(
+            files["agent.csv"] = write_agent_csv(
                 out / "agent.csv",
                 entry["params"]["problems"],
                 entry["params"]["demurrage_alpha"],
             )
     if include_plot_data:
         files["plot_data.csv"] = _write_csv(
-            out / "plot_data.csv", ["t", "series", "value"], emit_plot_data(rows)
+            out / "plot_data.csv", PLOT_COLUMNS, emit_plot_data(rows)
         )
     log.info("run complete: %d epochs, %d files in %s", config.epochs, len(files), out)
     return {
@@ -703,7 +738,7 @@ def _emit_supply(out: Path, rows, macro, params: PolicyParams) -> str:
     for row, macro_state in zip(rows, macro):
         cap = income * macro_state.census / alpha if alpha > 0 else float("inf")
         table.append([row["t"], row["M_total"], macro_state.supply, cap])
-    return _write_csv(out / "supply.csv", ["t", "M_ledger", "M_recurrence", "cap"], table)
+    return _write_csv(out / "supply.csv", SUPPLY_COLUMNS, table)
 
 
 def _emit_inequality(out: Path, rows, params: PolicyParams) -> str:
@@ -722,26 +757,14 @@ def _emit_inequality(out: Path, rows, params: PolicyParams) -> str:
                 ratio_bound(alpha, row["N"]),
             ]
         )
-    header = ["t", "gini", "variance", "max_ratio", "gini_bound", "variance_bound", "ratio_bound"]
-    return _write_csv(out / "inequality.csv", header, table)
+    return _write_csv(out / "inequality.csv", INEQUALITY_COLUMNS, table)
 
 
-def _emit_exchange(out: Path, params: dict) -> dict:
+def write_exchange(out: Path, params: dict) -> dict:
+    """Run the exchange grid for normalised params; write its two files into ``out``."""
     rows, summary = run_exchange_grid(params)
-    header = [
-        "shock",
-        "eta",
-        "spot_before",
-        "longrun_before",
-        "spot_after",
-        "longrun_after",
-        "rate_pop",
-        "rate_fiat_before",
-        "rate_fiat_after",
-        "overshoot",
-    ]
     return {
-        "exchange.csv": _write_csv(out / "exchange.csv", header, rows),
+        "exchange.csv": _write_csv(out / "exchange.csv", EXCHANGE_COLUMNS, rows),
         "exchange_summary.json": _write_json(out / "exchange_summary.json", summary),
     }
 
@@ -794,10 +817,9 @@ def run_agent_batch(problems: Sequence[dict], default_alpha: float) -> list[list
     return rows
 
 
-def _emit_agent_csv(path: Path, problems, default_alpha: float) -> str:
-    return _write_csv(
-        path, ["in1", "out1", "savings", "tax_rate"], run_agent_batch(problems, default_alpha)
-    )
+def write_agent_csv(path: Path, problems, default_alpha: float) -> str:
+    """Solve a batch of normalised problems and write their rows to ``path``."""
+    return _write_csv(path, AGENT_COLUMNS, run_agent_batch(problems, default_alpha))
 
 
 # --- deterministic file writers ----------------------------------------------
@@ -813,12 +835,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def write_rows(handle, header: Sequence[str], rows) -> None:
+    """Write a header and rows as CSV to an open text handle, file or stdout."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(cell) for cell in row])
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> str:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        write_rows(handle, header, rows)
     return path.name
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,23 +163,23 @@ def test_exchange_rejects_policy_shock_key(tmp_path, capsys):
     assert "census-determined" in capsys.readouterr().err
 
 
-def test_log_env_var_controls_verbosity(tmp_path):
-    config = write_json(tmp_path / "cfg.json", CONFIG)
+def run_child(args, **env):
+    """Run the CLI in a child process with only ``env`` (and PYTHONPATH) set."""
     # the child must import the same package as this process, installed or not
     src_dir = str(Path(popcoin_sim.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    quiet = subprocess.run(
-        [sys.executable, "-m", "popcoin_sim.cli", "run", config, "--out", str(tmp_path / "q")],
+    return subprocess.run(
+        [sys.executable, "-m", "popcoin_sim.cli", *args],
         capture_output=True,
         text=True,
-        env={"PATH": "", "PYTHONPATH": pythonpath, "POPCOIN_SIM_LOG": "warning"},
+        env={"PATH": "", "PYTHONPATH": pythonpath, **env},
     )
-    chatty = subprocess.run(
-        [sys.executable, "-m", "popcoin_sim.cli", "run", config, "--out", str(tmp_path / "v")],
-        capture_output=True,
-        text=True,
-        env={"PATH": "", "PYTHONPATH": pythonpath, "POPCOIN_SIM_LOG": "info"},
-    )
+
+
+def test_log_env_var_controls_verbosity(tmp_path):
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    quiet = run_child(["run", config, "--out", str(tmp_path / "q")], POPCOIN_SIM_LOG="warning")
+    chatty = run_child(["run", config, "--out", str(tmp_path / "v")], POPCOIN_SIM_LOG="info")
     assert quiet.returncode == 0 and chatty.returncode == 0
     assert "run complete" not in quiet.stderr
     assert "run complete" in chatty.stderr
@@ -186,3 +187,50 @@ def test_log_env_var_controls_verbosity(tmp_path):
     assert (tmp_path / "q" / "epochs.csv").read_bytes() == (
         tmp_path / "v" / "epochs.csv"
     ).read_bytes()
+
+
+def test_missing_keys_reported_once_each_in_table_order(tmp_path):
+    # the hash seeds 1 and 4 ordered a set of these keys differently
+    bad = dict(CONFIG, population={"kind": "logistic"})
+    config = write_json(tmp_path / "bad.json", bad)
+    runs = [run_child(["validate", config], PYTHONHASHSEED=seed) for seed in ("1", "4")]
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.splitlines() == [
+        f"population.{key}: required for kind 'logistic'" for key in ("N0", "K", "rate")
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, doc, diagnostic",
+    [
+        (
+            "run",
+            dict(CONFIG, policy={"basic_income": math.inf, "demurrage_alpha": 0.02}),
+            "policy.basic_income: must be a positive number, got inf",
+        ),
+        (
+            "exchange",
+            {"scenario": {"income_pop": math.inf}},
+            "input.scenario.income_pop: must be a number, got inf",
+        ),
+        (
+            "exchange",
+            {"fiat_supply_shocks": [math.inf]},
+            "input.fiat_supply_shocks: must be a non-empty list of numbers >= 0",
+        ),
+        (
+            "agent",
+            [{"basic_income": 10.0, "earned_income": math.inf}],
+            "problems[0].earned_income: must be a number >= 0, got inf",
+        ),
+    ],
+    ids=["run", "exchange-scenario", "exchange-shocks", "agent"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, doc, diagnostic):
+    # json writes these as Infinity, which Python's json module reads back
+    path = write_json(tmp_path / "input.json", doc)
+    out_dir = tmp_path / "out"
+    assert main([command, path, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [diagnostic]
+    assert not out_dir.exists()

@@ -124,6 +124,59 @@ CASES = {
         },
         False,
     ),
+    # The cases below pin the defaults that config normalisation fills in,
+    # above all in manifest.json: epochs_per_year given, an integer basic
+    # income, transfers off with no seed, supply params {}, exchange studies
+    # with a partial scenario and with no params, and agent studies with and
+    # without their own demurrage_alpha (without, it takes the policy's).
+    "integer_income_no_seed": (
+        {
+            "policy": {"basic_income": 100, "demurrage_alpha": 0.05, "epochs_per_year": 12},
+            "epochs": 6,
+            "population": {"kind": "fixed", "N": 5},
+            "transfers": {"count_per_epoch": 0, "max_fraction": 0.5},
+            "outputs": [{"study": "supply", "params": {}}, {"study": "inequality"}],
+        },
+        False,
+    ),
+    "exchange_partial_scenario": (
+        {
+            "policy": POLICY,
+            "epochs": 3,
+            "population": {"kind": "fixed", "N": 3},
+            "outputs": [
+                {
+                    "study": "exchange",
+                    "params": {
+                        "scenario": {"income_pop": 1.5, "supply_growth_fiat": 0.01},
+                        "elasticities": [0.5, 2.0],
+                    },
+                }
+            ],
+        },
+        False,
+    ),
+    "exchange_no_params_agent_alpha": (
+        {
+            "policy": POLICY,
+            "epochs": 3,
+            "population": {"kind": "fixed", "N": 3},
+            "outputs": [
+                {"study": "exchange"},
+                {"study": "agent", "params": {"demurrage_alpha": 0.1, "problems": AGENT_PROBLEMS}},
+            ],
+        },
+        False,
+    ),
+    "agent_policy_alpha": (
+        {
+            "policy": {"basic_income": 2922.0, "demurrage_alpha": 0},
+            "epochs": 3,
+            "population": {"kind": "fixed", "N": 3},
+            "outputs": [{"study": "agent", "params": {"problems": AGENT_PROBLEMS}}],
+        },
+        False,
+    ),
 }
 
 # recorded from the scalar, one-transfer-at-a-time mix, which the vectorised mix must match
@@ -172,6 +225,35 @@ GOLDEN = {
         "inequality.csv": "0cf6ebfd23374330292d529259ac1778a789adf06f41be17809905ba3c2ca85e",
         "manifest.json": "c13f0ecf1406f102e237009490748899754cd383ae961beaf9d95f712c2a85b3",
         "supply.csv": "9243334ffc9ceda580617fa73ddd9948dae2e6b59bca5ffa86db408c31068bfb",
+    },
+    # recorded from the hand-written config parsing, which the field tables must match
+    "agent_policy_alpha": {
+        "agent.csv": "6a162d1d9f29f231447e0a8cb0d504e2a842b1df532a0de372b6e79fde24c9b6",
+        "epochs.csv": "e7b032040214d0e383e4c2e6bc60fe7763bbe1e159a0336b1219a6bbfc8b4dde",
+        "final_state.json": "7e3695a26720cd2ec4d9f40933d98c44559852905ada15fb4b149a9d918c2f17",
+        "manifest.json": "ed1317a8da5b13b5aa87e9620822428513fe371082a1e3fc7ae364accb3de1a1",
+    },
+    "exchange_no_params_agent_alpha": {
+        "agent.csv": "68ade8a2324a257f66a31759dd1488986117eb10c956c4cac2324a86d551fb6e",
+        "epochs.csv": "05f76fbf1067463f60973ec861a82641dff72cd06cb093b697abbf8b10a8f8f6",
+        "exchange.csv": "58ab27a52c0ba31b0ed09bcdd1d6b4d88aa0a70bab7570102b860896b33adb90",
+        "exchange_summary.json": "07e1abcd4602dc7c44a1974ec5fdeb2cb10dafb0b22ab8455f8567a5d18a2e95",
+        "final_state.json": "dcd2bdb8ef34badac059720d1b8ed6f0fab08a4e3bd6c88c0bc4fd2377902362",
+        "manifest.json": "4e0db4bde7f4453b9cfb8bccbbe06c7fde6222ecce0bdfdc536717ae6f32af32",
+    },
+    "exchange_partial_scenario": {
+        "epochs.csv": "05f76fbf1067463f60973ec861a82641dff72cd06cb093b697abbf8b10a8f8f6",
+        "exchange.csv": "f323d20e27b0de36414db4c68cd223da386f306558207a9954ebbe836c8621f3",
+        "exchange_summary.json": "715efc283882c5ef45035be297f2cbc7ef0d62224667c9b6a34df12860157e86",
+        "final_state.json": "dcd2bdb8ef34badac059720d1b8ed6f0fab08a4e3bd6c88c0bc4fd2377902362",
+        "manifest.json": "14f157548dd7a935dedb52055229977f13758211d307ddde1bb2ba33cc09a4a5",
+    },
+    "integer_income_no_seed": {
+        "epochs.csv": "61ab02f569b6e928432206ab1e4069737302b0e6c3ce9b48b71110b102284fcc",
+        "final_state.json": "4432cdfa5b553d41966b02d2fd3467e6ffb721f85a5faafe02f10611d2b78185",
+        "inequality.csv": "d58460e66a981d165d279e63e9713f239c100100e13b33bc326a28968b0fbce8",
+        "manifest.json": "801e93526ca583ac79bd836d05ceb28958c3da3ef7293b47381f99e1cde40d17",
+        "supply.csv": "180b7e8e30a24fcaa85c5b4bd98f624c14213af43777390b22364b7092e7f781",
     },
     # recorded from the Fraction issuance step, which the integer step must match
     "tie_every_epoch": {
