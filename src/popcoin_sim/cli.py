@@ -16,7 +16,6 @@ error); it never changes outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -30,6 +29,7 @@ from .scenario import (
     load_config,
     normalize_agent_input,
     normalize_exchange_params,
+    read_json,
     run_agent_batch,
     run_exchange_grid,
     run_scenario,
@@ -56,16 +56,6 @@ def _configure_logging() -> None:
     )
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError([f"{path}: file not found"]) from None
-    except json.JSONDecodeError as err:
-        raise ConfigError([f"{path}: not valid JSON ({err})"]) from None
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     summary = run_scenario(config, args.out, include_plot_data=args.plot_data)
@@ -74,8 +64,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc = _load_json(args.config)
-    diagnostics = validate_config(doc)
+    diagnostics = validate_config(read_json(args.config))
     if diagnostics:
         for line in diagnostics:
             print(line, file=sys.stderr)
@@ -85,7 +74,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_agent(args) -> int:
-    problems, alpha = normalize_agent_input(_load_json(args.problems))
+    problems, alpha = normalize_agent_input(read_json(args.problems))
     if args.alpha is not None:
         problem = check_alpha(args.alpha)
         if problem:
@@ -100,7 +89,7 @@ def _cmd_agent(args) -> int:
 
 
 def _cmd_exchange(args) -> int:
-    params = normalize_exchange_params(_load_json(args.scenario))
+    params = normalize_exchange_params(read_json(args.scenario))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

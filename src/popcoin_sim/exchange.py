@@ -104,7 +104,11 @@ def money_market_rate(
     liquidity: float,
     elasticity: float,
 ) -> float:
-    """Nominal rate clearing M / P = L0 * exp(-eta * i) * Y."""
+    """Nominal rate clearing M / P = L0 * exp(-eta * i) * Y.
+
+    Raises NoEquilibriumError when M / (P * Y * L0) is not a positive finite
+    float, as when extreme levels overflow or underflow it.
+    """
     for name, value in (
         ("money_supply", money_supply),
         ("sticky_price", sticky_price),
@@ -114,7 +118,13 @@ def money_market_rate(
     ):
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    return -math.log(money_supply / (sticky_price * income * liquidity)) / elasticity
+    demand = sticky_price * income * liquidity
+    ratio = money_supply / demand if demand else math.inf
+    if not 0 < ratio < math.inf:
+        raise NoEquilibriumError(
+            f"no money-market rate: M / (P * Y * L0) = {ratio} is not a positive finite number"
+        )
+    return -math.log(ratio) / elasticity
 
 
 def uip_spot_rate(rate_pop: float, rate_fiat: float, expected_rate: float) -> float:

@@ -128,7 +128,7 @@ def variance_bound(alpha: float, basic_income: float, census: int) -> float:
 
 def gini_bound(alpha: float, census: int) -> float:
     """Supremum of Gini at census N: (1-alpha)(N-1)/N."""
-    _check_bound_args(alpha, census, allow_zero_alpha=True)
+    _check_bound_args(alpha, census)
     return (1.0 - alpha) * (census - 1) / census
 
 
@@ -165,7 +165,7 @@ def worst_case_distribution(alpha: float, basic_income: float, census: int) -> n
     return out
 
 
-def _check_bound_args(alpha: float, census: int, *, allow_zero_alpha: bool = True) -> None:
+def _check_bound_args(alpha: float, census: int) -> None:
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if census < 1:

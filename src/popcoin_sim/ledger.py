@@ -32,6 +32,10 @@ The module also ships a second, deliberately naive implementation
 It exists as an independent oracle for equivalence tests and is not meant
 for production use.
 
+``LedgerState`` keeps no genesis metadata: ``genesis``'s ``poplet_scale``
+only sets the initial rate 1/poplet_scale. ``transfer`` and the scenario's
+transfer mix derive new states with ``dataclasses.replace``.
+
 Accounts may hold balances without being counted in the census: a
 participant removed from the census keeps its account, keeps earning the
 redenomination/demurrage drift through ``exchange_rate``, but receives no
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -113,16 +117,13 @@ class LedgerState:
     """Immutable snapshot of the ledger; operations return fresh states.
 
     ``participants`` is the current census. It is always a subset of the
-    balance keys; keys outside it are dormant holders. ``poplet_scale`` is
-    genesis metadata (poplets per currency unit at epoch 0) kept for
-    reporting only, so it is excluded from equality.
+    balance keys; keys outside it are dormant holders.
     """
 
     epoch: int
     exchange_rate: Fraction
     balances: Mapping[Account, int]
     participants: frozenset[Account]
-    poplet_scale: int = field(default=1, compare=False)
 
     @property
     def census(self) -> int:
@@ -193,7 +194,6 @@ def genesis(
         exchange_rate=Fraction(1, poplet_scale),
         balances={a: 0 for a in accounts},
         participants=frozenset(accounts),
-        poplet_scale=poplet_scale,
     )
 
 
@@ -277,7 +277,6 @@ def mint_epoch_poplet(
         exchange_rate=rate,
         balances=balances,
         participants=participants,
-        poplet_scale=state.poplet_scale,
     )
     return next_state, report
 
@@ -301,13 +300,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     balances = dict(state.balances)
     balances[sender] -= amount
     balances[recipient] += amount
-    return LedgerState(
-        epoch=state.epoch,
-        exchange_rate=state.exchange_rate,
-        balances=balances,
-        participants=state.participants,
-        poplet_scale=state.poplet_scale,
-    )
+    return replace(state, balances=balances)
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -337,8 +330,6 @@ def total_supply_popcoin(state: LedgerState) -> float:
 # which is what scenario determinism tests compare. The "participants" key
 # is included only when some holder is outside the census; otherwise every
 # balance key is a participant and the census alone carries the information.
-# The genesis poplet scale is reporting metadata and is not serialized;
-# reloaded states default it to 1.
 
 
 def state_to_json(state: LedgerState) -> str:

@@ -17,10 +17,12 @@ Outputs per run:
 * ``plot_data.csv``   — optional long-format (t, series, value) rows
 
 Inequality columns cover census members only; dormant holders still count
-toward M_total. Every run cross-checks the ledger total against the
-aggregate supply recurrence and fails loudly on disagreement beyond the
-declared rounding-plus-float tolerance, and checks each epoch's issuance
-rounding residue against the half-poplet-per-participant bound.
+toward M_total. A run makes one pass over the states of the aggregate
+supply recurrence (``monetary.run_macro``): each epoch takes ``n``, ``D``
+and ``R`` from its state, checks the ledger total against its supply within
+the declared rounding-plus-float tolerance, and checks the issuance rounding
+residue against the half-poplet-per-participant bound; a failed check
+raises ``InvariantViolation``.
 
 Random transfer mix (documented for reimplementation): each epoch after
 minting, ``count_per_epoch`` transfers run over the sorted list of all
@@ -41,7 +43,10 @@ draws are the ones above.
 Account ids are ``p%08d``, created in increasing order, so creation order
 is sorted order. Validation therefore rejects census paths that would open
 more than ``MAX_ACCOUNTS`` (10**8) accounts, and paths that leave the
-floats.
+floats. It also rejects more than ``MAX_EPOCHS`` (10**5) epochs and more
+than ``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, and numbers
+that do not fit a float. Every input file is read by ``read_json``, which
+turns any fault of the file into one ``<path>: ...`` diagnostic.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ import csv
 import json
 import logging
 import math
-import dataclasses
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -62,9 +67,9 @@ import numpy as np
 from .agent import AgentProblem, effective_tax, optimal_out1
 from .errors import ConfigError, InvariantViolation
 from .exchange import ExchangeScenario, overshooting_experiment
-# The epoch loop calls neither the single-metric functions nor ``transfer``
-# and ``total_supply_popcoin_exact``; they are its oracles and stay
-# patchable attributes of this module.
+# The epoch loop calls neither the single-metric functions nor ``transfer``,
+# ``total_supply_popcoin_exact`` and ``interest_rate``; they are its oracles
+# and stay patchable attributes of this module.
 from .inequality import (
     epoch_metrics,
     gini,  # noqa: F401
@@ -75,7 +80,6 @@ from .inequality import (
     variance_bound,
 )
 from .ledger import (
-    LedgerState,
     PolicyParams,
     exact,
     genesis,
@@ -84,7 +88,7 @@ from .ledger import (
     total_supply_popcoin_exact,  # noqa: F401
     transfer,  # noqa: F401
 )
-from .monetary import interest_rate, run_macro
+from .monetary import interest_rate, run_macro  # noqa: F401
 from .rng import SplitMix64
 
 log = logging.getLogger("popcoin_sim.scenario")
@@ -110,6 +114,10 @@ PLOT_COLUMNS = ["t", "series", "value"]
 # Account ids are p%08d, created in increasing order; below this many accounts
 # their creation order is also their sorted order, which the epoch loop relies on.
 MAX_ACCOUNTS = 10**8
+# Validation builds the census path, one entry per epoch, and the transfer mix
+# draws its 3 * count_per_epoch numbers at once; these limits bound both.
+MAX_EPOCHS = 10**5
+MAX_TRANSFERS_PER_EPOCH = 10**6
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -163,10 +171,10 @@ class Field(NamedTuple):
 
 
 def _is_number(value) -> bool:
-    """A JSON number other than a boolean, NaN or an infinity."""
+    """A JSON number other than a boolean, NaN, an infinity or an int past the floats."""
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    return _is_int(value) and abs(value) <= sys.float_info.max
 
 
 def _is_int(value) -> bool:
@@ -176,6 +184,13 @@ def _is_int(value) -> bool:
 def _must(ok, expect: str):
     """A check that admits the values ``ok`` accepts and names any other."""
     return lambda value: None if ok(value) else f"{expect}, got {value!r}"
+
+
+def _at_most(check, limit: int):
+    """The domain of ``check`` up to ``limit``; a larger value is named apart."""
+    return lambda value: check(value) or (
+        f"be at most {limit}, got {value!r}" if value > limit else None
+    )
 
 
 def _reword(check, expect: str):
@@ -235,7 +250,11 @@ POPULATION_KINDS = tuple(POPULATION_FIELDS)
 _KIND = Field("kind", _must(lambda v: v in POPULATION_KINDS, f"be one of {POPULATION_KINDS}"))
 
 TRANSFER_FIELDS = (
-    Field("count_per_epoch", _NON_NEGATIVE_INTEGER, required=True),
+    Field(
+        "count_per_epoch",
+        _at_most(_NON_NEGATIVE_INTEGER, MAX_TRANSFERS_PER_EPOCH),
+        required=True,
+    ),
     Field(
         "max_fraction", _must(lambda v: _is_number(v) and 0 < v <= 1, "lie in (0, 1]"), required=True
     ),
@@ -246,7 +265,7 @@ EXCHANGE_SCENARIO_FIELDS = tuple(
     Field(spec.name, _NUMBER, default=0.0)
     if "growth" in spec.name
     else Field(spec.name, _positive_parameter, default=1.0)
-    for spec in dataclasses.fields(ExchangeScenario)
+    for spec in fields(ExchangeScenario)
 )
 EXCHANGE_FIELDS = (
     Field("scenario", block=EXCHANGE_SCENARIO_FIELDS, default={}),
@@ -279,6 +298,7 @@ PROBLEM_FIELDS = (
 )
 
 CONFIG_KEYS = ("policy", "epochs", "population", "seed", "poplet_scale", "transfers", "outputs")
+_EPOCHS = _at_most(_NON_NEGATIVE_INTEGER, MAX_EPOCHS)
 _SEED = _must(lambda v: v is None or _is_int(v) and -(2**63) <= v < 2**64, "be a 64-bit integer")
 STUDIES = ("supply", "inequality", "exchange", "agent")
 
@@ -472,7 +492,7 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     policy = _walk(doc["policy"], POLICY_FIELDS, "policy", out) if "policy" in doc else {}
     population = _population(doc["population"], out) if "population" in doc else None
     epochs = doc.get("epochs")
-    if "epochs" in doc and _report(_NON_NEGATIVE_INTEGER, "epochs", epochs, out) and population:
+    if "epochs" in doc and _report(_EPOCHS, "epochs", epochs, out) and population:
         _validate_census_path(population, epochs, out)
     poplet_scale = doc.get("poplet_scale", 10**8)
     _report(_POSITIVE_INTEGER, "poplet_scale", poplet_scale, out)
@@ -542,13 +562,26 @@ def parse_config(doc) -> ScenarioConfig:
     )
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``, the one reader of every input.
+
+    A file that cannot be opened, is not UTF-8, or is not JSON that Python
+    can read (an integer past 4300 digits, arrays nested past the recursion
+    limit) is one ``<path>: ...`` ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError([f"{path}: file not found"]) from None
+    except OSError as err:
+        raise ConfigError([f"{path}: cannot be read ({err.strerror or err})"]) from None
+    except (ValueError, RecursionError) as err:
+        raise ConfigError([f"{path}: not valid JSON ({err})"]) from None
+
+
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ConfigError([f"config: not valid JSON ({err})"]) from None
-    return parse_config(doc)
+    return parse_config(read_json(path))
 
 
 # --- the epoch loop ----------------------------------------------------------
@@ -590,13 +623,7 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
             balances[accounts[recipient_idx]] += amount
     if sum(balances.values()) != sum(state.balances.values()):
         raise InvariantViolation(f"epoch {state.epoch}: the transfer mix changed the poplet total")
-    return LedgerState(
-        epoch=state.epoch,
-        exchange_rate=state.exchange_rate,
-        balances=balances,
-        participants=state.participants,
-        poplet_scale=state.poplet_scale,
-    )
+    return replace(state, balances=balances)
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
@@ -607,13 +634,15 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     params = config.policy
     alpha = float(params.demurrage_alpha)
     income = float(params.basic_income)
+    macro = run_macro(income, alpha, path)
+    peak = max(path)
 
     # Census members in sorted order, kept without sorting: ids are created in
     # increasing order and removals take the highest ids, so growth appends
-    # and shrinkage truncates.
+    # and shrinkage truncates. Every id ever created holds a balance, so the
+    # next id is the number of balances.
     members = [_account_id(i) for i in range(path[0])]
     state = genesis(params, members, config.poplet_scale)
-    next_id = path[0]
     rng = None
     frac = Fraction(0)
     transfer_count = 0
@@ -623,16 +652,15 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         transfer_count = config.transfers["count_per_epoch"]
 
     rows: list[dict] = []
-    ledger_totals: list[float] = []
-    for t in range(1, config.epochs + 1):
-        n_prev, n_now = path[t - 1], path[t]
+    for macro_state in macro:
+        t, n_now = macro_state.epoch, macro_state.census
         new_accounts: list[str] = []
         removed: list[str] = []
-        if n_now > n_prev:
-            new_accounts = [_account_id(next_id + k) for k in range(n_now - n_prev)]
-            next_id += n_now - n_prev
+        if n_now > len(members):
+            opened = len(state.balances)
+            new_accounts = [_account_id(opened + k) for k in range(n_now - len(members))]
             members.extend(new_accounts)
-        elif n_now < n_prev:
+        elif n_now < len(members):
             removed = members[n_now:]
             del members[n_now:]
         state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
@@ -648,27 +676,31 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         num, den = state.exchange_rate.numerator, state.exchange_rate.denominator
         rate_float = num / den
         total = sum(state.balances.values()) * num / den
-        ledger_totals.append(total)
+        # Issuance rounding moves each epoch's total by at most half a poplet per
+        # participant, carried forward as poplets; the rest is float error in the
+        # recurrence itself.
+        tolerance = peak * t * rate_float + 1e-9 * max(abs(macro_state.supply), 1.0)
+        if abs(total - macro_state.supply) > tolerance:
+            raise InvariantViolation(
+                f"epoch {t}: ledger supply {total} deviates from "
+                f"recurrence {macro_state.supply} by more than {tolerance}"
+            )
         member_poplets = np.array([state.balances[a] for a in members], dtype=float)
         gini_value, variance_value, max_ratio = epoch_metrics(member_poplets * rate_float)
-        growth = n_now / n_prev - 1.0
         rows.append(
             {
                 "t": t,
                 "N": n_now,
-                "n": growth,
+                "n": macro_state.census_growth,
                 "E": rate_float,
                 "M_total": total,
-                "D": income * n_now,
-                "R": interest_rate(growth, alpha),
+                "D": macro_state.demurrage,
+                "R": macro_state.interest,
                 "gini": gini_value,
                 "variance": variance_value,
                 "max_ratio": max_ratio,
             }
         )
-
-    macro = run_macro(income, alpha, path, initial_supply=0.0)
-    _check_supply_consistency(rows, macro, path, ledger_totals)
 
     files = {}
     files["manifest.json"] = _write_json(
@@ -681,9 +713,22 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     for entry in config.outputs:
         study = entry["study"]
         if study == "supply":
-            files["supply.csv"] = _emit_supply(out, rows, macro, params)
+            table = []
+            for row, macro_state in zip(rows, macro):
+                cap = income * macro_state.census / alpha if alpha > 0 else math.inf
+                table.append([row["t"], row["M_total"], macro_state.supply, cap])
+            files["supply.csv"] = _write_csv(out / "supply.csv", SUPPLY_COLUMNS, table)
         elif study == "inequality":
-            files["inequality.csv"] = _emit_inequality(out, rows, params)
+            table = []
+            for row in rows:
+                census = row["N"]
+                bounds = (
+                    gini_bound(alpha, census),
+                    variance_bound(alpha, income, census),
+                    ratio_bound(alpha, census),
+                )
+                table.append([row["t"], row["gini"], row["variance"], row["max_ratio"], *bounds])
+            files["inequality.csv"] = _write_csv(out / "inequality.csv", INEQUALITY_COLUMNS, table)
         elif study == "exchange":
             files.update(write_exchange(out, entry["params"]))
         elif study == "agent":
@@ -701,7 +746,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         "out_dir": str(out),
         "epochs": config.epochs,
         "files": sorted(files),
-        "final_supply": ledger_totals[-1] if ledger_totals else 0.0,
+        "final_supply": rows[-1]["M_total"] if rows else 0.0,
     }
 
 
@@ -712,52 +757,6 @@ def emit_plot_data(rows: Sequence[dict]) -> list[list]:
         for column in EPOCH_COLUMNS[1:]:
             out.append([row["t"], column, row[column]])
     return out
-
-
-def _check_supply_consistency(rows, macro, path, ledger_totals) -> None:
-    """Ledger totals must track the aggregate recurrence within rounding.
-
-    Issuance rounding moves each epoch's total by at most half a poplet per
-    participant, carried forward as poplets; everything else is float error
-    in the recurrence itself.
-    """
-    peak = max(path)
-    for row, macro_state, total in zip(rows, macro, ledger_totals):
-        tolerance = peak * macro_state.epoch * row["E"] + 1e-9 * max(abs(macro_state.supply), 1.0)
-        if abs(total - macro_state.supply) > tolerance:
-            raise InvariantViolation(
-                f"epoch {macro_state.epoch}: ledger supply {total} deviates from "
-                f"recurrence {macro_state.supply} by more than {tolerance}"
-            )
-
-
-def _emit_supply(out: Path, rows, macro, params: PolicyParams) -> str:
-    alpha = float(params.demurrage_alpha)
-    income = float(params.basic_income)
-    table = []
-    for row, macro_state in zip(rows, macro):
-        cap = income * macro_state.census / alpha if alpha > 0 else float("inf")
-        table.append([row["t"], row["M_total"], macro_state.supply, cap])
-    return _write_csv(out / "supply.csv", SUPPLY_COLUMNS, table)
-
-
-def _emit_inequality(out: Path, rows, params: PolicyParams) -> str:
-    alpha = float(params.demurrage_alpha)
-    income = float(params.basic_income)
-    table = []
-    for row in rows:
-        table.append(
-            [
-                row["t"],
-                row["gini"],
-                row["variance"],
-                row["max_ratio"],
-                gini_bound(alpha, row["N"]),
-                variance_bound(alpha, income, row["N"]),
-                ratio_bound(alpha, row["N"]),
-            ]
-        )
-    return _write_csv(out / "inequality.csv", INEQUALITY_COLUMNS, table)
 
 
 def write_exchange(out: Path, params: dict) -> dict:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and the env-var logging knob."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -75,6 +76,50 @@ def test_run_checks_the_rounding_residue_bound(tmp_path, capsys, monkeypatch, ex
     assert ("rounding residue of -3 poplets" in capsys.readouterr().err) == (code == 3)
 
 
+@pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 3)])
+def test_run_checks_the_ledger_supply_against_the_recurrence(
+    tmp_path, capsys, monkeypatch, scale, code
+):
+    # the epoch-1 total may deviate by peak * t * E plus 1e-9 of the supply
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "ref")]) == 0
+    with open(tmp_path / "ref" / "epochs.csv", newline="", encoding="utf-8") as handle:
+        first = next(csv.DictReader(handle))
+    total, rate = float(first["M_total"]), float(first["E"])
+    tolerance = CONFIG["population"]["N"] * 1 * rate + 1e-9 * total
+    real_macro = scenario.run_macro
+
+    def macro_off_by(*args):
+        states = real_macro(*args)
+        states[0] = dataclasses.replace(states[0], supply=total + scale * tolerance)
+        return states
+
+    monkeypatch.setattr(scenario, "run_macro", macro_off_by)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == code
+    assert ("epoch 1: ledger supply" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize(
+    "name, limit, config",
+    [
+        ("epochs", scenario.MAX_EPOCHS, lambda value: dict(CONFIG, epochs=value)),
+        (
+            "transfers.count_per_epoch",
+            scenario.MAX_TRANSFERS_PER_EPOCH,
+            lambda value: dict(CONFIG, transfers={"count_per_epoch": value, "max_fraction": 0.25}),
+        ),
+    ],
+    ids=["epochs", "transfers"],
+)
+def test_validate_bounds_the_run_size(tmp_path, capsys, name, limit, config):
+    # validation only: a run at these sizes would allocate for each epoch or draw
+    assert main(["validate", write_json(tmp_path / "at.json", config(limit))]) == 0
+    assert main(["validate", write_json(tmp_path / "above.json", config(limit + 1))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{name}: must be at most {limit}, got {limit + 1}"
+    ]
+
+
 def test_validate_bad_config_exits_2(tmp_path, capsys):
     bad = json.loads(json.dumps(CONFIG))
     bad["policy"]["demurrage_alpha"] = 2.0
@@ -101,6 +146,31 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+UNREADABLE = {
+    "missing": (None, "file not found"),
+    "directory": ("dir", "cannot be read (Is a directory)"),
+    "not-utf8": (b"\xff\xfe{}", "not valid JSON ('utf-8' codec can't decode"),
+    "not-json": (b"{", "not valid JSON (Expecting"),
+    "long-integer": (b"[" + b"9" * 4301 + b"]", "not valid JSON (Exceeds the limit (4300"),
+    "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "agent", "exchange"])
+@pytest.mark.parametrize("content, diagnostic", UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_input_is_one_diagnostic(tmp_path, capsys, command, content, diagnostic):
+    path = tmp_path / "input.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{path}: {diagnostic}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_agent_batch_to_stdout(tmp_path, capsys):
@@ -154,6 +224,14 @@ def test_exchange_invariant_violation_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "scen.json", doc)
     assert main(["exchange", path]) == 3
     assert "invariant" in capsys.readouterr().err.lower()
+
+
+def test_exchange_without_money_market_equilibrium_exits_3(tmp_path, capsys):
+    # M / (P * Y * L0) underflows to 0, so the rate -ln(0) / eta does not exist
+    doc = {"scenario": {"income_pop": 1e300, "money_supply_pop": 1e-300}}
+    path = write_json(tmp_path / "scen.json", doc)
+    assert main(["exchange", path]) == 3
+    assert "no money-market rate" in capsys.readouterr().err
 
 
 def test_exchange_rejects_policy_shock_key(tmp_path, capsys):
@@ -224,11 +302,22 @@ def test_missing_keys_reported_once_each_in_table_order(tmp_path):
             [{"basic_income": 10.0, "earned_income": math.inf}],
             "problems[0].earned_income: must be a number >= 0, got inf",
         ),
+        (
+            "run",
+            dict(CONFIG, policy={"basic_income": 10**400, "demurrage_alpha": 0.02}),
+            f"policy.basic_income: must be a positive number, got {10**400}",
+        ),
+        (
+            "agent",
+            [{"basic_income": 10.0, "earned_income": 10**400}],
+            f"problems[0].earned_income: must be a number >= 0, got {10**400}",
+        ),
     ],
-    ids=["run", "exchange-scenario", "exchange-shocks", "agent"],
+    ids=["run", "exchange-scenario", "exchange-shocks", "agent", "run-int", "agent-int"],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, doc, diagnostic):
-    # json writes these as Infinity, which Python's json module reads back
+    # json writes these as Infinity, which Python's json module reads back; an
+    # integer past the float range is as unusable
     path = write_json(tmp_path / "input.json", doc)
     out_dir = tmp_path / "out"
     assert main([command, path, "--out", str(out_dir)]) == 2

@@ -131,6 +131,21 @@ def test_money_market_rate_domain():
         money_market_rate(1.0, 1.0, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "levels",
+    [
+        (1e-300, 1.0, 1e300, 1.0),  # the ratio underflows to 0
+        (1.0, 1e300, 1e300, 1.0),  # the demand overflows, so the ratio is 0
+        (1e300, 1e-300, 1e-300, 1.0),  # the demand underflows to 0
+        (1e300, 1e-300, 1.0, 1.0),  # the ratio overflows
+    ],
+)
+def test_money_market_rate_without_a_finite_log_has_no_equilibrium(levels):
+    # positive finite levels whose ratio M / (P * Y * L0) leaves the floats
+    with pytest.raises(NoEquilibriumError, match="not a positive finite number"):
+        money_market_rate(*levels, 1.0)
+
+
 @given(
     supply=st.floats(min_value=0.1, max_value=10),
     price=st.floats(min_value=0.1, max_value=10),

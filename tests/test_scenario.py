@@ -2,7 +2,9 @@
 reproducibility, and the deterministic RNG contract."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from pytest import approx
@@ -15,6 +17,7 @@ from popcoin_sim import (
     load_config,
     parse_config,
     run_scenario,
+    scenario,
     state_from_json,
     validate_config,
 )
@@ -314,6 +317,17 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_benchmark_seams_are_scenario_attributes():
+    # perfbench wraps these names of the scenario module, which the epoch
+    # loop looks up at call time; the unused oracle imports are among them
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in (*spans.SEAMS, "_mix_transfers", "SplitMix64"):
+        assert callable(getattr(scenario, name, None)), name
 
 
 def test_dormant_holders_appear_after_degrowth(tmp_path):

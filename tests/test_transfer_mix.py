@@ -72,7 +72,6 @@ def ledger_states(draw):
         exchange_rate=Fraction(1, draw(st.integers(min_value=1, max_value=10**12))),
         balances=balances,
         participants=frozenset(a for a, off in zip(ids, dormant) if not off),
-        poplet_scale=draw(st.integers(min_value=1, max_value=10**8)),
     )
 
 
@@ -93,7 +92,6 @@ def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
     mixed = _mix_transfers(state, rng, count, frac)
     expected = mix_by_transfer_fold(state, oracle_rng, count, frac)
     assert mixed == expected
-    assert mixed.poplet_scale == expected.poplet_scale
     assert rng._state == oracle_rng._state
     assert state.balances == held_before  # the input state is not modified
 
