@@ -74,12 +74,25 @@ class ExchangeScenario:
 
 
 def ppp_rate(scenario: ExchangeScenario) -> float:
-    """Long-run anchor from relative supply over relative money demand."""
+    """Long-run anchor from relative supply over relative money demand.
+
+    Raises NoEquilibriumError when the relative money demand or the anchor
+    is not a positive finite float, as when extreme levels overflow or
+    underflow them.
+    """
     relative_supply = scenario.money_supply_pop / scenario.money_supply_fiat
-    relative_demand = (scenario.liquidity_pop * scenario.income_pop) / (
-        scenario.liquidity_fiat * scenario.income_fiat
+    demand_fiat = scenario.liquidity_fiat * scenario.income_fiat
+    relative_demand = (
+        scenario.liquidity_pop * scenario.income_pop / demand_fiat if demand_fiat else math.inf
     )
-    return relative_supply / relative_demand
+    # a relative demand of 0 or inf leaves the anchor inf, 0 or nan
+    anchor = relative_supply / relative_demand if relative_demand else math.inf
+    if not 0 < anchor < math.inf:
+        raise NoEquilibriumError(
+            f"no long-run anchor: (M_p / M_f) / (L_p * Y_p / (L_f * Y_f)) = "
+            f"{relative_supply} / {relative_demand} is not a positive finite number"
+        )
+    return anchor
 
 
 def relative_depreciation(

@@ -66,7 +66,7 @@ import numpy as np
 
 from .agent import AgentProblem, effective_tax, optimal_out1
 from .errors import ConfigError, InvariantViolation
-from .exchange import ExchangeScenario, overshooting_experiment
+from .exchange import ExchangeScenario, OvershootingResult, overshooting_experiment
 # The epoch loop calls neither the single-metric functions nor ``transfer``,
 # ``total_supply_popcoin_exact`` and ``interest_rate``; they are its oracles
 # and stay patchable attributes of this module.
@@ -96,16 +96,11 @@ log = logging.getLogger("popcoin_sim.scenario")
 EPOCH_COLUMNS = ["t", "N", "n", "E", "M_total", "D", "R", "gini", "variance", "max_ratio"]
 SUPPLY_COLUMNS = ["t", "M_ledger", "M_recurrence", "cap"]
 INEQUALITY_COLUMNS = ["t", *EPOCH_COLUMNS[7:], "gini_bound", "variance_bound", "ratio_bound"]
+# A grid case's shock and elasticity, then its result, read off by name.
 EXCHANGE_COLUMNS = [
     "shock",
     "eta",
-    "spot_before",
-    "longrun_before",
-    "spot_after",
-    "longrun_after",
-    "rate_pop",
-    "rate_fiat_before",
-    "rate_fiat_after",
+    *(spec.name for spec in fields(OvershootingResult)),
     "overshoot",
 ]
 AGENT_COLUMNS = ["in1", "out1", "savings", "tax_rate"]
@@ -352,14 +347,11 @@ def _walk(doc, fields, where: str, out: list[str], missing=None, unknown=None) -
 
 def _validate_census_path(population: dict, epochs: int, out: list[str]) -> None:
     """Reject census paths that leave the floats or open too many accounts."""
-    if population["kind"] == "fixed":  # constant; skip building the list
-        path = [population["N"]]
-    else:
-        try:
-            path = census_path(population, epochs)
-        except (OverflowError, ValueError):  # float overflow, round() of inf or nan
-            out.append(f"population: the census path is not finite within {epochs} epochs")
-            return
+    try:
+        path = census_path(population, epochs)
+    except (OverflowError, ValueError):  # float overflow, round() of inf or nan
+        out.append(f"population: the census path is not finite within {epochs} epochs")
+        return
     accounts = path[0] + sum(max(0, now - before) for before, now in zip(path, path[1:]))
     if accounts > MAX_ACCOUNTS:
         out.append(
@@ -545,13 +537,8 @@ def parse_config(doc) -> ScenarioConfig:
     normalized, diagnostics = _normalize(doc)
     if diagnostics:
         raise ConfigError(diagnostics)
-    policy = normalized["policy"]
     return ScenarioConfig(
-        policy=PolicyParams(
-            basic_income=exact(policy["basic_income"]),
-            demurrage_alpha=exact(policy["demurrage_alpha"]),
-            epochs_per_year=policy["epochs_per_year"],
-        ),
+        policy=PolicyParams(**normalized["policy"]),
         epochs=normalized["epochs"],
         population=dict(normalized["population"]),
         seed=normalized["seed"],
@@ -777,20 +764,7 @@ def run_exchange_grid(params: dict) -> tuple[list[list], dict]:
         scenario = replace(base, liquidity_elasticity=eta)
         for shock in params["fiat_supply_shocks"]:
             result = overshooting_experiment(scenario, shock)
-            rows.append(
-                [
-                    shock,
-                    eta,
-                    result.spot_before,
-                    result.longrun_before,
-                    result.spot_after,
-                    result.longrun_after,
-                    result.rate_pop,
-                    result.rate_fiat_before,
-                    result.rate_fiat_after,
-                    result.overshoot,
-                ]
-            )
+            rows.append([shock, eta, *(getattr(result, name) for name in EXCHANGE_COLUMNS[2:])])
             if shock > 0:
                 overshoots.append(result.overshoot)
     summary = {

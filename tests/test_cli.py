@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,22 @@ def test_run_checks_the_rounding_residue_bound(tmp_path, capsys, monkeypatch, ex
     config = write_json(tmp_path / "cfg.json", CONFIG)
     assert main(["run", config, "--out", str(tmp_path / "out")]) == code
     assert ("rounding residue of -3 poplets" in capsys.readouterr().err) == (code == 3)
+
+
+def test_run_writes_a_snapshot_past_the_int_digit_limit(tmp_path):
+    # the rate denominator 50^2600 * 10^8 has 4426 digits, past the 4300 of int -> str
+    doc = {
+        "policy": {"basic_income": 2922.0, "demurrage_alpha": 0.02},
+        "epochs": 2600,
+        "population": {"kind": "fixed", "N": 10},
+        "seed": 1,
+    }
+    config = write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "final_state.json").read_text(encoding="utf-8")
+    state = popcoin_sim.state_from_json(text)
+    assert state.epoch == 2600
+    assert state.exchange_rate == Fraction(49**2600, 50**2600 * 10**8)  # (1 - alpha)^t / scale
 
 
 @pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 3)])
@@ -226,12 +243,38 @@ def test_exchange_invariant_violation_exits_3(tmp_path, capsys):
     assert "invariant" in capsys.readouterr().err.lower()
 
 
-def test_exchange_without_money_market_equilibrium_exits_3(tmp_path, capsys):
-    # M / (P * Y * L0) underflows to 0, so the rate -ln(0) / eta does not exist
-    doc = {"scenario": {"income_pop": 1e300, "money_supply_pop": 1e-300}}
-    path = write_json(tmp_path / "scen.json", doc)
+@pytest.mark.parametrize(
+    "levels, diagnostic",
+    [
+        # M / (P * Y * L0) underflows to 0, so the rate -ln(0) / eta does not exist
+        ({"income_pop": 1e300, "money_supply_pop": 1e-300}, "no money-market rate"),
+        # L_f * Y_f underflows to 0, so the relative money demand does not exist
+        (
+            {
+                "sticky_price_fiat": 1e300,
+                "income_fiat": 1e-300,
+                "liquidity_fiat": 1e-300,
+                "money_supply_fiat": 1e-300,
+            },
+            "no long-run anchor",
+        ),
+        # M_p / M_f underflows to 0, so the anchor is 0
+        (
+            {
+                "money_supply_pop": 1e-300,
+                "money_supply_fiat": 1e300,
+                "sticky_price_pop": 1e-300,
+                "sticky_price_fiat": 1e300,
+            },
+            "no long-run anchor",
+        ),
+    ],
+    ids=["money-market-rate", "relative-demand", "anchor"],
+)
+def test_exchange_without_money_market_equilibrium_exits_3(tmp_path, capsys, levels, diagnostic):
+    path = write_json(tmp_path / "scen.json", {"scenario": levels})
     assert main(["exchange", path]) == 3
-    assert "no money-market rate" in capsys.readouterr().err
+    assert diagnostic in capsys.readouterr().err
 
 
 def test_exchange_rejects_policy_shock_key(tmp_path, capsys):

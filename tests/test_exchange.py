@@ -56,6 +56,22 @@ def test_ppp_depends_only_on_relative_magnitudes():
     assert ppp_rate(scaled) == approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "levels",
+    [
+        {"liquidity_fiat": 1e-300, "income_fiat": 1e-300},  # L_f * Y_f underflows to 0
+        {"liquidity_pop": 1e-300, "income_pop": 1e-300},  # relative demand 0
+        {"liquidity_pop": 1e300, "income_pop": 1e300},  # relative demand inf
+        {"money_supply_pop": 1e-300, "money_supply_fiat": 1e300},  # anchor 0
+        {"money_supply_pop": 1e300, "liquidity_pop": 1e-300},  # anchor inf
+    ],
+    ids=["fiat-demand-0", "demand-0", "demand-inf", "anchor-0", "anchor-inf"],
+)
+def test_ppp_without_a_finite_anchor_has_no_equilibrium(levels):
+    with pytest.raises(NoEquilibriumError, match="no long-run anchor"):
+        ppp_rate(replace(SYMMETRIC, **levels))
+
+
 def test_scenario_rejects_nonpositive_quantities():
     with pytest.raises(ValueError):
         replace(SYMMETRIC, money_supply_fiat=0.0)
