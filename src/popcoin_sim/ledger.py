@@ -198,7 +198,12 @@ def _apply_census_deltas(
             f"declared census {new_census} does not match "
             f"{len(participants)} + {len(new_set)} added - {len(removed_set)} removed = {expected}"
         )
-    return (participants | new_set) - removed_set
+    # An empty delta keeps the same frozenset, as every fixed-census epoch does.
+    if new_set:
+        participants = participants | new_set
+    if removed_set:
+        participants = participants - removed_set
+    return participants
 
 
 def _round_half_even(num: int, den: int) -> tuple[int, int]:

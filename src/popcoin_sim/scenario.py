@@ -19,10 +19,21 @@ Outputs per run:
 Inequality columns cover census members only; dormant holders still count
 toward M_total. A run makes one pass over the states of the aggregate
 supply recurrence (``monetary.run_macro``): each epoch takes ``n``, ``D``
-and ``R`` from its state, checks the ledger total against its supply within
-the declared rounding-plus-float tolerance, and checks the issuance rounding
-residue against the half-poplet-per-participant bound; a failed check
-raises ``InvariantViolation``.
+and ``R`` from its state and makes three checks, any of which raises
+``InvariantViolation`` when it fails:
+
+* the issuance rounding residue is at most half a poplet per participant;
+* the balances, summed once after the transfer mix, equal exactly the
+  poplets issued so far, ``sum over epochs of N_t * issued_t``; a transfer
+  that creates or destroys a poplet, or a mint that credits other than it
+  reports, fails this check;
+* the ledger total ``poplets * E`` matches the recurrence's supply within
+  the declared rounding-plus-float tolerance.
+
+Each epoch's row is formatted once, and every file that shows one of its
+columns writes that string. A member's value is ``float(balance) * float(E)``;
+when a balance passes the largest float it is ``balance * E`` correctly
+rounded instead, which is finite because no value exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
 minting, ``count_per_epoch`` transfers run over the sorted list of all
@@ -608,8 +619,6 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
                 )
             balances[sender] = held - amount
             balances[accounts[recipient_idx]] += amount
-    if sum(balances.values()) != sum(state.balances.values()):
-        raise InvariantViolation(f"epoch {state.epoch}: the transfer mix changed the poplet total")
     return replace(state, balances=balances)
 
 
@@ -638,7 +647,9 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         frac = exact(config.transfers["max_fraction"])
         transfer_count = config.transfers["count_per_epoch"]
 
-    rows: list[dict] = []
+    poplets = 0  # every poplet issued so far; genesis balances are zero
+    total = 0.0
+    cells: list[list[str]] = []  # each epoch's EPOCH_COLUMNS, formatted once
     for macro_state in macro:
         t, n_now = macro_state.epoch, macro_state.census
         new_accounts: list[str] = []
@@ -651,6 +662,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
             removed = members[n_now:]
             del members[n_now:]
         state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
+        poplets += n_now * report.issued_per_participant
         if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
             raise InvariantViolation(
                 f"epoch {t}: issuance rounding residue of {report.rounding_residue_poplets} "
@@ -658,11 +670,17 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
             )
         if rng is not None:
             state = _mix_transfers(state, rng, transfer_count, frac)
+        balances = state.balances
+        held = sum(balances.values())
+        if held != poplets:
+            raise InvariantViolation(
+                f"epoch {t}: the ledger holds {held} poplets, not the {poplets} issued"
+            )
 
         # Integer true division is correctly rounded: these are float() of the exact values.
         num, den = state.exchange_rate.numerator, state.exchange_rate.denominator
         rate_float = num / den
-        total = sum(state.balances.values()) * num / den
+        total = poplets * num / den
         # Issuance rounding moves each epoch's total by at most half a poplet per
         # participant, carried forward as poplets; the rest is float error in the
         # recurrence itself.
@@ -672,49 +690,56 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 f"epoch {t}: ledger supply {total} deviates from "
                 f"recurrence {macro_state.supply} by more than {tolerance}"
             )
-        member_poplets = np.array([state.balances[a] for a in members], dtype=float)
-        gini_value, variance_value, max_ratio = epoch_metrics(member_poplets * rate_float)
-        rows.append(
-            {
-                "t": t,
-                "N": n_now,
-                "n": macro_state.census_growth,
-                "E": rate_float,
-                "M_total": total,
-                "D": macro_state.demurrage,
-                "R": macro_state.interest,
-                "gini": gini_value,
-                "variance": variance_value,
-                "max_ratio": max_ratio,
-            }
+        try:
+            values = np.fromiter(map(balances.__getitem__, members), float, n_now) * rate_float
+        except OverflowError:
+            # A balance past the floats: each value is at most the supply, so the
+            # correctly rounded ``balance * num / den`` is finite.
+            values = np.array([balances[account] * num / den for account in members])
+        row = (
+            t,
+            n_now,
+            macro_state.census_growth,
+            rate_float,
+            total,
+            macro_state.demurrage,
+            macro_state.interest,
+            *epoch_metrics(values),
         )
+        cells.append(list(map(_format_cell, row)))
 
     files = {}
     files["manifest.json"] = _write_json(
         out / "manifest.json", {"format_version": 1, "config": config.normalized}
     )
-    files["epochs.csv"] = _write_csv(
-        out / "epochs.csv", EPOCH_COLUMNS, [[row[c] for c in EPOCH_COLUMNS] for row in rows]
-    )
+    files["epochs.csv"] = _write_csv(out / "epochs.csv", EPOCH_COLUMNS, cells)
     files["final_state.json"] = _write_text(out / "final_state.json", state_to_json(state) + "\n")
+    # The study tables reuse the epoch cells t and M_total (row[4]), and gini,
+    # variance and max_ratio (row[7:]); they format only their own columns.
     for entry in config.outputs:
         study = entry["study"]
         if study == "supply":
-            table = []
-            for row, macro_state in zip(rows, macro):
-                cap = income * macro_state.census / alpha if alpha > 0 else math.inf
-                table.append([row["t"], row["M_total"], macro_state.supply, cap])
+            table = (
+                [
+                    row[0],
+                    row[4],
+                    macro_state.supply,
+                    income * macro_state.census / alpha if alpha > 0 else math.inf,
+                ]
+                for row, macro_state in zip(cells, macro)
+            )
             files["supply.csv"] = _write_csv(out / "supply.csv", SUPPLY_COLUMNS, table)
         elif study == "inequality":
-            table = []
-            for row in rows:
-                census = row["N"]
-                bounds = (
-                    gini_bound(alpha, census),
-                    variance_bound(alpha, income, census),
-                    ratio_bound(alpha, census),
-                )
-                table.append([row["t"], row["gini"], row["variance"], row["max_ratio"], *bounds])
+            table = (
+                [
+                    row[0],
+                    *row[7:],
+                    gini_bound(alpha, macro_state.census),
+                    variance_bound(alpha, income, macro_state.census),
+                    ratio_bound(alpha, macro_state.census),
+                ]
+                for row, macro_state in zip(cells, macro)
+            )
             files["inequality.csv"] = _write_csv(out / "inequality.csv", INEQUALITY_COLUMNS, table)
         elif study == "exchange":
             files.update(write_exchange(out, entry["params"]))
@@ -725,25 +750,27 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 entry["params"]["demurrage_alpha"],
             )
     if include_plot_data:
-        files["plot_data.csv"] = _write_csv(
-            out / "plot_data.csv", PLOT_COLUMNS, emit_plot_data(rows)
-        )
+        files["plot_data.csv"] = _write_csv(out / "plot_data.csv", PLOT_COLUMNS, _long_rows(cells))
     log.info("run complete: %d epochs, %d files in %s", config.epochs, len(files), out)
     return {
         "out_dir": str(out),
         "epochs": config.epochs,
         "files": sorted(files),
-        "final_supply": rows[-1]["M_total"] if rows else 0.0,
+        "final_supply": total,
     }
 
 
 def emit_plot_data(rows: Sequence[dict]) -> list[list]:
     """Long-format (t, series, value) rows for every non-time epoch column."""
-    out = []
+    return list(_long_rows([row[column] for column in EPOCH_COLUMNS] for row in rows))
+
+
+def _long_rows(rows):
+    """``(t, series, value)`` for each non-time cell of rows in EPOCH_COLUMNS order."""
     for row in rows:
-        for column in EPOCH_COLUMNS[1:]:
-            out.append([row["t"], column, row[column]])
-    return out
+        t = row[0]
+        for column, value in zip(EPOCH_COLUMNS[1:], row[1:]):
+            yield [t, column, value]
 
 
 def write_exchange(out: Path, params: dict) -> dict:
@@ -799,6 +826,8 @@ def write_agent_csv(path: Path, problems, default_alpha: float) -> str:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, str):  # first: the epoch rows arrive formatted
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):

@@ -77,6 +77,68 @@ def test_run_checks_the_rounding_residue_bound(tmp_path, capsys, monkeypatch, ex
     assert ("rounding residue of -3 poplets" in capsys.readouterr().err) == (code == 3)
 
 
+@pytest.mark.parametrize("dropped, code", [(0, 0), (1, 3)])
+def test_run_checks_the_poplet_total_after_the_transfer_mix(
+    tmp_path, capsys, monkeypatch, dropped, code
+):
+    # one poplet is worth far less than the supply tolerance: only the exact
+    # count of issued poplets sees it go
+    real_mix = scenario._mix_transfers
+
+    def mix_dropping(state, rng, count, frac):
+        state = real_mix(state, rng, count, frac)
+        balances = dict(state.balances)
+        balances[max(balances, key=balances.get)] -= dropped
+        return dataclasses.replace(state, balances=balances)
+
+    monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping)
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == code
+    assert ("epoch 1: the ledger holds" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 3)])
+def test_run_checks_the_poplet_total_against_the_reported_issuance(
+    tmp_path, capsys, monkeypatch, extra, code
+):
+    # a mint whose report disagrees with what it credited
+    real_mint = scenario.mint_epoch_poplet
+
+    def mint_misreporting(state, params, census, *deltas):
+        state, report = real_mint(state, params, census, *deltas)
+        issued = report.issued_per_participant + extra
+        return state, dataclasses.replace(report, issued_per_participant=issued)
+
+    monkeypatch.setattr(scenario, "mint_epoch_poplet", mint_misreporting)
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == code
+    assert ("epoch 1: the ledger holds" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize(
+    "policy, epochs, census",
+    [
+        # 10^308 poplets at epoch 1 and twice that at epoch 2
+        ({"basic_income": 1e300, "demurrage_alpha": 0.02}, 3, 1),
+        # each balance gains a digit per epoch while its value stays near B / alpha
+        ({"basic_income": 1, "demurrage_alpha": 0.9}, 400, 100),
+    ],
+    ids=["income-1e300", "alpha-0.9"],
+)
+def test_run_values_balances_past_the_floats(tmp_path, policy, epochs, census):
+    doc = {"policy": policy, "epochs": epochs, "population": {"kind": "fixed", "N": census}}
+    config = write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "final_state.json").read_text(encoding="utf-8")
+    state = popcoin_sim.state_from_json(text)
+    assert state.epoch == epochs
+    assert max(state.balances.values()) > 2**1024  # past the largest float
+    with open(tmp_path / "out" / "epochs.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == epochs
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+
+
 def test_run_writes_a_snapshot_past_the_int_digit_limit(tmp_path):
     # the rate denominator 50^2600 * 10^8 has 4426 digits, past the 4300 of int -> str
     doc = {

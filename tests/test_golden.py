@@ -124,6 +124,26 @@ CASES = {
         },
         False,
     ),
+    # With alpha = 0 the supply cap, the variance bound and (past one
+    # participant) the ratio bound are all inf; a shrinking census leaves
+    # dormant holders that still receive transfers.
+    "alpha0_degrowth_all_studies_plot": (
+        {
+            "policy": {"basic_income": 2922.0, "demurrage_alpha": 0},
+            "epochs": 30,
+            "population": {"kind": "degrowth", "N0": 24, "n": -0.06},
+            "seed": 99,
+            "poplet_scale": 1000,
+            "transfers": {"count_per_epoch": 9, "max_fraction": 0.5},
+            "outputs": [
+                {"study": "supply"},
+                {"study": "inequality"},
+                {"study": "exchange"},
+                {"study": "agent", "params": {"problems": AGENT_PROBLEMS}},
+            ],
+        },
+        True,
+    ),
     # The cases below pin the defaults that config normalisation fills in,
     # above all in manifest.json: epochs_per_year given, an integer basic
     # income, transfers off with no seed, supply params {}, exchange studies
@@ -181,6 +201,19 @@ CASES = {
 
 # recorded from the scalar, one-transfer-at-a-time mix, which the vectorised mix must match
 GOLDEN = {
+    # recorded from the writers that format each table's cells on their own,
+    # which the formatted-once epoch rows must match
+    "alpha0_degrowth_all_studies_plot": {
+        "agent.csv": "6a162d1d9f29f231447e0a8cb0d504e2a842b1df532a0de372b6e79fde24c9b6",
+        "epochs.csv": "fb91ce2642c0905c226c635dc820abaf02de7f28c162957dfcbfac60ca5c7b67",
+        "exchange.csv": "58ab27a52c0ba31b0ed09bcdd1d6b4d88aa0a70bab7570102b860896b33adb90",
+        "exchange_summary.json": "07e1abcd4602dc7c44a1974ec5fdeb2cb10dafb0b22ab8455f8567a5d18a2e95",
+        "final_state.json": "56c9c52d277ad0ad97e5848ecfc9453e33fe7ad0b9d13001de944220a34eb367",
+        "inequality.csv": "0d6d4989674e92d403a79c37e9bc45b143d98d8bf71cc1a1b3a92a8d3bbb01e5",
+        "manifest.json": "479995a45e16acc3f6763c67ed50cf66a2729204b39f0b2bbd49c7e0d8fc5de6",
+        "plot_data.csv": "b9422af6a2b37f60dea25adfb373ebd35bfddde4ad7307dc2ef2768317850e07",
+        "supply.csv": "5257eee4499ccc5ec5a5e8f0f440797daade39aa46df6c895d3103d9818495cd",
+    },
     "degrowth_dormant": {
         "epochs.csv": "0299d6c682061390262ff5420a8de4f38ec48addce7eb1b53ea2330e91339c1c",
         "final_state.json": "f957beb0801f964a6b8db7e467add10b66a80c92c43a3dbd2c0a58bd29d1f260",

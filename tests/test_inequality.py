@@ -1,6 +1,9 @@
 """Inequality metric tests: the two Gini routes agree, the policy transform
 contracts dispersion, and the worst case attains every bound."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from popcoin_sim import (
     variance_bound,
     worst_case_distribution,
 )
+from popcoin_sim.inequality import _as_distribution
 
 balances = arrays(
     float,
@@ -146,15 +150,33 @@ def _bits(floats):
 @example([0.0])
 @example([42.5])  # one account
 @example([5e-324, 1e-310, 0.0])  # subnormal
+@example([1e308, 1e308, 0.0])  # the sums overflow
+@example([3.0, 1.0, 2.0, 0.5])  # unsorted: the variance sums in the given order
 def test_epoch_metrics_equal_the_public_functions_bit_for_bit(values):
-    got = epoch_metrics(values)
-    want = _one_metric_at_a_time(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = epoch_metrics(values)
+        want = _one_metric_at_a_time(values)
     assert all(isinstance(x, float) for x in got)
     assert _bits(got) == _bits(want)
 
 
+NAN, INF = math.nan, math.inf
+
+
 @pytest.mark.parametrize(
-    "values", [[1.0, -2.0], [float("nan"), 1.0], [1.0, float("inf")], [], [[1.0]]]
+    "values",
+    [
+        [1.0, -2.0],
+        [NAN, 1.0],
+        [1.0, INF],
+        [],
+        [[1.0]],
+        # the sort puts -inf first and nan last; finiteness is reported first
+        [-INF, NAN],
+        [-1.0, NAN],
+        [INF, -1.0],
+        [NAN, -0.0],
+    ],
 )
 def test_epoch_metrics_rejects_what_each_public_function_rejects(values):
     with pytest.raises(ValueError) as block:
@@ -164,6 +186,33 @@ def test_epoch_metrics_rejects_what_each_public_function_rejects(values):
             public(values)
         assert type(single.value) is type(block.value)
         assert str(single.value) == str(block.value)
+
+
+def test_epoch_metrics_accepts_negative_zero():
+    assert epoch_metrics([-0.0, 1.0]) == (gini([-0.0, 1.0]), 0.25, INF)
+
+
+@given(
+    arrays(
+        float,
+        st.integers(min_value=1, max_value=12),
+        elements=st.one_of(
+            st.floats(min_value=-1e9, max_value=1e9),
+            st.sampled_from([0.0, -0.0, -5e-324, -1.0, INF, -INF, NAN]),
+        ),
+    )
+)
+def test_epoch_metrics_rejects_exactly_what_as_distribution_rejects(values):
+    # it checks the ends of the sorted array instead of every value
+    def raised(check):
+        try:
+            with np.errstate(over="ignore"):
+                check(values)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    assert raised(epoch_metrics) == raised(_as_distribution)
 
 
 # --- contraction properties -----------------------------------------------------------

@@ -162,6 +162,15 @@ def test_mint_added_account_receives_income_removed_keeps_balance():
     assert state.census == 3
 
 
+def test_mint_without_census_deltas_keeps_the_participant_set():
+    # a fixed-census epoch copies no frozenset
+    state = make_ledger(3)
+    after, _ = mint_epoch_poplet(state, DEFAULT, 3)
+    assert after.participants is state.participants
+    grown, _ = mint_epoch_poplet(after, DEFAULT, 4, new_accounts=["new"])
+    assert grown.participants == after.participants | {"new"}
+
+
 def test_mint_census_mismatch_errors():
     state = make_ledger(3)
     with pytest.raises(CensusMismatchError):

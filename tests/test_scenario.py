@@ -3,6 +3,7 @@ reproducibility, and the deterministic RNG contract."""
 
 import csv
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -310,6 +311,30 @@ def test_emit_plot_data_round_trips_rows():
     assert [1, "N", 5] in long_rows
     assert [1, "R", -0.02] in long_rows
     assert len(long_rows) == 9
+
+
+def test_plot_data_is_emit_plot_data_of_the_epoch_rows(tmp_path):
+    # the run formats each epoch cell once and streams the plot rows from those
+    # strings; the pure API must give the same bytes from rows read back, as
+    # repr round-trips every float
+    config = parse_config({**GOOD_CONFIG, "epochs": 12, "outputs": []})
+    run_scenario(config, tmp_path, include_plot_data=True)
+    header, *table = read_csv(tmp_path / "epochs.csv")
+    rows = [
+        {column: (int if column in ("t", "N") else float)(cell) for column, cell in zip(header, row)}
+        for row in table
+    ]
+    buffer = io.StringIO()
+    scenario.write_rows(buffer, ["t", "series", "value"], emit_plot_data(rows))
+    assert buffer.getvalue().encode("utf-8") == (tmp_path / "plot_data.csv").read_bytes()
+
+
+def test_format_cell_passes_strings_through():
+    cell = repr(0.1)
+    assert scenario._format_cell(cell) is cell
+    assert [scenario._format_cell(v) for v in (True, 3, -0.0, float("inf"))] == [
+        "true", "3", "0.0", "inf"
+    ]
 
 
 def test_load_config_rejects_bad_json(tmp_path):
