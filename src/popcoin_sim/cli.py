@@ -39,8 +39,6 @@ from .scenario import (
     write_rows,
 )
 
-log = logging.getLogger("popcoin_sim.cli")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3

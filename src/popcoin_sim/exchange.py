@@ -23,13 +23,14 @@ A one-off fiat supply expansion with sticky fiat prices then reproduces
 exchange-rate overshooting: the fiat rate falls, parity pushes the spot
 rate below the new long-run anchor, and both lie below the old anchor.
 The policy currency's supply path is census-determined, so the experiment
-deliberately offers no knob for shocking it.
+deliberately offers no knob for shocking it. ``ExchangeScenario()`` is the
+symmetric baseline of the exchange study and of the ``exchange`` input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InvariantViolation, NoEquilibriumError
 
@@ -40,15 +41,16 @@ class ExchangeScenario:
 
     liquidity_* is the money-demand level L0 = L(0); income_* the real income
     Y; sticky_price_* the short-run price level used for money-market rates.
-    Growth rates are per epoch.
+    Growth rates are per epoch. The defaults, every level 1.0 and every growth
+    rate 0.0, are the symmetric baseline: parity with zero rates on both sides.
     """
 
-    money_supply_pop: float
-    money_supply_fiat: float
-    liquidity_pop: float
-    liquidity_fiat: float
-    income_pop: float
-    income_fiat: float
+    money_supply_pop: float = 1.0
+    money_supply_fiat: float = 1.0
+    liquidity_pop: float = 1.0
+    liquidity_fiat: float = 1.0
+    income_pop: float = 1.0
+    income_fiat: float = 1.0
     sticky_price_pop: float = 1.0
     sticky_price_fiat: float = 1.0
     liquidity_elasticity: float = 1.0
@@ -58,19 +60,13 @@ class ExchangeScenario:
     income_growth_fiat: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "money_supply_pop",
-            "money_supply_fiat",
-            "liquidity_pop",
-            "liquidity_fiat",
-            "income_pop",
-            "income_fiat",
-            "sticky_price_pop",
-            "sticky_price_fiat",
-            "liquidity_elasticity",
-        ):
+        for name in LEVEL_FIELDS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
+
+# The levels, which must be positive: the fields whose baseline is positive.
+LEVEL_FIELDS = tuple(spec.name for spec in fields(ExchangeScenario) if spec.default > 0)
 
 
 def ppp_rate(scenario: ExchangeScenario) -> float:
@@ -140,6 +136,13 @@ def money_market_rate(
     return -math.log(ratio) / elasticity
 
 
+def _side_rate(scenario: ExchangeScenario, side: str) -> float:
+    """``money_market_rate`` of one side of ``scenario``, "pop" or "fiat"."""
+    names = ("money_supply", "sticky_price", "income", "liquidity")
+    levels = [getattr(scenario, f"{name}_{side}") for name in names]
+    return money_market_rate(*levels, scenario.liquidity_elasticity)
+
+
 def uip_spot_rate(rate_pop: float, rate_fiat: float, expected_rate: float) -> float:
     """Spot rate from uncovered interest parity, E_e / (1 + i_p - i_f)."""
     if expected_rate <= 0:
@@ -190,27 +193,8 @@ def overshooting_experiment(
         scenario,
         money_supply_fiat=scenario.money_supply_fiat * (1.0 + fiat_supply_shock),
     )
-    rate_pop = money_market_rate(
-        scenario.money_supply_pop,
-        scenario.sticky_price_pop,
-        scenario.income_pop,
-        scenario.liquidity_pop,
-        scenario.liquidity_elasticity,
-    )
-    rate_fiat_before = money_market_rate(
-        scenario.money_supply_fiat,
-        scenario.sticky_price_fiat,
-        scenario.income_fiat,
-        scenario.liquidity_fiat,
-        scenario.liquidity_elasticity,
-    )
-    rate_fiat_after = money_market_rate(
-        shocked.money_supply_fiat,
-        shocked.sticky_price_fiat,
-        shocked.income_fiat,
-        shocked.liquidity_fiat,
-        shocked.liquidity_elasticity,
-    )
+    rate_pop = _side_rate(scenario, "pop")
+    rate_fiat_before, rate_fiat_after = _side_rate(scenario, "fiat"), _side_rate(shocked, "fiat")
     longrun_before = ppp_rate(scenario)
     longrun_after = ppp_rate(shocked)
     result = OvershootingResult(

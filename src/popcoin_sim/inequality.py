@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import UndefinedGiniError
+from .monetary import steady_state_supply
 
 
 def _as_array(values) -> np.ndarray:
@@ -71,6 +72,9 @@ def gini(values) -> float:
 
 def _gini_sorted(ordered: np.ndarray, total: float) -> float:
     n = ordered.size
+    if math.isinf(2.0 * n * total):  # 2 * sum(i * x_i) may pass the floats; G is scale-free
+        ordered = ordered / ordered[-1]
+        total = float(ordered.sum())
     ranks = np.arange(1, n + 1, dtype=float)
     raw = float((2.0 * np.dot(ranks, ordered) - (n + 1) * total) / (n * total))
     # Cancellation can land a perfectly equal distribution an ulp below zero;
@@ -137,11 +141,15 @@ def max_inequality_ratio(values) -> float:
 
 
 def variance_bound(alpha: float, basic_income: float, census: int) -> float:
-    """Supremum of variance over all reachable distributions of N accounts."""
+    """Supremum of variance over all reachable distributions of N accounts;
+    inf at alpha = 0, or for N > 1 when it passes the floats."""
     _check_bound_args(alpha, census)
     if basic_income <= 0:
         raise ValueError(f"basic_income must be positive, got {basic_income}")
-    return ((1.0 - alpha) * basic_income / alpha) ** 2 * (census - 1) if alpha > 0 else float("inf")
+    try:
+        return ((1.0 - alpha) * basic_income / alpha) ** 2 * (census - 1) if alpha > 0 else math.inf
+    except OverflowError:  # float ** raises where * would give inf
+        return 0.0 if census == 1 else math.inf
 
 
 def gini_bound(alpha: float, census: int) -> float:
@@ -173,13 +181,9 @@ def ratio_bound(alpha: float, census: int) -> float:
 def worst_case_distribution(alpha: float, basic_income: float, census: int) -> np.ndarray:
     """Distribution attaining the bounds after one transform: one account
     holds the whole steady-state supply B*N/alpha, the rest hold zero."""
-    _check_bound_args(alpha, census)
-    if basic_income <= 0:
-        raise ValueError(f"basic_income must be positive, got {basic_income}")
-    if alpha == 0:
-        raise ValueError("worst case requires alpha > 0 (supply is unbounded at alpha = 0)")
+    supply = steady_state_supply(basic_income, alpha, census)  # needs 0 < alpha < 1
     out = np.zeros(census)
-    out[0] = basic_income * census / alpha
+    out[0] = supply
     return out
 
 

@@ -85,18 +85,16 @@ def exact(value) -> Fraction:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Monetary policy constants, fixed for the lifetime of a ledger.
+    """The policy's two parameters, fixed for the lifetime of a ledger.
 
     basic_income: currency units minted per participant per epoch (B > 0).
     demurrage_alpha: fraction of supply withdrawn each epoch (0 <= alpha < 1).
         alpha = 0 is admitted as the no-demurrage limit; steady-state
         quantities such as the supply cap B*N/alpha require alpha > 0.
-    epochs_per_year: documentation of the epoch cadence; no formula uses it.
     """
 
     basic_income: Fraction
     demurrage_alpha: Fraction
-    epochs_per_year: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "basic_income", exact(self.basic_income))
@@ -106,10 +104,6 @@ class PolicyParams:
         if not 0 <= self.demurrage_alpha < 1:
             raise ValueError(
                 f"demurrage_alpha must lie in [0, 1), got {self.demurrage_alpha}"
-            )
-        if not isinstance(self.epochs_per_year, int) or self.epochs_per_year < 1:
-            raise ValueError(
-                f"epochs_per_year must be a positive integer, got {self.epochs_per_year!r}"
             )
 
 

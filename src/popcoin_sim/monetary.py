@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def _check_alpha(alpha: float, *, allow_zero: bool) -> None:
-    lo_ok = alpha > 0 or (allow_zero and alpha == 0)
-    if not (lo_ok and alpha < 1):
-        bounds = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ValueError(f"alpha must lie in {bounds}, got {alpha}")
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < 1:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
 def interest_rate(census_growth: float, alpha: float) -> float:
@@ -38,7 +36,7 @@ def interest_rate(census_growth: float, alpha: float) -> float:
     """
     if census_growth <= -1:
         raise ValueError(f"census growth must exceed -1, got {census_growth}")
-    _check_alpha(alpha, allow_zero=True)
+    _check_alpha(alpha)
     return (1.0 + census_growth) * (1.0 - alpha) - 1.0
 
 
@@ -54,7 +52,7 @@ def supply_step(
         raise ValueError(f"basic_income must be positive, got {basic_income}")
     if prev_supply < 0:
         raise ValueError(f"supply cannot be negative, got {prev_supply}")
-    _check_alpha(alpha, allow_zero=True)
+    _check_alpha(alpha)
     return prev_supply * (1.0 + census_growth) * (1.0 - alpha) + basic_income * census
 
 
@@ -65,7 +63,8 @@ def steady_state_supply(basic_income: float, alpha: float, census: int) -> float
         raise ValueError(f"census must be at least 1, got {census}")
     if basic_income <= 0:
         raise ValueError(f"basic_income must be positive, got {basic_income}")
-    _check_alpha(alpha, allow_zero=False)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return basic_income * census / alpha
 
 
@@ -144,7 +143,7 @@ def negative_rate_condition(epsilon: float, alpha: float) -> bool:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    _check_alpha(alpha, allow_zero=True)
+    _check_alpha(alpha)
     if alpha == 0:
         return False
     return epsilon < alpha / (1.0 - alpha)

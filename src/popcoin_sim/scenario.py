@@ -55,9 +55,10 @@ Account ids are ``p%08d``, created in increasing order, so creation order
 is sorted order. Validation therefore rejects census paths that would open
 more than ``MAX_ACCOUNTS`` (10**8) accounts, and paths that leave the
 floats. It also rejects more than ``MAX_EPOCHS`` (10**5) epochs and more
-than ``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, and numbers
-that do not fit a float. Every input file is read by ``read_json``, which
-turns any fault of the file into one ``<path>: ...`` diagnostic.
+than ``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, numbers that
+do not fit a float, and, last, a money supply that can pass the largest float.
+Every input file is read by ``read_json``, which turns any fault of the file
+into one ``<path>: ...`` diagnostic.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 
 from .agent import AgentProblem, effective_tax, optimal_out1
 from .errors import ConfigError, InvariantViolation
-from .exchange import ExchangeScenario, OvershootingResult, overshooting_experiment
+from .exchange import LEVEL_FIELDS, ExchangeScenario, OvershootingResult, overshooting_experiment
 # The epoch loop calls neither the single-metric functions nor ``transfer``,
 # ``total_supply_popcoin_exact`` and ``interest_rate``; they are its oracles
 # and stay patchable attributes of this module.
@@ -99,7 +100,7 @@ from .ledger import (
     total_supply_popcoin_exact,  # noqa: F401
     transfer,  # noqa: F401
 )
-from .monetary import interest_rate, run_macro  # noqa: F401
+from .monetary import interest_rate, run_macro, steady_state_supply  # noqa: F401
 from .rng import SplitMix64
 
 log = logging.getLogger("popcoin_sim.scenario")
@@ -224,7 +225,7 @@ check_alpha = _must(lambda v: _is_number(v) and 0 <= v < 1, "lie in [0, 1)")
 _POSITIVE = _reword(_POSITIVE_NUMBER, "be positive")
 
 
-def _positive_parameter(value) -> str | None:
+def _level(value) -> str | None:
     """An exchange level: ``be a number`` first, then ``be positive``."""
     return _NUMBER(value) or _POSITIVE(value)
 
@@ -266,11 +267,9 @@ TRANSFER_FIELDS = (
     ),
 )
 
-# Symmetric two-economy baseline: parity anchor, zero rates on both sides.
+# ExchangeScenario's defaults are the symmetric baseline; its levels must be positive.
 EXCHANGE_SCENARIO_FIELDS = tuple(
-    Field(spec.name, _NUMBER, default=0.0)
-    if "growth" in spec.name
-    else Field(spec.name, _positive_parameter, default=1.0)
+    Field(spec.name, _level if spec.name in LEVEL_FIELDS else _NUMBER, default=spec.default)
     for spec in fields(ExchangeScenario)
 )
 EXCHANGE_FIELDS = (
@@ -512,6 +511,15 @@ def _normalize(doc) -> tuple[dict, list[str]]:
         out.append("outputs: must be a list of study selectors")
         outputs = []
     studies = [_study(entry, f"outputs[{i}]", policy, out) for i, entry in enumerate(outputs)]
+    if not out:  # last, on a config that every other rule admits: from zero,
+        # M_t / N_t = B * sum over k < t of (1 - alpha)^k < B * min(t, 1/alpha)
+        alpha = policy["demurrage_alpha"]
+        bound = float(policy["basic_income"]) * max(census_path(population, epochs))
+        if bound * (min(epochs, 1 / alpha) if alpha else epochs) > sys.float_info.max:
+            out.append(
+                "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
+                f"passes the largest float within {epochs} epochs"
+            )
     normalized = {
         "policy": policy,
         "epochs": epochs,
@@ -548,8 +556,9 @@ def parse_config(doc) -> ScenarioConfig:
     normalized, diagnostics = _normalize(doc)
     if diagnostics:
         raise ConfigError(diagnostics)
+    policy = normalized["policy"]
     return ScenarioConfig(
-        policy=PolicyParams(**normalized["policy"]),
+        policy=PolicyParams(policy["basic_income"], policy["demurrage_alpha"]),
         epochs=normalized["epochs"],
         population=dict(normalized["population"]),
         seed=normalized["seed"],
@@ -724,7 +733,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                     row[0],
                     row[4],
                     macro_state.supply,
-                    income * macro_state.census / alpha if alpha > 0 else math.inf,
+                    steady_state_supply(income, alpha, macro_state.census) if alpha else math.inf,
                 ]
                 for row, macro_state in zip(cells, macro)
             )

@@ -118,7 +118,8 @@ def test_run_checks_the_poplet_total_against_the_reported_issuance(
 @pytest.mark.parametrize(
     "policy, epochs, census",
     [
-        # 10^308 poplets at epoch 1 and twice that at epoch 2
+        # 10^308 poplets at epoch 1 and twice that at epoch 2; the variance bound's
+        # square ((1 - alpha) B / alpha)^2 passes the floats, and one account has no spread
         ({"basic_income": 1e300, "demurrage_alpha": 0.02}, 3, 1),
         # each balance gains a digit per epoch while its value stays near B / alpha
         ({"basic_income": 1, "demurrage_alpha": 0.9}, 400, 100),
@@ -126,17 +127,63 @@ def test_run_checks_the_poplet_total_against_the_reported_issuance(
     ids=["income-1e300", "alpha-0.9"],
 )
 def test_run_values_balances_past_the_floats(tmp_path, policy, epochs, census):
-    doc = {"policy": policy, "epochs": epochs, "population": {"kind": "fixed", "N": census}}
+    doc = {
+        "policy": policy,
+        "epochs": epochs,
+        "population": {"kind": "fixed", "N": census},
+        "outputs": [{"study": "inequality"}],
+    }
     config = write_json(tmp_path / "cfg.json", doc)
     assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
     text = (tmp_path / "out" / "final_state.json").read_text(encoding="utf-8")
     state = popcoin_sim.state_from_json(text)
     assert state.epoch == epochs
     assert max(state.balances.values()) > 2**1024  # past the largest float
+    for name in ("epochs.csv", "inequality.csv"):
+        with open(tmp_path / "out" / name, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == epochs
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+
+
+@pytest.mark.parametrize(
+    "policy, epochs, population",
+    [
+        # alpha = 0: M_t = B * N * t, so the bound is the last epoch's supply
+        ({"demurrage_alpha": 0}, 3, {"kind": "fixed", "N": 1}),
+        # the bound takes the largest census, N_0 = 2: M_2 = 2 * 2B, then M_3 = 1 * 3B
+        ({"demurrage_alpha": 0}, 3, {"kind": "step_shock", "N0": 2, "factor": 0.5, "at_epoch": 3}),
+        # 1 / alpha = 2 epochs bounds the sum of (1 - alpha)^k
+        ({"demurrage_alpha": 0.5}, 60, {"kind": "fixed", "N": 1}),
+    ],
+    ids=["alpha-0", "peak-census", "alpha-0.5"],
+)
+@pytest.mark.parametrize("scale, code", [(1 - 1e-12, 0), (1 + 1e-12, 2)], ids=["under", "over"])
+def test_run_bounds_the_supply_by_the_largest_float(
+    tmp_path, capsys, policy, epochs, population, scale, code
+):
+    horizon = 2 if policy["demurrage_alpha"] else epochs
+    peak = population.get("N") or population["N0"]
+    income = sys.float_info.max / (peak * horizon) * scale
+    doc = {
+        "policy": {"basic_income": income, **policy},
+        "epochs": epochs,
+        "population": population,
+        "outputs": [{"study": "supply"}],
+    }
+    config = write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert capsys.readouterr().err.splitlines() == [
+            "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
+            f"passes the largest float within {epochs} epochs"
+        ]
+        assert not (tmp_path / "out").exists()
+        return
     with open(tmp_path / "out" / "epochs.csv", newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == epochs
-    assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+        totals = [float(row["M_total"]) for row in csv.DictReader(handle)]
+    assert all(math.isfinite(total) for total in totals)
+    assert max(totals) > sys.float_info.max / 2  # the runs come near the limit
 
 
 def test_run_writes_a_snapshot_past_the_int_digit_limit(tmp_path):

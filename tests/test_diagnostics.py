@@ -268,6 +268,11 @@ CONFIGS.update(
             "agent", {"problems": [{"basic_income": 10.0, "earned_income": INF}]}
         ),
         "agent_null_alpha": study("agent", {"demurrage_alpha": None, "problems": [PROBLEM]}),
+        "supply_past_the_floats": cfg(
+            policy={"basic_income": 1e308, "demurrage_alpha": 0},
+            epochs=3,
+            population={"kind": "fixed", "N": 3},
+        ),
     }
 )
 AGENT_INPUTS.update(
@@ -685,7 +690,8 @@ EXPECTED = {
 # a null study alpha is rejected (it used to pass and then fail ``run`` with
 # a TypeError) and the ``agent`` input reports the alpha before the
 # problems. The exchange ``scenario`` block reports in table order like
-# every other block, not in document order.
+# every other block, not in document order. A money supply that can pass the
+# largest float is rejected where it used to pass and then fail ``run``.
 CHANGED = {
     # was ["population.N: required for kind 'fixed'",
     #      "population.N: must be a positive integer, got None"]
@@ -750,6 +756,11 @@ CHANGED = {
     # was [] (then `run` failed with a TypeError in effective_tax)
     "config/agent_null_alpha": [
         "outputs[0].demurrage_alpha: must lie in [0, 1), got None",
+    ],
+    # was [] (then `run` failed: OverflowError in poplets * num / den)
+    "config/supply_past_the_floats": [
+        "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
+        "passes the largest float within 3 epochs",
     ],
     # was exit 0 with the row inf,inf,nan,nan
     "agent/infinite_earned_income": [

@@ -2,7 +2,7 @@
 identity, and the overshooting experiment."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from popcoin_sim import (
+    ConfigError,
     ExchangeScenario,
     InvariantViolation,
     NoEquilibriumError,
@@ -20,15 +21,9 @@ from popcoin_sim import (
     relative_depreciation,
     uip_spot_rate,
 )
+from popcoin_sim.scenario import normalize_exchange_params
 
-SYMMETRIC = ExchangeScenario(
-    money_supply_pop=1.0,
-    money_supply_fiat=1.0,
-    liquidity_pop=1.0,
-    liquidity_fiat=1.0,
-    income_pop=1.0,
-    income_fiat=1.0,
-)
+SYMMETRIC = ExchangeScenario()
 
 
 # --- long-run anchor --------------------------------------------------------------
@@ -70,6 +65,25 @@ def test_ppp_depends_only_on_relative_magnitudes():
 def test_ppp_without_a_finite_anchor_has_no_equilibrium(levels):
     with pytest.raises(NoEquilibriumError, match="no long-run anchor"):
         ppp_rate(replace(SYMMETRIC, **levels))
+
+
+@pytest.mark.parametrize("spec", fields(ExchangeScenario), ids=lambda spec: spec.name)
+def test_dataclass_and_schema_share_each_field_baseline_and_rule(spec):
+    # one baseline: every level 1.0 and every growth rate 0.0, in both
+    assert ExchangeScenario() == ExchangeScenario(**normalize_exchange_params({})["scenario"])
+    assert getattr(ExchangeScenario(), spec.name) == (0.0 if "growth" in spec.name else 1.0)
+    if "growth" in spec.name:  # any number, including a shrinking economy
+        assert getattr(ExchangeScenario(**{spec.name: -1.0}), spec.name) == -1.0
+        params = normalize_exchange_params({"scenario": {spec.name: -1.0}})
+        assert params["scenario"][spec.name] == -1.0
+    else:  # a level must be positive
+        with pytest.raises(ValueError, match=f"^{spec.name} must be positive, got 0"):
+            ExchangeScenario(**{spec.name: 0.0})
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_exchange_params({"scenario": {spec.name: 0}})
+        assert excinfo.value.diagnostics == [
+            f"input.scenario.{spec.name}: must be positive, got 0"
+        ]
 
 
 def test_scenario_rejects_nonpositive_quantities():

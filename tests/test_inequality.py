@@ -2,6 +2,7 @@
 contracts dispersion, and the worst case attains every bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +271,28 @@ def test_variance_bound_examples():
     assert variance_bound(0.02, 1, 10) == approx(21609.0, rel=1e-12)
     assert variance_bound(0.02, 1, 1) == 0.0
     assert variance_bound(1.0, 1, 10) == 0.0  # total demurrage erases dispersion
+
+
+def test_variance_bound_past_the_floats():
+    # ((1 - alpha) B / alpha)^2 passes the floats: float ** raises there
+    assert variance_bound(0.02, 1e300, 1) == 0.0  # one account has no spread
+    assert variance_bound(0.02, 1e300, 2) == math.inf
+    assert variance_bound(0.0, 1e300, 1) == math.inf  # unbounded supply at alpha = 0
+    # the square fits: the closed form, also when the factor N - 1 makes it inf
+    assert variance_bound(0.02, 1e150, 3) == (0.98 * 1e150 / 0.02) ** 2 * 2
+    assert variance_bound(0.02, 1e150, 10**6) == math.inf
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([0.45, 0.45], 0.0), ([0.0, 0.9], 0.5), ([0.2, 0.2, 0.5], 2 / 9)],
+    ids=["equal", "one-holder", "mixed"],
+)
+def test_gini_near_the_largest_float(values, expected):
+    # the total fits a float but 2 * sum(i * x_i) does not; the coefficient is scale-free
+    huge = np.array(values) * sys.float_info.max
+    assert gini(huge) == approx(expected, abs=1e-15)
+    assert gini(np.array(values)) == approx(expected, abs=1e-15)
 
 
 def test_gini_bound_examples():

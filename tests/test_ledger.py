@@ -2,6 +2,7 @@
 poplet-vs-direct-rebasing equivalence."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,10 @@ from popcoin_sim import (
 from popcoin_sim.ledger import exact
 
 DEFAULT = PolicyParams(basic_income=2922, demurrage_alpha=0.02)
+
+
+def test_policy_holds_basic_income_and_demurrage_only():
+    assert [spec.name for spec in fields(PolicyParams)] == ["basic_income", "demurrage_alpha"]
 
 
 def make_ledger(n_accounts, scale=1, params=DEFAULT):
