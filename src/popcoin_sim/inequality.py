@@ -146,10 +146,14 @@ def variance_bound(alpha: float, basic_income: float, census: int) -> float:
     _check_bound_args(alpha, census)
     if basic_income <= 0:
         raise ValueError(f"basic_income must be positive, got {basic_income}")
+    if not alpha > 0:
+        return math.inf
+    if census == 1:  # no spread, even where (1 - alpha) B / alpha is inf
+        return 0.0
     try:
-        return ((1.0 - alpha) * basic_income / alpha) ** 2 * (census - 1) if alpha > 0 else math.inf
+        return ((1.0 - alpha) * basic_income / alpha) ** 2 * (census - 1)
     except OverflowError:  # float ** raises where * would give inf
-        return 0.0 if census == 1 else math.inf
+        return math.inf
 
 
 def gini_bound(alpha: float, census: int) -> float:

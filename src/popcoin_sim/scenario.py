@@ -48,8 +48,9 @@ Transfers apply in order, each seeing the balances the previous ones left.
 An epoch's ``3 * count_per_epoch`` raw draws are one contiguous block of
 the stream: if the generator enters the epoch in state ``s``, draw i (from
 1) mixes the counter ``s + i*GAMMA mod 2**64`` (see ``rng``). The runner
-computes the block in one vectorised pass; the order and meaning of the
-draws are the ones above.
+takes the block as one array, which the generator may have computed epochs
+ahead, and reduces the account indices in uint64; the order and meaning of
+the draws are the ones above.
 
 Account ids are ``p%08d``, created in increasing order, so creation order
 is sorted order. Validation therefore rejects census paths that would open
@@ -125,6 +126,9 @@ MAX_ACCOUNTS = 10**8
 # draws its 3 * count_per_epoch numbers at once; these limits bound both.
 MAX_EPOCHS = 10**5
 MAX_TRANSFERS_PER_EPOCH = 10**6
+# Below this many poplets in all, every balance fits the int64 member view.
+_INT64_LIMIT = 2**63
+_U1, _U63 = np.uint64(1), np.uint64(63)
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -603,8 +607,10 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
 
     Equal to folding ``ledger.transfer`` over the drawn transfers with
     scalar ``rng.below`` draws, but the epoch's ``3 * count`` raw draws come
-    from one ``rng.block`` and the transfers update one copy of the
-    balances in place.
+    from one ``rng.draws`` array, the account indices are reduced in uint64
+    arrays, and the transfers update one copy of the balances in place.
+    Only the amount draws become Python ints: their bound ``cap + 1`` can
+    pass 64 bits.
     """
     accounts = sorted(state.balances)
     n = len(accounts)
@@ -612,12 +618,19 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
         return state
     balances = dict(state.balances)
     num, den = frac.numerator, frac.denominator
-    draws = iter(rng.block(3 * count))
-    for sender_raw, recipient_raw, amount_raw in zip(draws, draws, draws):
-        sender_idx = sender_raw % n
-        recipient_idx = recipient_raw % (n - 1)
-        if recipient_idx >= sender_idx:
-            recipient_idx += 1
+    draws = rng.draws(3 * count)
+    # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
+    senders = draws[0::3] % np.uint64(n)
+    recipients = draws[1::3] % np.uint64(n - 1)
+    # Skip the sender: add 1 unless recipient < sender, which is the wrapped
+    # sign bit of recipient - sender, as both are below 2**63.
+    below_sender = recipients - senders
+    below_sender >>= _U63
+    recipients += _U1
+    recipients -= below_sender
+    for sender_idx, recipient_idx, amount_raw in zip(
+        senders.tolist(), recipients.tolist(), draws[2::3].tolist()
+    ):
         sender = accounts[sender_idx]
         held = balances[sender]
         amount = amount_raw % (held * num // den + 1)
@@ -629,6 +642,25 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
             balances[sender] = held - amount
             balances[accounts[recipient_idx]] += amount
     return replace(state, balances=balances)
+
+
+def _member_values(balances: dict, members: list, poplets: int, rate: Fraction, rate_float: float):
+    """Each member's value ``float(balance) * float(E)`` as a float array.
+
+    ``poplets`` is the exact sum of ``balances``, all non-negative, so below
+    2**63 every balance fits int64, and int64 -> float64 rounds half-even
+    exactly as ``float(int)`` does.
+    """
+    held = map(balances.__getitem__, members)
+    if poplets < _INT64_LIMIT:
+        return np.fromiter(held, np.int64, len(members)) * rate_float
+    try:
+        return np.fromiter(held, float, len(members)) * rate_float
+    except OverflowError:
+        # A balance past the floats: each value is at most the supply, so the
+        # correctly rounded ``balance * num / den`` is finite.
+        num, den = rate.numerator, rate.denominator
+        return np.array([balances[account] * num / den for account in members])
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
@@ -699,12 +731,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 f"epoch {t}: ledger supply {total} deviates from "
                 f"recurrence {macro_state.supply} by more than {tolerance}"
             )
-        try:
-            values = np.fromiter(map(balances.__getitem__, members), float, n_now) * rate_float
-        except OverflowError:
-            # A balance past the floats: each value is at most the supply, so the
-            # correctly rounded ``balance * num / den`` is finite.
-            values = np.array([balances[account] * num / den for account in members])
+        values = _member_values(balances, members, poplets, state.exchange_rate, rate_float)
         row = (
             t,
             n_now,
@@ -732,8 +759,12 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 [
                     row[0],
                     row[4],
-                    macro_state.supply,
-                    steady_state_supply(income, alpha, macro_state.census) if alpha else math.inf,
+                    _format_cell(macro_state.supply),
+                    _format_cell(
+                        steady_state_supply(income, alpha, macro_state.census)
+                        if alpha
+                        else math.inf
+                    ),
                 ]
                 for row, macro_state in zip(cells, macro)
             )
@@ -743,9 +774,9 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 [
                     row[0],
                     *row[7:],
-                    gini_bound(alpha, macro_state.census),
-                    variance_bound(alpha, income, macro_state.census),
-                    ratio_bound(alpha, macro_state.census),
+                    _format_cell(gini_bound(alpha, macro_state.census)),
+                    _format_cell(variance_bound(alpha, income, macro_state.census)),
+                    _format_cell(ratio_bound(alpha, macro_state.census)),
                 ]
                 for row, macro_state in zip(cells, macro)
             )
@@ -791,8 +822,8 @@ def write_exchange(out: Path, params: dict) -> dict:
     }
 
 
-def run_exchange_grid(params: dict) -> tuple[list[list], dict]:
-    """Overshooting experiment over the shock x elasticity grid."""
+def run_exchange_grid(params: dict) -> tuple[list[list[str]], dict]:
+    """Overshooting experiment over the shock x elasticity grid: formatted rows, summary."""
     base = ExchangeScenario(**params["scenario"])
     rows = []
     overshoots = []
@@ -800,7 +831,8 @@ def run_exchange_grid(params: dict) -> tuple[list[list], dict]:
         scenario = replace(base, liquidity_elasticity=eta)
         for shock in params["fiat_supply_shocks"]:
             result = overshooting_experiment(scenario, shock)
-            rows.append([shock, eta, *(getattr(result, name) for name in EXCHANGE_COLUMNS[2:])])
+            cells = (shock, eta, *(getattr(result, name) for name in EXCHANGE_COLUMNS[2:]))
+            rows.append(list(map(_format_cell, cells)))
             if shock > 0:
                 overshoots.append(result.overshoot)
     summary = {
@@ -813,8 +845,8 @@ def run_exchange_grid(params: dict) -> tuple[list[list], dict]:
     return rows, summary
 
 
-def run_agent_batch(problems: Sequence[dict], default_alpha: float) -> list[list]:
-    """Rows (in1, out1, savings, tax_rate) for a list of problem objects."""
+def run_agent_batch(problems: Sequence[dict], default_alpha: float) -> list[list[str]]:
+    """Formatted rows (in1, out1, savings, tax_rate) for a list of problem objects."""
     rows = []
     for doc in problems:
         doc = dict(doc)
@@ -822,7 +854,8 @@ def run_agent_batch(problems: Sequence[dict], default_alpha: float) -> list[list
         problem = AgentProblem(**doc)
         spend = optimal_out1(problem)
         report = effective_tax(problem, alpha)
-        rows.append([problem.earned_income, spend, report.savings, report.tax_rate])
+        cells = (problem.earned_income, spend, report.savings, report.tax_rate)
+        rows.append(list(map(_format_cell, cells)))
     return rows
 
 
@@ -835,7 +868,8 @@ def write_agent_csv(path: Path, problems, default_alpha: float) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):  # first: the epoch rows arrive formatted
+    """One CSV cell: floats by shortest round-trip ``repr``, booleans in lower case."""
+    if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -847,11 +881,11 @@ def _format_cell(value) -> str:
 
 
 def write_rows(handle, header: Sequence[str], rows) -> None:
-    """Write a header and rows as CSV to an open text handle, file or stdout."""
+    """Write a header and rows of ``_format_cell`` strings as CSV to an open
+    text handle, file or stdout; each table formats its cells where it builds them."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+    writer.writerows(rows)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> str:

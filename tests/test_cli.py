@@ -146,6 +146,22 @@ def test_run_values_balances_past_the_floats(tmp_path, policy, epochs, census):
         assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
 
 
+@pytest.mark.parametrize("census, bound", [(1, "0.0"), (2, "inf")])
+def test_run_writes_the_variance_bound_where_the_spread_is_inf(tmp_path, census, bound):
+    # (1 - alpha) B / alpha is inf; the supply rule admits the run
+    doc = {
+        "policy": {"basic_income": 1e306, "demurrage_alpha": 0.001},
+        "epochs": 1,
+        "population": {"kind": "fixed", "N": census},
+        "outputs": [{"study": "inequality"}],
+    }
+    config = write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "inequality.csv", newline="", encoding="utf-8") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["variance_bound"] == bound
+
+
 @pytest.mark.parametrize(
     "policy, epochs, population",
     [

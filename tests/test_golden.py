@@ -5,9 +5,9 @@ benchmark workloads do not reach: every population kind with transfers, a
 census that grows from a single account (epochs that draw nothing, then
 start drawing), shrinking censuses that leave dormant holders, transfers of
 up to the whole balance, a seed whose counter wraps past 2**64 at once,
-issuance that is an exact half tie every epoch, and the optional plot
-data. A change to any output byte must re-record
-them deliberately.
+issuance that is an exact half tie every epoch, a poplet total that passes
+2**63, and the optional plot data. A change to any output byte must
+re-record them deliberately.
 
 Re-record with ``python tests/test_golden.py`` (prints the table).
 """
@@ -141,6 +141,20 @@ CASES = {
                 {"study": "exchange"},
                 {"study": "agent", "params": {"problems": AGENT_PROBLEMS}},
             ],
+        },
+        True,
+    ),
+    # The ledger's poplet total passes 2**63 at epoch 548, so the member values
+    # come from int64 before that epoch and from Python ints after it; the
+    # 15 draws per epoch are served from a lookahead of 273 epochs at a time.
+    "fixed_past_int64": (
+        {
+            "policy": POLICY,
+            "epochs": 600,
+            "population": {"kind": "fixed", "N": 10},
+            "seed": 41,
+            "transfers": {"count_per_epoch": 5, "max_fraction": 0.5},
+            "outputs": [{"study": "supply"}, {"study": "inequality"}],
         },
         True,
     ),
@@ -287,6 +301,16 @@ GOLDEN = {
         "inequality.csv": "d58460e66a981d165d279e63e9713f239c100100e13b33bc326a28968b0fbce8",
         "manifest.json": "801e93526ca583ac79bd836d05ceb28958c3da3ef7293b47381f99e1cde40d17",
         "supply.csv": "180b7e8e30a24fcaa85c5b4bd98f624c14213af43777390b22364b7092e7f781",
+    },
+    # recorded from the float view of every member balance and the draws reduced
+    # as Python ints, which the int64 view and the uint64 reduction must match
+    "fixed_past_int64": {
+        "epochs.csv": "4bc34392a83f1db6d073843b0a298a19da454151acdcb922ecc240d309f109b0",
+        "final_state.json": "29aec1be861bac0fa79d1584036a29567c6ec533d863649c795485f21b56da9d",
+        "inequality.csv": "5fba10a69225fce8a75cdcfcdb4a3c9bed581f2c4888d23dc9714c323954dab8",
+        "manifest.json": "eb73faa284ae48c6a4dfc4f0e41f05867de5b835e80b9386138f252bbd2fba54",
+        "plot_data.csv": "ae59bc47eb10a0da108ee1b07a40592c8cd787d238fd1a052f360f4e378af929",
+        "supply.csv": "90643d62caaef0e1fa51a2e5766815647c7909b9ab06e34b32cedbc81bf021d5",
     },
     # recorded from the Fraction issuance step, which the integer step must match
     "tie_every_epoch": {

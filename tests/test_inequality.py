@@ -2,6 +2,7 @@
 contracts dispersion, and the worst case attains every bound."""
 
 import math
+import struct
 import sys
 
 import numpy as np
@@ -281,6 +282,35 @@ def test_variance_bound_past_the_floats():
     # the square fits: the closed form, also when the factor N - 1 makes it inf
     assert variance_bound(0.02, 1e150, 3) == (0.98 * 1e150 / 0.02) ** 2 * 2
     assert variance_bound(0.02, 1e150, 10**6) == math.inf
+
+
+def test_variance_bound_where_the_spread_itself_is_inf():
+    # (1 - alpha) B / alpha is inf before the square: inf ** 2 does not raise,
+    # and inf * (N - 1) is nan for one account
+    assert (1.0 - 0.001) * 1e306 / 0.001 == math.inf
+    assert variance_bound(0.001, 1e306, 1) == 0.0
+    assert variance_bound(0.001, 1e306, 2) == math.inf
+    assert variance_bound(0.0, 1e306, 1) == math.inf
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-300, max_value=1e308),
+    st.integers(min_value=1, max_value=10**8),
+)
+@example(0.02, 1e150, 3)
+@example(1.0, 2922.0, 1)
+@example(0.001, 1e306, 1)  # the closed form is nan
+def test_variance_bound_keeps_the_closed_form_where_it_is_a_number(alpha, income, census):
+    try:
+        closed = ((1.0 - alpha) * income / alpha) ** 2 * (census - 1) if alpha > 0 else math.inf
+    except OverflowError:
+        closed = 0.0 if census == 1 else math.inf
+    bound = variance_bound(alpha, income, census)
+    if math.isnan(closed):
+        assert bound == 0.0 and census == 1
+    else:
+        assert struct.pack("<d", bound) == struct.pack("<d", closed)
 
 
 @pytest.mark.parametrize(

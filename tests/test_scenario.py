@@ -5,9 +5,13 @@ import csv
 import importlib.util
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from pytest import approx
 
 from popcoin_sim import (
@@ -335,6 +339,35 @@ def test_format_cell_passes_strings_through():
     assert [scenario._format_cell(v) for v in (True, 3, -0.0, float("inf"))] == [
         "true", "3", "0.0", "inf"
     ]
+
+
+@given(
+    held=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**63 - 1),
+            st.integers(min_value=2**62, max_value=2**65),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    dormant=st.integers(min_value=0, max_value=2**64),
+    num=st.integers(min_value=1, max_value=10**6),
+    den=st.integers(min_value=1, max_value=10**30),
+)
+@example(held=[2**53 + 1], dormant=0, num=1, den=1)  # the first int a float cannot hold
+@example(held=[2**62 + 2**9], dormant=0, num=1, den=1)  # a tie, rounded to even
+@example(held=[2**63 - 1], dormant=0, num=1, den=3)  # the largest int64
+@example(held=[2**63 - 1], dormant=1, num=1, den=3)  # the same balance past the int64 total
+@example(held=[2**63 + 2**11], dormant=0, num=1, den=1)  # one balance past int64
+def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, num, den):
+    # the view reads int64 while the exact total of all balances is below 2**63
+    members = [f"p{i:08d}" for i in range(len(held))]
+    balances = {**dict(zip(members, held)), "p99999999": dormant}
+    rate = Fraction(num, den)
+    values = scenario._member_values(balances, members, sum(balances.values()), rate, num / den)
+    expected = np.array([float(balance) * (num / den) for balance in held])
+    assert values.dtype == np.float64
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_load_config_rejects_bad_json(tmp_path):

@@ -1,6 +1,7 @@
 """The vectorised transfer mix against its scalar definitions.
 
-``SplitMix64.block`` must reproduce ``next_uint64`` draw for draw, and
+``SplitMix64.block`` must reproduce ``next_uint64`` draw for draw, also
+when it serves draws computed ahead, and
 ``scenario._mix_transfers`` must equal a fold of the pure ``ledger.transfer``
 driven by scalar ``below`` draws, as the determinism contract in the
 scenario module describes it.
@@ -8,11 +9,13 @@ scenario module describes it.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from popcoin_sim import InvariantViolation, LedgerState, SplitMix64, transfer
+from popcoin_sim.rng import LOOKAHEAD
 from popcoin_sim.scenario import _mix_transfers
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -35,6 +38,43 @@ def test_block_equals_scalar_draws(seed, count):
     assert all(type(raw) is int for raw in block)
     assert vector._state == scalar._state
     assert vector.next_uint64() == scalar.next_uint64()
+
+
+block_counts = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 9, LOOKAHEAD - 1, LOOKAHEAD, LOOKAHEAD + 1]),
+    st.integers(min_value=0, max_value=2 * LOOKAHEAD + 3),
+)
+stream_calls = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["block", "draws"]), block_counts),
+        st.tuples(st.just("next_uint64"), st.just(0)),
+        st.tuples(st.just("below"), st.integers(min_value=1, max_value=2**70)),
+    ),
+    max_size=25,
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), calls=stream_calls)
+# a scalar draw between two blocks of one size moves the state off the lookahead
+@example(seed=5, calls=[("block", 3), ("next_uint64", 0), ("block", 3)])
+@example(seed=5, calls=[("draws", 9), ("below", 7), ("block", 9), ("block", 0), ("block", 9)])
+# a request that outruns the lookahead, and one past it
+@example(seed=2**64 - 1, calls=[("block", 1), ("block", LOOKAHEAD), ("block", LOOKAHEAD + 1)])
+def test_interleaved_calls_follow_the_scalar_stream(seed, calls):
+    rng, scalar = SplitMix64(seed), SplitMix64(seed)
+    for method, arg in calls:
+        if method == "next_uint64":
+            assert rng.next_uint64() == scalar.next_uint64()
+        elif method == "below":
+            assert rng.below(arg) == scalar.below(arg)
+        else:
+            out = getattr(rng, method)(arg)
+            if method == "draws":
+                assert out.dtype == np.uint64
+                out = out.tolist()
+            assert all(type(raw) is int for raw in out)
+            assert out == [scalar.next_uint64() for _ in range(arg)]
+        assert rng._state == scalar._state
 
 
 def mix_by_transfer_fold(state, rng, count, frac):
