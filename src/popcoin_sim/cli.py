@@ -7,10 +7,10 @@ Subcommands::
     popcoin-sim agent <problems.json> [--out <file.csv>] [--alpha A]
     popcoin-sim exchange <scenario.json> [--out <dir>]
 
-Exit codes: 0 on success, 2 for invalid configs or inputs, 3 for a model
-invariant violated at runtime. The only environment influence is
-POPCOIN_SIM_LOG, which sets stderr log verbosity (debug, info, warning,
-error); it never changes outputs.
+Exit codes: 0 on success, 2 for invalid configs or inputs or an output that
+cannot be written, 3 for a model invariant violated at runtime. The only
+environment influence is POPCOIN_SIM_LOG, which sets stderr log verbosity
+(debug, info, warning, error); it never changes outputs.
 """
 
 from __future__ import annotations
@@ -23,19 +23,15 @@ from pathlib import Path
 
 from .errors import ConfigError, PopcoinError
 from .scenario import (
-    AGENT_COLUMNS,
-    EXCHANGE_COLUMNS,
+    STUDY_FILES,
     check_alpha,
     load_config,
     normalize_agent_input,
     normalize_exchange_params,
     read_json,
-    run_agent_batch,
-    run_exchange_grid,
     run_scenario,
     validate_config,
-    write_agent_csv,
-    write_exchange,
+    write_outputs,
     write_rows,
 )
 
@@ -64,37 +60,36 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     diagnostics = validate_config(read_json(args.config))
     if diagnostics:
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(diagnostics)
     print(f"{args.config}: valid")
     return EXIT_OK
 
 
 def _cmd_agent(args) -> int:
-    problems, alpha = normalize_agent_input(read_json(args.problems))
+    params = normalize_agent_input(read_json(args.problems))
     if args.alpha is not None:
         problem = check_alpha(args.alpha)
         if problem:
             raise ConfigError([f"--alpha: must {problem}"])
-        alpha = args.alpha
+        params["demurrage_alpha"] = args.alpha
+    (table,) = STUDY_FILES["agent"](params).values()
     if args.out:
-        write_agent_csv(Path(args.out), problems, alpha)
+        path = Path(args.out)
+        write_outputs(path.parent, {path.name: table})
         print(f"wrote {args.out}")
     else:
-        write_rows(sys.stdout, AGENT_COLUMNS, run_agent_batch(problems, alpha))
+        write_rows(sys.stdout, *table)
     return EXIT_OK
 
 
 def _cmd_exchange(args) -> int:
-    params = normalize_exchange_params(read_json(args.scenario))
+    files = STUDY_FILES["exchange"](normalize_exchange_params(read_json(args.scenario)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        print(f"wrote {', '.join(write_exchange(out, params))} to {out}")
+        print(f"wrote {', '.join(write_outputs(out, files))} to {out}")
     else:
-        rows, _ = run_exchange_grid(params)
-        write_rows(sys.stdout, EXCHANGE_COLUMNS, rows)
+        write_rows(sys.stdout, *files["exchange.csv"])
     return EXIT_OK
 
 
@@ -142,6 +137,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         for line in err.diagnostics:
             print(line, file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # read_json reports every input fault, so this is an output
+        where = err.filename or getattr(args, "out", None) or "stdout"
+        print(f"{where}: cannot be written ({err.strerror or err})", file=sys.stderr)
         return EXIT_CONFIG
     except PopcoinError as err:
         # model or ledger guarantee broken at runtime, distinct from bad input

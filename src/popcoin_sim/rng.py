@@ -15,7 +15,7 @@ Stream contract (documented for independent reimplementation):
   shift 30, 0x94D049BB133111EB with shift 27) and a final 31-bit xor-shift;
 * the stream is therefore counter-based: the i-th output mixes the state
   ``seed + i*0x9E3779B97F4A7C15 mod 2**64``, so any contiguous run of draws
-  can be computed at once (``SplitMix64.block``) and equals the same run of
+  can be computed at once (``SplitMix64.draws``) and equals the same run of
   single steps;
 * bounded draws use plain modulo, ``raw % bound``. The modulo bias is at
   most ``bound/2**64`` and is accepted in exchange for exact
@@ -105,10 +105,6 @@ class SplitMix64:
         self._ahead_pos = end
         self._state = self._ahead_state = (state + count * _GAMMA) & _MASK64
         return self._ahead[start:end]
-
-    def block(self, count: int) -> list[int]:
-        """Return the next ``count`` outputs at once, as Python ints; see ``draws``."""
-        return self.draws(count).tolist()
 
     def below(self, bound: int) -> int:
         """Return an integer in [0, bound) via one modulo-reduced draw.

@@ -7,19 +7,12 @@ rules out wall clocks, host names, float formatting ambiguity (floats are
 written with ``repr``, i.e. shortest round-trip), unsorted containers, and
 any RNG other than the seeded splitmix64 stream documented in ``rng``.
 
-Outputs per run:
-
-* ``manifest.json``   — canonical echo of the normalized config
-* ``epochs.csv``      — columns t,N,n,E,M_total,D,R,gini,variance,max_ratio
-* ``final_state.json``— ledger snapshot in the documented schema
-* study files (``supply.csv``, ``inequality.csv``, ``exchange.csv`` +
-  ``exchange_summary.json``, ``agent.csv``) when requested
-* ``plot_data.csv``   — optional long-format (t, series, value) rows
-
-Inequality columns cover census members only; dormant holders still count
-toward M_total. A run makes one pass over the states of the aggregate
-supply recurrence (``monetary.run_macro``): each epoch takes ``n``, ``D``
-and ``R`` from its state and makes three checks, any of which raises
+A run is a generator and its consumer. ``run_epochs`` makes one pass over
+the states of the aggregate supply recurrence (``monetary.run_macro``).
+Each epoch opens or retires members, mints, runs the transfer mix, and
+yields an ``EpochRecord``: the macro state (``n``, ``D``, ``R``), ``float(E)``,
+``M_total``, and the members' gini, variance and max ratio. It returns the
+final ledger state. Each epoch makes three checks, any of which raises
 ``InvariantViolation`` when it fails:
 
 * the issuance rounding residue is at most half a poplet per participant;
@@ -30,10 +23,16 @@ and ``R`` from its state and makes three checks, any of which raises
 * the ledger total ``poplets * E`` matches the recurrence's supply within
   the declared rounding-plus-float tolerance.
 
-Each epoch's row is formatted once, and every file that shows one of its
-columns writes that string. A member's value is ``float(balance) * float(E)``;
-when a balance passes the largest float it is ``balance * E`` correctly
-rounded instead, which is finite because no value exceeds the supply.
+``run_scenario`` formats each record's cells once; every file that shows one
+of its columns writes that string. Only after the last epoch does it write
+``manifest.json``, ``epochs.csv``, ``final_state.json``, the files that
+``STUDY_FILES`` maps each requested study to (``supply.csv``,
+``inequality.csv``, ``exchange.csv`` with ``exchange_summary.json``,
+``agent.csv``), and the optional long-format ``plot_data.csv``. Inequality
+columns cover census members only; dormant holders still count toward
+M_total. A member's value is ``float(balance) * float(E)``; past the largest
+float it is ``balance * E`` correctly rounded, finite because no value
+exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
 minting, ``count_per_epoch`` transfers run over the sorted list of all
@@ -80,7 +79,7 @@ import numpy as np
 from .agent import AgentProblem, effective_tax, optimal_out1
 from .errors import ConfigError, InvariantViolation
 from .exchange import LEVEL_FIELDS, ExchangeScenario, OvershootingResult, overshooting_experiment
-# The epoch loop calls neither the single-metric functions nor ``transfer``,
+# The epoch generator calls neither the single-metric functions nor ``transfer``,
 # ``total_supply_popcoin_exact`` and ``interest_rate``; they are its oracles
 # and stay patchable attributes of this module.
 from .inequality import (
@@ -101,7 +100,7 @@ from .ledger import (
     total_supply_popcoin_exact,  # noqa: F401
     transfer,  # noqa: F401
 )
-from .monetary import interest_rate, run_macro, steady_state_supply  # noqa: F401
+from .monetary import MacroState, interest_rate, run_macro, steady_state_supply  # noqa: F401
 from .rng import SplitMix64
 
 log = logging.getLogger("popcoin_sim.scenario")
@@ -120,7 +119,7 @@ AGENT_COLUMNS = ["in1", "out1", "savings", "tax_rate"]
 PLOT_COLUMNS = ["t", "series", "value"]
 
 # Account ids are p%08d, created in increasing order; below this many accounts
-# their creation order is also their sorted order, which the epoch loop relies on.
+# their creation order is also their sorted order, which the epoch generator relies on.
 MAX_ACCOUNTS = 10**8
 # Validation builds the census path, one entry per epoch, and the transfer mix
 # draws its 3 * count_per_epoch numbers at once; these limits bound both.
@@ -309,7 +308,6 @@ PROBLEM_FIELDS = (
 CONFIG_KEYS = ("policy", "epochs", "population", "seed", "poplet_scale", "transfers", "outputs")
 _EPOCHS = _at_most(_NON_NEGATIVE_INTEGER, MAX_EPOCHS)
 _SEED = _must(lambda v: v is None or _is_int(v) and -(2**63) <= v < 2**64, "be a 64-bit integer")
-STUDIES = ("supply", "inequality", "exchange", "agent")
 
 
 def _report(check, where: str, value, out: list[str]) -> bool:
@@ -359,19 +357,20 @@ def _walk(doc, fields, where: str, out: list[str], missing=None, unknown=None) -
     return values
 
 
-def _validate_census_path(population: dict, epochs: int, out: list[str]) -> None:
-    """Reject census paths that leave the floats or open too many accounts."""
+def _validate_census_path(population: dict, epochs: int, out: list[str]) -> list[int] | None:
+    """The census path; reject one that leaves the floats or opens too many accounts."""
     try:
         path = census_path(population, epochs)
     except (OverflowError, ValueError):  # float overflow, round() of inf or nan
         out.append(f"population: the census path is not finite within {epochs} epochs")
-        return
+        return None
     accounts = path[0] + sum(max(0, now - before) for before, now in zip(path, path[1:]))
     if accounts > MAX_ACCOUNTS:
         out.append(
             f"population: the census path opens more than {MAX_ACCOUNTS} accounts, "
             "the most that 8-digit account ids support"
         )
+    return path
 
 
 def _population(doc, out: list[str]) -> dict | None:
@@ -431,12 +430,11 @@ def normalize_exchange_params(doc) -> dict:
     return params
 
 
-def normalize_agent_input(doc) -> tuple[list[dict], float]:
-    """The problems and demurrage rate of an ``agent`` input.
+def normalize_agent_input(doc) -> dict:
+    """An ``agent`` input as an agent study's params, ``{demurrage_alpha, problems}``.
 
-    The input is a bare problem list or an agent study's params,
-    ``{demurrage_alpha, problems}``; the rate defaults to 0. Raises
-    ConfigError with every diagnostic.
+    The input is a bare problem list or such params; the rate defaults to 0.
+    Raises ConfigError with every diagnostic.
     """
     if isinstance(doc, list):
         doc = {"problems": doc}
@@ -446,7 +444,7 @@ def normalize_agent_input(doc) -> tuple[list[dict], float]:
     params = _agent_params(doc, "", out)
     if out:
         raise ConfigError(out)
-    return params["problems"], params["demurrage_alpha"]
+    return params
 
 
 def _study(entry, where: str, policy: dict, out: list[str]) -> dict | None:
@@ -498,8 +496,9 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     policy = _walk(doc["policy"], POLICY_FIELDS, "policy", out) if "policy" in doc else {}
     population = _population(doc["population"], out) if "population" in doc else None
     epochs = doc.get("epochs")
+    path = None
     if "epochs" in doc and _report(_EPOCHS, "epochs", epochs, out) and population:
-        _validate_census_path(population, epochs, out)
+        path = _validate_census_path(population, epochs, out)
     poplet_scale = doc.get("poplet_scale", 10**8)
     _report(_POSITIVE_INTEGER, "poplet_scale", poplet_scale, out)
     transfers = doc.get("transfers")
@@ -518,7 +517,7 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     if not out:  # last, on a config that every other rule admits: from zero,
         # M_t / N_t = B * sum over k < t of (1 - alpha)^k < B * min(t, 1/alpha)
         alpha = policy["demurrage_alpha"]
-        bound = float(policy["basic_income"]) * max(census_path(population, epochs))
+        bound = float(policy["basic_income"]) * max(path)
         if bound * (min(epochs, 1 / alpha) if alpha else epochs) > sys.float_info.max:
             out.append(
                 "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
@@ -595,7 +594,7 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(read_json(path))
 
 
-# --- the epoch loop ----------------------------------------------------------
+# --- the epoch generator -----------------------------------------------------
 
 
 def _account_id(index: int) -> str:
@@ -663,15 +662,20 @@ def _member_values(balances: dict, members: list, poplets: int, rate: Fraction, 
         return np.array([balances[account] * num / den for account in members])
 
 
-def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
-    """Replay the census path through the ledger and write all output files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+class EpochRecord(NamedTuple):
+    """One epoch: its macro state, ``float(E)``, ``M_total``, ``(gini, variance, max_ratio)``."""
+
+    macro: MacroState
+    rate: float
+    total: float
+    metrics: tuple[float, float, float]
+
+
+def run_epochs(config: ScenarioConfig):
+    """Yield one ``EpochRecord`` per epoch of ``config`` as the module docstring
+    describes; return the final ledger state, the genesis state at 0 epochs."""
     path = census_path(config.population, config.epochs)
     params = config.policy
-    alpha = float(params.demurrage_alpha)
-    income = float(params.basic_income)
-    macro = run_macro(income, alpha, path)
     peak = max(path)
 
     # Census members in sorted order, kept without sorting: ids are created in
@@ -680,28 +684,19 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     # next id is the number of balances.
     members = [_account_id(i) for i in range(path[0])]
     state = genesis(params, members, config.poplet_scale)
-    rng = None
-    frac = Fraction(0)
-    transfer_count = 0
-    if config.transfers and config.transfers["count_per_epoch"] > 0:
-        rng = SplitMix64(config.seed)
-        frac = exact(config.transfers["max_fraction"])
-        transfer_count = config.transfers["count_per_epoch"]
+    transfers = config.transfers or {"count_per_epoch": 0, "max_fraction": 0}
+    transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
+    rng = SplitMix64(config.seed) if transfer_count else None
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
-    total = 0.0
-    cells: list[list[str]] = []  # each epoch's EPOCH_COLUMNS, formatted once
-    for macro_state in macro:
+    for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
         t, n_now = macro_state.epoch, macro_state.census
-        new_accounts: list[str] = []
-        removed: list[str] = []
+        new_accounts, removed = [], members[n_now:]
+        del members[n_now:]
         if n_now > len(members):
             opened = len(state.balances)
             new_accounts = [_account_id(opened + k) for k in range(n_now - len(members))]
             members.extend(new_accounts)
-        elif n_now < len(members):
-            removed = members[n_now:]
-            del members[n_now:]
         state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
         poplets += n_now * report.issued_per_participant
         if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
@@ -732,72 +727,38 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
                 f"recurrence {macro_state.supply} by more than {tolerance}"
             )
         values = _member_values(balances, members, poplets, state.exchange_rate, rate_float)
-        row = (
-            t,
-            n_now,
-            macro_state.census_growth,
-            rate_float,
-            total,
-            macro_state.demurrage,
-            macro_state.interest,
-            *epoch_metrics(values),
-        )
-        cells.append(list(map(_format_cell, row)))
+        yield EpochRecord(macro_state, rate_float, total, epoch_metrics(values))
+    return state
 
-    files = {}
-    files["manifest.json"] = _write_json(
-        out / "manifest.json", {"format_version": 1, "config": config.normalized}
-    )
-    files["epochs.csv"] = _write_csv(out / "epochs.csv", EPOCH_COLUMNS, cells)
-    files["final_state.json"] = _write_text(out / "final_state.json", state_to_json(state) + "\n")
-    # The study tables reuse the epoch cells t and M_total (row[4]), and gini,
-    # variance and max_ratio (row[7:]); they format only their own columns.
-    for entry in config.outputs:
-        study = entry["study"]
-        if study == "supply":
-            table = (
-                [
-                    row[0],
-                    row[4],
-                    _format_cell(macro_state.supply),
-                    _format_cell(
-                        steady_state_supply(income, alpha, macro_state.census)
-                        if alpha
-                        else math.inf
-                    ),
-                ]
-                for row, macro_state in zip(cells, macro)
-            )
-            files["supply.csv"] = _write_csv(out / "supply.csv", SUPPLY_COLUMNS, table)
-        elif study == "inequality":
-            table = (
-                [
-                    row[0],
-                    *row[7:],
-                    _format_cell(gini_bound(alpha, macro_state.census)),
-                    _format_cell(variance_bound(alpha, income, macro_state.census)),
-                    _format_cell(ratio_bound(alpha, macro_state.census)),
-                ]
-                for row, macro_state in zip(cells, macro)
-            )
-            files["inequality.csv"] = _write_csv(out / "inequality.csv", INEQUALITY_COLUMNS, table)
-        elif study == "exchange":
-            files.update(write_exchange(out, entry["params"]))
-        elif study == "agent":
-            files["agent.csv"] = write_agent_csv(
-                out / "agent.csv",
-                entry["params"]["problems"],
-                entry["params"]["demurrage_alpha"],
-            )
-    if include_plot_data:
-        files["plot_data.csv"] = _write_csv(out / "plot_data.csv", PLOT_COLUMNS, _long_rows(cells))
-    log.info("run complete: %d epochs, %d files in %s", config.epochs, len(files), out)
-    return {
-        "out_dir": str(out),
-        "epochs": config.epochs,
-        "files": sorted(files),
-        "final_supply": total,
+
+def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
+    """Run ``config`` through ``run_epochs``; once the last epoch has passed its
+    checks, write every output file into ``out_dir``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records = run_epochs(config)
+    macros, cells = [], []  # each epoch's MacroState, and its EPOCH_COLUMNS formatted once
+    while True:
+        try:
+            m, rate, total, metrics = next(records)
+        except StopIteration as done:  # run_epochs returns the final ledger state
+            state = done.value
+            break
+        macros.append(m)
+        row = (m.epoch, m.census, m.census_growth, rate, total, m.demurrage, m.interest, *metrics)
+        cells.append(list(map(_format_cell, row)))
+    files = {
+        "manifest.json": {"format_version": 1, "config": config.normalized},
+        "epochs.csv": (EPOCH_COLUMNS, cells),
+        "final_state.json": state_to_json(state) + "\n",
     }
+    for entry in config.outputs:
+        files.update(STUDY_FILES[entry["study"]](entry["params"], config.policy, macros, cells))
+    if include_plot_data:
+        files["plot_data.csv"] = (PLOT_COLUMNS, _long_rows(cells))
+    write_outputs(out, files)
+    log.info("run complete: %d epochs, %d files in %s", config.epochs, len(files), out)
+    return {"out_dir": str(out), "files": sorted(files)}
 
 
 def emit_plot_data(rows: Sequence[dict]) -> list[list]:
@@ -813,20 +774,45 @@ def _long_rows(rows):
             yield [t, column, value]
 
 
-def write_exchange(out: Path, params: dict) -> dict:
-    """Run the exchange grid for normalised params; write its two files into ``out``."""
-    rows, summary = run_exchange_grid(params)
-    return {
-        "exchange.csv": _write_csv(out / "exchange.csv", EXCHANGE_COLUMNS, rows),
-        "exchange_summary.json": _write_json(out / "exchange_summary.json", summary),
-    }
+# --- the study table ---------------------------------------------------------
+# The supply and inequality tables reuse the epoch cells t and M_total
+# (row[4]), and gini, variance and max_ratio (row[7:]); they format only
+# their own columns.
 
 
-def run_exchange_grid(params: dict) -> tuple[list[list[str]], dict]:
-    """Overshooting experiment over the shock x elasticity grid: formatted rows, summary."""
+def _supply_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
+    income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
+    rows = (
+        [
+            row[0],
+            row[4],
+            _format_cell(m.supply),
+            _format_cell(steady_state_supply(income, alpha, m.census) if alpha else math.inf),
+        ]
+        for row, m in zip(cells, macros)
+    )
+    return {"supply.csv": (SUPPLY_COLUMNS, rows)}
+
+
+def _inequality_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
+    income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
+    rows = (
+        [
+            row[0],
+            *row[7:],
+            _format_cell(gini_bound(alpha, m.census)),
+            _format_cell(variance_bound(alpha, income, m.census)),
+            _format_cell(ratio_bound(alpha, m.census)),
+        ]
+        for row, m in zip(cells, macros)
+    )
+    return {"inequality.csv": (INEQUALITY_COLUMNS, rows)}
+
+
+def _exchange_files(params: dict, *run) -> dict:
+    """The overshooting experiment over the shock x elasticity grid, and its summary."""
     base = ExchangeScenario(**params["scenario"])
-    rows = []
-    overshoots = []
+    rows, overshoots = [], []
     for eta in params["elasticities"]:
         scenario = replace(base, liquidity_elasticity=eta)
         for shock in params["fiat_supply_shocks"]:
@@ -842,26 +828,31 @@ def run_exchange_grid(params: dict) -> tuple[list[list[str]], dict]:
         "min_overshoot": min(overshoots) if overshoots else None,
         "max_overshoot": max(overshoots) if overshoots else None,
     }
-    return rows, summary
+    return {"exchange.csv": (EXCHANGE_COLUMNS, rows), "exchange_summary.json": summary}
 
 
-def run_agent_batch(problems: Sequence[dict], default_alpha: float) -> list[list[str]]:
-    """Formatted rows (in1, out1, savings, tax_rate) for a list of problem objects."""
+def _agent_files(params: dict, *run) -> dict:
+    """Each problem's (in1, out1, savings, tax_rate) under the params' demurrage rate."""
     rows = []
-    for doc in problems:
+    for doc in params["problems"]:
         doc = dict(doc)
-        alpha = doc.pop("demurrage_alpha", default_alpha)
+        alpha = doc.pop("demurrage_alpha", params["demurrage_alpha"])
         problem = AgentProblem(**doc)
         spend = optimal_out1(problem)
         report = effective_tax(problem, alpha)
         cells = (problem.earned_income, spend, report.savings, report.tax_rate)
         rows.append(list(map(_format_cell, cells)))
-    return rows
+    return {"agent.csv": (AGENT_COLUMNS, rows)}
 
 
-def write_agent_csv(path: Path, problems, default_alpha: float) -> str:
-    """Solve a batch of normalised problems and write their rows to ``path``."""
-    return _write_csv(path, AGENT_COLUMNS, run_agent_batch(problems, default_alpha))
+# study -> (params[, policy, macros, cells]) -> {file name: (header, rows) or JSON document}
+STUDY_FILES = {
+    "supply": _supply_files,
+    "inequality": _inequality_files,
+    "exchange": _exchange_files,
+    "agent": _agent_files,
+}
+STUDIES = tuple(STUDY_FILES)
 
 
 # --- deterministic file writers ----------------------------------------------
@@ -888,17 +879,28 @@ def write_rows(handle, header: Sequence[str], rows) -> None:
     writer.writerows(rows)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> str:
+def write_outputs(out: Path, files: dict) -> list[str]:
+    """Write each output, text, a JSON document (a dict) or a CSV table
+    ``(header, rows)``, into the directory ``out`` under its name; return the names."""
+    for name, output in files.items():
+        if isinstance(output, str):
+            _write_text(out / name, output)
+        elif isinstance(output, dict):
+            _write_json(out / name, output)
+        else:
+            _write_csv(out / name, *output)
+    return list(files)
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         write_rows(handle, header, rows)
-    return path.name
 
 
-def _write_json(path: Path, doc) -> str:
-    return _write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _write_json(path: Path, doc) -> None:
+    _write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _write_text(path: Path, text: str) -> str:
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-    return path.name

@@ -115,6 +115,44 @@ def test_run_checks_the_poplet_total_against_the_reported_issuance(
     assert ("epoch 1: the ledger holds" in capsys.readouterr().err) == (code == 3)
 
 
+def test_an_invariant_violation_at_epoch_1_writes_no_file(tmp_path, capsys, monkeypatch):
+    # every epoch is checked before the first file is written
+    real_mix = scenario._mix_transfers
+
+    def mix_dropping_at_epoch_1(state, rng, count, frac):
+        state = real_mix(state, rng, count, frac)
+        if state.epoch != 1:
+            return state
+        balances = dict(state.balances)
+        balances[max(balances, key=balances.get)] -= 1
+        return dataclasses.replace(state, balances=balances)
+
+    monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping_at_epoch_1)
+    config = write_json(tmp_path / "cfg.json", dict(CONFIG, epochs=5))
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 3
+    assert "epoch 1: the ledger holds" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_failing_study_writes_no_file(tmp_path, capsys):
+    # the exchange study fails after the last epoch: the policy-side rate
+    # below the post-shock fiat rate breaks the ordering
+    study = {
+        "study": "exchange",
+        "params": {
+            "scenario": {"money_supply_pop": 1.1},
+            "fiat_supply_shocks": [0.01],
+            "elasticities": [1.0],
+        },
+    }
+    config = write_json(tmp_path / "cfg.json", dict(CONFIG, outputs=[{"study": "supply"}, study]))
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 3
+    assert "invariant" in capsys.readouterr().err.lower()
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "policy, epochs, census",
     [
@@ -313,6 +351,52 @@ def test_unreadable_input_is_one_diagnostic(tmp_path, capsys, command, content, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{path}: {diagnostic}")
     assert not (tmp_path / "out").exists()
+
+
+UNWRITABLE_INPUTS = {
+    "run": CONFIG,
+    "agent": [{"basic_income": 10.0, "earned_income": 0.0, "interest_rate": -0.02}],
+    "exchange": {"fiat_supply_shocks": [0.0, 0.1], "elasticities": [1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, out, reason",
+    [
+        # a directory cannot be made, nor a file opened, under a regular file
+        ("run", "file/out", "Not a directory"),
+        ("agent", "file/a.csv", "Not a directory"),
+        ("exchange", "file/out", "Not a directory"),
+        # the agent file's directory is not made for it
+        ("agent", "nodir/a.csv", "No such file or directory"),
+        # opened, but every write fails; the error names no file
+        pytest.param(
+            "agent",
+            "/dev/full",
+            "No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
+def test_unwritable_output_is_one_diagnostic(tmp_path, capsys, command, out, reason):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = write_json(tmp_path / "input.json", UNWRITABLE_INPUTS[command])
+    assert main([command, path, "--out", str(tmp_path / out)]) == 2
+    diagnostic = f"{tmp_path / out}: cannot be written ({reason})"
+    assert capsys.readouterr().err.splitlines() == [diagnostic]
+
+
+class BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["agent", "exchange"])
+def test_unwritable_stdout_is_one_diagnostic(tmp_path, capsys, monkeypatch, command):
+    path = write_json(tmp_path / "input.json", UNWRITABLE_INPUTS[command])
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err.splitlines() == ["stdout: cannot be written (Broken pipe)"]
 
 
 def test_agent_batch_to_stdout(tmp_path, capsys):

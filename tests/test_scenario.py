@@ -4,6 +4,7 @@ reproducibility, and the deterministic RNG contract."""
 import csv
 import importlib.util
 import io
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -304,6 +305,44 @@ def test_plot_data_long_format(tmp_path):
     assert rows[0] == ["t", "series", "value"]
     assert len(rows) == 1 + 2 * 9  # two epochs, nine series each
     assert rows[1][:2] == ["1", "N"]
+
+
+@pytest.mark.parametrize("epochs", [0, 12])
+def test_epoch_records_format_to_the_epochs_csv_rows(tmp_path, epochs):
+    # transfers, and a census that retires members every few epochs
+    config = parse_config(
+        {
+            **GOOD_CONFIG,
+            "epochs": epochs,
+            "population": {"kind": "degrowth", "N0": 40, "n": -0.1},
+            "outputs": [],
+        }
+    )
+    run_scenario(config, tmp_path)
+    records = scenario.run_epochs(config)
+    rows = [
+        [
+            scenario._format_cell(value)
+            for value in (
+                record.macro.epoch,
+                record.macro.census,
+                record.macro.census_growth,
+                record.rate,
+                record.total,
+                record.macro.demurrage,
+                record.macro.interest,
+                *record.metrics,
+            )
+        ]
+        for record in itertools.islice(records, epochs)
+    ]
+    assert read_csv(tmp_path / "epochs.csv") == [scenario.EPOCH_COLUMNS, *rows]
+    # the generator returns the final ledger state, the genesis state at 0 epochs
+    with pytest.raises(StopIteration) as done:
+        next(records)
+    final = (tmp_path / "final_state.json").read_text(encoding="utf-8")
+    assert final == scenario.state_to_json(done.value.value) + "\n"
+    assert done.value.value.epoch == epochs
 
 
 def test_emit_plot_data_round_trips_rows():

@@ -1,6 +1,6 @@
 """The vectorised transfer mix against its scalar definitions.
 
-``SplitMix64.block`` must reproduce ``next_uint64`` draw for draw, also
+``SplitMix64.draws`` must reproduce ``next_uint64`` draw for draw, also
 when it serves draws computed ahead, and
 ``scenario._mix_transfers`` must equal a fold of the pure ``ledger.transfer``
 driven by scalar ``below`` draws, as the determinism contract in the
@@ -33,7 +33,7 @@ GAMMA = 0x9E3779B97F4A7C15
 @example(seed=0, count=0)
 def test_block_equals_scalar_draws(seed, count):
     vector, scalar = SplitMix64(seed), SplitMix64(seed)
-    block = vector.block(count)
+    block = vector.draws(count).tolist()
     assert block == [scalar.next_uint64() for _ in range(count)]
     assert all(type(raw) is int for raw in block)
     assert vector._state == scalar._state
@@ -46,7 +46,7 @@ block_counts = st.one_of(
 )
 stream_calls = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["block", "draws"]), block_counts),
+        st.tuples(st.just("draws"), block_counts),
         st.tuples(st.just("next_uint64"), st.just(0)),
         st.tuples(st.just("below"), st.integers(min_value=1, max_value=2**70)),
     ),
@@ -56,10 +56,10 @@ stream_calls = st.lists(
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1), calls=stream_calls)
 # a scalar draw between two blocks of one size moves the state off the lookahead
-@example(seed=5, calls=[("block", 3), ("next_uint64", 0), ("block", 3)])
-@example(seed=5, calls=[("draws", 9), ("below", 7), ("block", 9), ("block", 0), ("block", 9)])
+@example(seed=5, calls=[("draws", 3), ("next_uint64", 0), ("draws", 3)])
+@example(seed=5, calls=[("draws", 9), ("below", 7), ("draws", 9), ("draws", 0), ("draws", 9)])
 # a request that outruns the lookahead, and one past it
-@example(seed=2**64 - 1, calls=[("block", 1), ("block", LOOKAHEAD), ("block", LOOKAHEAD + 1)])
+@example(seed=2**64 - 1, calls=[("draws", 1), ("draws", LOOKAHEAD), ("draws", LOOKAHEAD + 1)])
 def test_interleaved_calls_follow_the_scalar_stream(seed, calls):
     rng, scalar = SplitMix64(seed), SplitMix64(seed)
     for method, arg in calls:
@@ -68,10 +68,9 @@ def test_interleaved_calls_follow_the_scalar_stream(seed, calls):
         elif method == "below":
             assert rng.below(arg) == scalar.below(arg)
         else:
-            out = getattr(rng, method)(arg)
-            if method == "draws":
-                assert out.dtype == np.uint64
-                out = out.tolist()
+            out = rng.draws(arg)
+            assert out.dtype == np.uint64
+            out = out.tolist()
             assert all(type(raw) is int for raw in out)
             assert out == [scalar.next_uint64() for _ in range(arg)]
         assert rng._state == scalar._state
