@@ -30,7 +30,6 @@ from .scenario import (
     normalize_exchange_params,
     read_json,
     run_scenario,
-    validate_config,
     write_outputs,
     write_rows,
 )
@@ -58,9 +57,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    diagnostics = validate_config(read_json(args.config))
-    if diagnostics:
-        raise ConfigError(diagnostics)
+    load_config(args.config)
     print(f"{args.config}: valid")
     return EXIT_OK
 

@@ -53,8 +53,21 @@ def policy_transform(values, alpha: float, basic_income: float) -> np.ndarray:
 
 
 def variance(values) -> float:
-    """Population variance of the balance vector."""
-    return float(np.var(_as_distribution(values)))
+    """Population variance of the balance vector, ``np.var`` where that is finite."""
+    arr = _as_distribution(values)
+    return _variance(arr, float(arr.max()))
+
+
+def _variance(arr: np.ndarray, hi: float) -> float:
+    """np.var's steps on finite values in [0, hi]: the mean in the given order, then
+    the mean squared deviation. Past n * hi**2 = 2**1020 a sum or a square may
+    overflow, so they run on the values divided by a power of two (exact), scaled back."""
+    unit = 1.0
+    if hi * hi * arr.size >= 2.0**1020:
+        unit = 2.0 ** (math.frexp(hi)[1] - 1)
+        arr = arr / unit
+    deviations = arr - float(arr.sum()) / arr.size
+    return float(np.square(deviations, out=deviations).sum()) / arr.size * unit * unit
 
 
 def gini(values) -> float:
@@ -64,16 +77,17 @@ def gini(values) -> float:
     with 1-based ranks — algebraically equal to the pairwise form below.
     """
     ordered = np.sort(_as_distribution(values))
-    total = float(ordered.sum())
-    if total == 0.0:
+    if ordered[-1] == 0.0:
         raise UndefinedGiniError("gini is undefined for an all-zero distribution")
-    return _gini_sorted(ordered, total)
+    return _gini_sorted(ordered)
 
 
-def _gini_sorted(ordered: np.ndarray, total: float) -> float:
-    n = ordered.size
+def _gini_sorted(ordered: np.ndarray) -> float:
+    n, hi = ordered.size, float(ordered[-1])
+    # past n * hi = 2**1023 the sum may overflow, and 2 * n * total is inf either way
+    total = float(ordered.sum()) if n * hi <= 2.0**1023 else math.inf
     if math.isinf(2.0 * n * total):  # 2 * sum(i * x_i) may pass the floats; G is scale-free
-        ordered = ordered / ordered[-1]
+        ordered = ordered / hi
         total = float(ordered.sum())
     ranks = np.arange(1, n + 1, dtype=float)
     raw = float((2.0 * np.dot(ranks, ordered) - (n + 1) * total) / (n * total))
@@ -99,13 +113,8 @@ def epoch_metrics(values) -> tuple[float, float, float]:
         raise ValueError("balances must be finite")
     if lo < 0:
         raise ValueError("balances must be non-negative")
-    total = float(ordered.sum())
-    gini_value = _gini_sorted(ordered, total) if total != 0.0 else float("nan")
-    # np.var(arr) without its per-call overhead, in its own steps: the mean of
-    # the values in their given order, then the mean of the squared deviations.
-    deviations = arr - float(arr.sum()) / arr.size
-    spread = float(np.square(deviations, out=deviations).sum()) / arr.size
-    return gini_value, spread, inequality_ratio(hi, lo)
+    gini_value = _gini_sorted(ordered) if hi != 0.0 else float("nan")
+    return gini_value, _variance(arr, hi), inequality_ratio(hi, lo)
 
 
 def gini_pairwise(values) -> float:

@@ -6,6 +6,8 @@ contract: given one config, every run writes byte-identical files. That
 rules out wall clocks, host names, float formatting ambiguity (floats are
 written with ``repr``, i.e. shortest round-trip), unsorted containers, and
 any RNG other than the seeded splitmix64 stream documented in ``rng``.
+``parse_config`` makes a config a ``ScenarioConfig``: its ``PolicyParams`` and
+the config with defaults filled, which the run reads and the manifest echoes.
 
 A run is a generator and its consumer. ``run_epochs`` makes one pass over
 the states of the aggregate supply recurrence (``monetary.run_macro``).
@@ -28,7 +30,8 @@ of its columns writes that string. Only after the last epoch does it write
 ``manifest.json``, ``epochs.csv``, ``final_state.json``, the files that
 ``STUDY_FILES`` maps each requested study to (``supply.csv``,
 ``inequality.csv``, ``exchange.csv`` with ``exchange_summary.json``,
-``agent.csv``), and the optional long-format ``plot_data.csv``. Inequality
+``agent.csv``), and the optional long-format ``plot_data.csv``, and it
+removes each other name of ``RUN_FILES`` that an earlier run left. Inequality
 columns cover census members only; dormant holders still count toward
 M_total. A member's value is ``float(balance) * float(E)``; past the largest
 float it is ``balance * E`` correctly rounded, finite because no value
@@ -56,7 +59,8 @@ is sorted order. Validation therefore rejects census paths that would open
 more than ``MAX_ACCOUNTS`` (10**8) accounts, and paths that leave the
 floats. It also rejects more than ``MAX_EPOCHS`` (10**5) epochs and more
 than ``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, numbers that
-do not fit a float, and, last, a money supply that can pass the largest float.
+do not fit a float, a study listed twice in ``outputs``, and, last, a money
+supply that can pass the largest float.
 Every input file is read by ``read_json``, which turns any fault of the file
 into one ``<path>: ...`` diagnostic.
 """
@@ -69,7 +73,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -483,7 +487,8 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     The top level reports its unknown and missing keys first, then each
     block and field in turn. Each rule that ties fields together follows the
     last field it reads: the census path after ``epochs``, the seed that
-    random transfers need after ``seed``.
+    random transfers need after ``seed``, and, once every output entry is
+    well-formed, each entry whose study an earlier entry selects.
     """
     if not isinstance(doc, dict):
         return {}, ["config: must be a JSON object"]
@@ -513,7 +518,12 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     if not isinstance(outputs, list):
         out.append("outputs: must be a list of study selectors")
         outputs = []
+    found = len(out)
     studies = [_study(entry, f"outputs[{i}]", policy, out) for i, entry in enumerate(outputs)]
+    names = [entry["study"] for entry in studies] if len(out) == found else []
+    for i, name in enumerate(names):
+        if (first := names.index(name)) < i:
+            out.append(f"outputs[{i}]: study {name!r} is already selected by outputs[{first}]")
     if not out:  # last, on a config that every other rule admits: from zero,
         # M_t / N_t = B * sum over k < t of (1 - alpha)^k < B * min(t, 1/alpha)
         alpha = policy["demurrage_alpha"]
@@ -523,7 +533,7 @@ def _normalize(doc) -> tuple[dict, list[str]]:
                 "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
                 f"passes the largest float within {epochs} epochs"
             )
-    normalized = {
+    return {
         "policy": policy,
         "epochs": epochs,
         "population": population,
@@ -531,8 +541,7 @@ def _normalize(doc) -> tuple[dict, list[str]]:
         "poplet_scale": poplet_scale,
         "transfers": transfers,
         "outputs": studies,
-    }
-    return normalized, out
+    }, out
 
 
 def validate_config(doc) -> list[str]:
@@ -542,16 +551,10 @@ def validate_config(doc) -> list[str]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed, validated scenario; ``normalized`` echoes it with defaults filled."""
+    """A validated scenario: its policy, and the config with defaults filled."""
 
     policy: PolicyParams
-    epochs: int
-    population: dict
-    seed: int | None
-    poplet_scale: int
-    transfers: dict | None
-    outputs: tuple[dict, ...]
-    normalized: dict = field(compare=False)
+    normalized: dict
 
 
 def parse_config(doc) -> ScenarioConfig:
@@ -560,16 +563,7 @@ def parse_config(doc) -> ScenarioConfig:
     if diagnostics:
         raise ConfigError(diagnostics)
     policy = normalized["policy"]
-    return ScenarioConfig(
-        policy=PolicyParams(policy["basic_income"], policy["demurrage_alpha"]),
-        epochs=normalized["epochs"],
-        population=dict(normalized["population"]),
-        seed=normalized["seed"],
-        poplet_scale=normalized["poplet_scale"],
-        transfers=normalized["transfers"],
-        outputs=tuple(normalized["outputs"]),
-        normalized=normalized,
-    )
+    return ScenarioConfig(PolicyParams(policy["basic_income"], policy["demurrage_alpha"]), normalized)
 
 
 def read_json(path):
@@ -674,8 +668,8 @@ class EpochRecord(NamedTuple):
 def run_epochs(config: ScenarioConfig):
     """Yield one ``EpochRecord`` per epoch of ``config`` as the module docstring
     describes; return the final ledger state, the genesis state at 0 epochs."""
-    path = census_path(config.population, config.epochs)
-    params = config.policy
+    normalized, params = config.normalized, config.policy
+    path = census_path(normalized["population"], normalized["epochs"])
     peak = max(path)
 
     # Census members in sorted order, kept without sorting: ids are created in
@@ -683,10 +677,10 @@ def run_epochs(config: ScenarioConfig):
     # and shrinkage truncates. Every id ever created holds a balance, so the
     # next id is the number of balances.
     members = [_account_id(i) for i in range(path[0])]
-    state = genesis(params, members, config.poplet_scale)
-    transfers = config.transfers or {"count_per_epoch": 0, "max_fraction": 0}
+    state = genesis(params, members, normalized["poplet_scale"])
+    transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
-    rng = SplitMix64(config.seed) if transfer_count else None
+    rng = SplitMix64(normalized["seed"]) if transfer_count else None
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
     for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
@@ -752,12 +746,14 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         "epochs.csv": (EPOCH_COLUMNS, cells),
         "final_state.json": state_to_json(state) + "\n",
     }
-    for entry in config.outputs:
+    for entry in config.normalized["outputs"]:
         files.update(STUDY_FILES[entry["study"]](entry["params"], config.policy, macros, cells))
     if include_plot_data:
         files["plot_data.csv"] = (PLOT_COLUMNS, _long_rows(cells))
+    for name in set(RUN_FILES) - files.keys():  # left by an earlier run
+        (out / name).unlink(missing_ok=True)
     write_outputs(out, files)
-    log.info("run complete: %d epochs, %d files in %s", config.epochs, len(files), out)
+    log.info("run complete: %d epochs, %d files in %s", len(cells), len(files), out)
     return {"out_dir": str(out), "files": sorted(files)}
 
 
@@ -853,19 +849,16 @@ STUDY_FILES = {
     "agent": _agent_files,
 }
 STUDIES = tuple(STUDY_FILES)
+# Every file a run can write; ``run_scenario`` removes those it does not write.
+RUN_FILES = ("manifest.json", "epochs.csv", "final_state.json", "supply.csv", "inequality.csv",
+             "exchange.csv", "exchange_summary.json", "agent.csv", "plot_data.csv")
 
 
 # --- deterministic file writers ----------------------------------------------
 
 
 def _format_cell(value) -> str:
-    """One CSV cell: floats by shortest round-trip ``repr``, booleans in lower case."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    """One CSV cell: a float by its shortest round-trip ``repr``, an int by ``str``."""
     if isinstance(value, float):
         return repr(value + 0.0)  # folds -0.0 into 0.0
     return str(value)

@@ -153,6 +153,40 @@ def test_a_failing_study_writes_no_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_a_study_listed_twice_exits_2_and_writes_no_file(tmp_path, capsys):
+    grids = [{"fiat_supply_shocks": [0.1]}, {"fiat_supply_shocks": [0.2, 0.3]}]
+    twice = dict(CONFIG, outputs=[{"study": "exchange", "params": grid} for grid in grids])
+    config = write_json(tmp_path / "cfg.json", twice)
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 2
+    assert main(["validate", config]) == 2
+    diagnostic = "outputs[1]: study 'exchange' is already selected by outputs[0]"
+    assert capsys.readouterr().err.splitlines() == [diagnostic, diagnostic]
+    assert not out.exists()
+
+
+def test_run_removes_the_outputs_an_earlier_run_left(tmp_path):
+    out = tmp_path / "out"
+    first = write_json(tmp_path / "first.json", CONFIG)  # with the supply study
+    assert main(["run", first, "--out", str(out), "--plot-data"]) == 0
+    assert {"supply.csv", "plot_data.csv"} <= {path.name for path in out.iterdir()}
+    (out / "notes.txt").write_text("not an output\n", encoding="utf-8")
+    second = write_json(tmp_path / "second.json", dict(CONFIG, outputs=[]))
+    assert main(["run", second, "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "epochs.csv", "final_state.json", "manifest.json", "notes.txt"
+    ]
+
+
+def test_run_files_are_every_file_a_run_can_write(tmp_path):
+    studies = [{"study": study} for study in ("supply", "inequality", "exchange")]
+    agent = {"study": "agent", "params": {"problems": [{"basic_income": 10.0}]}}
+    config = popcoin_sim.parse_config(dict(CONFIG, outputs=[*studies, agent]))
+    summary = popcoin_sim.run_scenario(config, tmp_path, include_plot_data=True)
+    assert summary["files"] == sorted(scenario.RUN_FILES)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(scenario.RUN_FILES)
+
+
 @pytest.mark.parametrize(
     "policy, epochs, census",
     [

@@ -273,6 +273,13 @@ CONFIGS.update(
             epochs=3,
             population={"kind": "fixed", "N": 3},
         ),
+        "study_listed_twice": cfg(
+            outputs=[
+                {"study": "exchange", "params": {"fiat_supply_shocks": [0.1]}},
+                {"study": "supply"},
+                {"study": "exchange", "params": {"fiat_supply_shocks": [0.2, 0.3]}},
+            ]
+        ),
     }
 )
 AGENT_INPUTS.update(
@@ -691,7 +698,9 @@ EXPECTED = {
 # a TypeError) and the ``agent`` input reports the alpha before the
 # problems. The exchange ``scenario`` block reports in table order like
 # every other block, not in document order. A money supply that can pass the
-# largest float is rejected where it used to pass and then fail ``run``.
+# largest float is rejected where it used to pass and then fail ``run``. A
+# study selected by a second well-formed entry is rejected there, where
+# ``run`` used to keep only the last entry's files.
 CHANGED = {
     # was ["population.N: required for kind 'fixed'",
     #      "population.N: must be a positive integer, got None"]
@@ -761,6 +770,10 @@ CHANGED = {
     "config/supply_past_the_floats": [
         "policy: the money supply, up to B * max(N_t) * min(epochs, 1/alpha), "
         "passes the largest float within 3 epochs",
+    ],
+    # was [] (then `run` computed both grids and kept only the second's files)
+    "config/study_listed_twice": [
+        "outputs[2]: study 'exchange' is already selected by outputs[0]",
     ],
     # was exit 0 with the row inf,inf,nan,nan
     "agent/infinite_earned_income": [

@@ -4,6 +4,8 @@ contracts dispersion, and the worst case attains every bound."""
 import math
 import struct
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +110,60 @@ def test_gini_sorted_identity_matches_pairwise_definition(values):
 
 def test_variance_constant_is_zero():
     assert variance([4, 4, 4]) == 0.0
+
+
+@st.composite
+def _near_the_square_limit(draw):
+    """Vectors with n * max**2 on both sides of 2**1020, where the variance
+    starts to scale the values by a power of two, and some far past it."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    top = 2.0 ** draw(st.one_of(st.integers(495, 525), st.integers(526, 1023)))
+    element = st.one_of(
+        st.floats(min_value=top / 4, max_value=top),
+        st.floats(min_value=0.0, max_value=top),
+        st.floats(min_value=0.0, allow_infinity=False),  # any finite magnitude
+        st.sampled_from([0.0, 5e-324, 1e-300, 1.0, top]),
+    )
+    return np.array(draw(st.lists(element, min_size=n, max_size=n)))
+
+
+@given(_near_the_square_limit())
+@example(np.array([0.0] * 9 + [4e154]))  # the squares overflow, their mean does not
+@example(np.array([2.0**509, 0.0, 0.0, 0.0]))  # n * max**2 = 2**1020: scaled
+@example(np.array([math.nextafter(2.0**509, 0.0), 0.0, 0.0, 0.0]))  # just below: not scaled
+@example(np.full(7, 3.2956212316547954e299))  # the float mean is an ulp off: 5.5e567
+@example(np.array([1.7e308, 1.7e308]))  # the float sum overflows
+def test_variance_is_np_var_where_finite_and_finite_where_the_exact_value_is(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning for any finite input
+        got = variance(values)
+        assert _bits(epoch_metrics(values)[1:2]) == _bits([got])
+    with np.errstate(over="ignore", invalid="ignore"):
+        parent = float(np.var(values))
+        mean = float(values.sum()) / values.size
+    if math.isfinite(parent):
+        assert got.hex() == parent.hex()
+    # The exact mean square deviation from the float mean. Where the float sum
+    # overflows, take it from the exact mean; the mean the scaled values give
+    # is within an ulp or two of that, which moves the value by at most slack.
+    if math.isfinite(mean):
+        center, slack = Fraction(mean), Fraction(0)
+    else:
+        center = sum(map(Fraction, values)) / values.size
+        slack = (center / 2**50) ** 2
+    exact = sum((Fraction(x) - center) ** 2 for x in values) / values.size
+    largest = Fraction(sys.float_info.max)
+    if exact + slack < largest * (1 - Fraction(1, 10**9)):
+        assert math.isfinite(got)
+        assert abs(Fraction(got) - exact) <= exact / 10**12 + slack + Fraction(1e-300)
+    elif exact > largest * (1 + Fraction(1, 10**9)):
+        assert got == math.inf
+
+
+def test_variance_where_the_squares_pass_the_floats():
+    assert variance([0.0] * 9 + [4e154]) == approx(1.44e308, rel=1e-12)
+    assert variance([1.7e308, 1.7e308]) == 0.0
+    assert variance(np.full(7, 3.2956212316547954e299)) == math.inf
 
 
 def test_ratio_examples():
@@ -315,11 +371,17 @@ def test_variance_bound_keeps_the_closed_form_where_it_is_a_number(alpha, income
 
 @pytest.mark.parametrize(
     "values, expected",
-    [([0.45, 0.45], 0.0), ([0.0, 0.9], 0.5), ([0.2, 0.2, 0.5], 2 / 9)],
-    ids=["equal", "one-holder", "mixed"],
+    [
+        ([0.45, 0.45], 0.0),
+        ([0.0, 0.9], 0.5),
+        ([0.2, 0.2, 0.5], 2 / 9),
+        ([0.5, 0.9, 0.9], 8 / 69),
+    ],
+    ids=["equal", "one-holder", "mixed", "total-past-the-floats"],
 )
 def test_gini_near_the_largest_float(values, expected):
-    # the total fits a float but 2 * sum(i * x_i) does not; the coefficient is scale-free
+    # 2 * sum(i * x_i) passes the floats, and in the last case the total does
+    # too, with no overflow warning; the coefficient is scale-free
     huge = np.array(values) * sys.float_info.max
     assert gini(huge) == approx(expected, abs=1e-15)
     assert gini(np.array(values)) == approx(expected, abs=1e-15)
