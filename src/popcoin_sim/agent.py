@@ -24,9 +24,12 @@ exists to certify the closed form in tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NoEquilibriumError
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,24 @@ def max_affordable_out1(problem: AgentProblem) -> float:
 
 
 def optimal_out1(problem: AgentProblem) -> float:
-    """Closed-form utility maximizer, clamped to the feasible interval."""
+    """Closed-form utility maximizer, clamped to the feasible interval.
+
+    Raises NoEquilibriumError when the cash on hand ``B + in1`` or the
+    closed form is not a finite float, as when ``(1+R)^2`` passes the
+    largest float. A finite optimum leaves the savings and the tax rate of
+    ``effective_tax`` finite.
+    """
     gross = 1.0 + problem.interest_rate
     cash = problem.basic_income + problem.earned_income
+    if cash > sys.float_info.max:  # inf, or an int sum that no float holds
+        raise NoEquilibriumError("no optimal out1: the cash B + in1 passes the largest float")
     unclamped = (gross * cash + problem.basic_income) / (
         gross * gross * (problem.price_1 / problem.price_2) + gross
     )
-    return min(max(unclamped, 0.0), max_affordable_out1(problem))
+    out1 = min(max(unclamped, 0.0), max_affordable_out1(problem))
+    if not math.isfinite(out1):
+        raise NoEquilibriumError(f"no optimal out1: the closed form gives {out1}")
+    return out1
 
 
 def optimal_out1_oracle(problem: AgentProblem, grid_step: float = 1e-4) -> float:

@@ -36,7 +36,8 @@ class UndefinedGiniError(ValueError, PopcoinError):
 
 
 class NoEquilibriumError(ValueError, PopcoinError):
-    """Interest-parity pricing has no positive solution for the spot rate."""
+    """A model has no finite solution for admitted inputs: no exchange rate
+    or money-market rate, or no optimal first-period outlay."""
 
 
 class ConfigError(PopcoinError):

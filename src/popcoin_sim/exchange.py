@@ -116,7 +116,8 @@ def money_market_rate(
     """Nominal rate clearing M / P = L0 * exp(-eta * i) * Y.
 
     Raises NoEquilibriumError when M / (P * Y * L0) is not a positive finite
-    float, as when extreme levels overflow or underflow it.
+    float, as when extreme levels overflow or underflow it, or when the rate
+    is not a finite float, as when a tiny eta overflows it.
     """
     for name, value in (
         ("money_supply", money_supply),
@@ -133,7 +134,13 @@ def money_market_rate(
         raise NoEquilibriumError(
             f"no money-market rate: M / (P * Y * L0) = {ratio} is not a positive finite number"
         )
-    return -math.log(ratio) / elasticity
+    rate = -math.log(ratio) / elasticity
+    if not math.isfinite(rate):
+        raise NoEquilibriumError(
+            f"no money-market rate: -ln(M / (P * Y * L0)) / eta = -ln({ratio}) / {elasticity} "
+            "is not a finite number"
+        )
+    return rate
 
 
 def _side_rate(scenario: ExchangeScenario, side: str) -> float:
@@ -144,15 +151,22 @@ def _side_rate(scenario: ExchangeScenario, side: str) -> float:
 
 
 def uip_spot_rate(rate_pop: float, rate_fiat: float, expected_rate: float) -> float:
-    """Spot rate from uncovered interest parity, E_e / (1 + i_p - i_f)."""
+    """Spot rate from uncovered interest parity, E_e / (1 + i_p - i_f).
+
+    Raises NoEquilibriumError when it is not a positive finite float: when
+    ``1 + i_p - i_f`` is not positive, or the quotient underflows to 0 or
+    overflows.
+    """
     if expected_rate <= 0:
         raise ValueError(f"expected rate must be positive, got {expected_rate}")
     gross = 1.0 + rate_pop - rate_fiat
-    if gross <= 0:
+    spot = expected_rate / gross if gross else math.inf
+    if not 0 < spot < math.inf:
         raise NoEquilibriumError(
-            f"no positive spot rate: 1 + i_p - i_f = {gross} is not positive"
+            f"no positive spot rate: E_e / (1 + i_p - i_f) = {expected_rate} / {gross} "
+            "is not a positive finite number"
         )
-    return expected_rate / gross
+    return spot
 
 
 @dataclass(frozen=True)

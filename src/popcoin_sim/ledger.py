@@ -297,13 +297,17 @@ def total_supply_popcoin(state: LedgerState) -> float:
 # The rate's numerator and denominator pass the interpreter's 4300-digit
 # int-to-str limit after about 2,500 epochs at alpha = 0.02, so they are
 # written through ``decimal``, which has no such limit and writes the same
-# digits, and every int is read back through it.
+# digits, and every int is read back through it. Balances pass it too (after
+# about 2,150 epochs at alpha = 0.99), so they are written the same way.
 
 
 def state_to_json(state: LedgerState) -> str:
     rate = state.exchange_rate
+    balances = ",".join(
+        f"{json.dumps(key)}:{Decimal(value)}" for key, value in sorted(state.balances.items())
+    )
     members = {  # in sorted key order
-        "balances": json.dumps(dict(sorted(state.balances.items())), separators=(",", ":")),
+        "balances": "{" + balances + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
         "exchange_rate": f'{{"den":{Decimal(rate.denominator)},"num":{Decimal(rate.numerator)}}}',

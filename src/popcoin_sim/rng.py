@@ -17,10 +17,11 @@ Stream contract (documented for independent reimplementation):
   ``seed + i*0x9E3779B97F4A7C15 mod 2**64``, so any contiguous run of draws
   can be computed at once (``SplitMix64.draws``) and equals the same run of
   single steps;
-* bounded draws use plain modulo, ``raw % bound``. The modulo bias is at
-  most ``bound/2**64`` and is accepted in exchange for exact
-  reproducibility — rejection sampling would make the number of raw draws
-  data-dependent.
+* bounded draws use plain modulo, ``raw % bound``, on one 64-bit output,
+  accepted in exchange for exact reproducibility — rejection sampling would
+  make the number of raw draws data-dependent. Up to a bound of 2**64 the
+  modulo bias is at most ``bound/2**64``. Past it the draw is far from
+  uniform: it is ``raw`` itself, below 2**64 however large the bound.
 
 Blocks are computed ahead: a request for fewer than ``LOOKAHEAD`` draws
 computes the largest whole multiple of the request that fits, and the

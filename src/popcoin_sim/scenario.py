@@ -33,8 +33,9 @@ of its columns writes that string. Only after the last epoch does it write
 ``agent.csv``), and the optional long-format ``plot_data.csv``, and it
 removes each other name of ``RUN_FILES`` that an earlier run left. Inequality
 columns cover census members only; dormant holders still count toward
-M_total. A member's value is ``float(balance) * float(E)``; past the largest
-float it is ``balance * E`` correctly rounded, finite because no value
+M_total. A member's value is ``float(balance) * float(E)`` while ``float(E)``
+is a normal float and the poplet total is at most the largest float;
+otherwise it is ``balance * E`` correctly rounded, finite because no value
 exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
@@ -74,6 +75,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -129,8 +131,9 @@ MAX_ACCOUNTS = 10**8
 # draws its 3 * count_per_epoch numbers at once; these limits bound both.
 MAX_EPOCHS = 10**5
 MAX_TRANSFERS_PER_EPOCH = 10**6
-# Below this many poplets in all, every balance fits the int64 member view.
-_INT64_LIMIT = 2**63
+# The member view's float path: int64 below a poplet total of 2**63, float64
+# up to the largest float, and only while float(E) is a normal float.
+_INT64_LIMIT, _MAX_FLOAT, _MIN_NORMAL = 2**63, int(sys.float_info.max), sys.float_info.min
 _U1, _U63 = np.uint64(1), np.uint64(63)
 
 
@@ -630,7 +633,8 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
         if amount > 0:
             if amount > held:
                 raise InvariantViolation(
-                    f"transfer mix drew {amount} poplets from {sender!r}, which holds {held}"
+                    f"transfer mix drew {Decimal(amount)} poplets from {sender!r}, "
+                    f"which holds {Decimal(held)}"
                 )
             balances[sender] = held - amount
             balances[accounts[recipient_idx]] += amount
@@ -638,22 +642,19 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
 
 
 def _member_values(balances: dict, members: list, poplets: int, rate: Fraction, rate_float: float):
-    """Each member's value ``float(balance) * float(E)`` as a float array.
+    """Each member's value as a float array; see the module docstring.
 
-    ``poplets`` is the exact sum of ``balances``, all non-negative, so below
-    2**63 every balance fits int64, and int64 -> float64 rounds half-even
-    exactly as ``float(int)`` does.
+    ``poplets`` is the exact sum of ``balances``, all non-negative, so it
+    bounds every balance: below 2**63 each fits int64, which converts to
+    float64 half-even exactly as ``float(int)`` does, and up to the largest
+    float none overflows. A normal ``float(E)`` keeps each nonzero value
+    normal, so it carries a float's full precision.
     """
-    held = map(balances.__getitem__, members)
-    if poplets < _INT64_LIMIT:
-        return np.fromiter(held, np.int64, len(members)) * rate_float
-    try:
-        return np.fromiter(held, float, len(members)) * rate_float
-    except OverflowError:
-        # A balance past the floats: each value is at most the supply, so the
-        # correctly rounded ``balance * num / den`` is finite.
-        num, den = rate.numerator, rate.denominator
-        return np.array([balances[account] * num / den for account in members])
+    if rate_float >= _MIN_NORMAL and poplets <= _MAX_FLOAT:
+        dtype = np.int64 if poplets < _INT64_LIMIT else float
+        return np.fromiter(map(balances.__getitem__, members), dtype, len(members)) * rate_float
+    num, den = rate.numerator, rate.denominator
+    return np.array([balances[account] * num / den for account in members])
 
 
 class EpochRecord(NamedTuple):
@@ -704,7 +705,8 @@ def run_epochs(config: ScenarioConfig):
         held = sum(balances.values())
         if held != poplets:
             raise InvariantViolation(
-                f"epoch {t}: the ledger holds {held} poplets, not the {poplets} issued"
+                f"epoch {t}: the ledger holds {Decimal(held)} poplets, "
+                f"not the {Decimal(poplets)} issued"
             )
 
         # Integer true division is correctly rounded: these are float() of the exact values.
@@ -807,7 +809,8 @@ def _inequality_files(params: dict, policy: PolicyParams, macros: list, cells: l
 
 def _exchange_files(params: dict, *run) -> dict:
     """The overshooting experiment over the shock x elasticity grid, and its summary."""
-    base = ExchangeScenario(**params["scenario"])
+    # int levels enter as floats, so a product past the floats is inf, which the rate checks catch
+    base = ExchangeScenario(**{name: float(value) for name, value in params["scenario"].items()})
     rows, overshoots = [], []
     for eta in params["elasticities"]:
         scenario = replace(base, liquidity_elasticity=eta)

@@ -115,6 +115,40 @@ def test_run_checks_the_poplet_total_against_the_reported_issuance(
     assert ("epoch 1: the ledger holds" in capsys.readouterr().err) == (code == 3)
 
 
+def test_the_poplet_total_check_prints_counts_past_the_int_to_str_limit(
+    tmp_path, capsys, monkeypatch
+):
+    real_mix = scenario._mix_transfers
+
+    def mix_creating(state, rng, count, frac):
+        state = real_mix(state, rng, count, frac)
+        balances = dict(state.balances)
+        balances["p00000000"] += 10**5000
+        return dataclasses.replace(state, balances=balances)
+
+    monkeypatch.setattr(scenario, "_mix_transfers", mix_creating)
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "epoch 1: the ledger holds 1000000000" in err
+    assert len(err) > 5000
+
+
+def test_balances_past_the_int_to_str_limit_are_written_and_read_back(tmp_path):
+    # at alpha = 0.99 each balance grows about 100-fold per epoch
+    doc = {
+        "policy": {"basic_income": 1.0, "demurrage_alpha": 0.99},
+        "epochs": 2400,
+        "population": {"kind": "fixed", "N": 2},
+    }
+    out = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "cfg.json", doc), "--out", str(out)]) == 0
+    text = (out / "final_state.json").read_text(encoding="utf-8")
+    state = popcoin_sim.state_from_json(text)
+    assert popcoin_sim.state_to_json(state) + "\n" == text
+    assert min(state.balances.values()) > 10**4800
+
+
 def test_an_invariant_violation_at_epoch_1_writes_no_file(tmp_path, capsys, monkeypatch):
     # every epoch is checked before the first file is written
     real_mix = scenario._mix_transfers
@@ -487,35 +521,44 @@ def test_exchange_invariant_violation_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "levels, diagnostic",
+    "doc, diagnostic",
     [
         # M / (P * Y * L0) underflows to 0, so the rate -ln(0) / eta does not exist
-        ({"income_pop": 1e300, "money_supply_pop": 1e-300}, "no money-market rate"),
+        ({"scenario": {"income_pop": 1e300, "money_supply_pop": 1e-300}}, "no money-market rate"),
         # L_f * Y_f underflows to 0, so the relative money demand does not exist
         (
             {
-                "sticky_price_fiat": 1e300,
-                "income_fiat": 1e-300,
-                "liquidity_fiat": 1e-300,
-                "money_supply_fiat": 1e-300,
+                "scenario": {
+                    "sticky_price_fiat": 1e300,
+                    "income_fiat": 1e-300,
+                    "liquidity_fiat": 1e-300,
+                    "money_supply_fiat": 1e-300,
+                }
             },
             "no long-run anchor",
         ),
         # M_p / M_f underflows to 0, so the anchor is 0
         (
             {
-                "money_supply_pop": 1e-300,
-                "money_supply_fiat": 1e300,
-                "sticky_price_pop": 1e-300,
-                "sticky_price_fiat": 1e300,
+                "scenario": {
+                    "money_supply_pop": 1e-300,
+                    "money_supply_fiat": 1e300,
+                    "sticky_price_pop": 1e-300,
+                    "sticky_price_fiat": 1e300,
+                }
             },
             "no long-run anchor",
         ),
+        # -ln(M_f / (P_f * Y_f * L_f)) / eta overflows once the shock moves M_f
+        (
+            {"elasticities": [5e-324], "fiat_supply_shocks": [0.0, 0.1]},
+            "no money-market rate",
+        ),
     ],
-    ids=["money-market-rate", "relative-demand", "anchor"],
+    ids=["money-market-rate", "relative-demand", "anchor", "rate-overflow"],
 )
-def test_exchange_without_money_market_equilibrium_exits_3(tmp_path, capsys, levels, diagnostic):
-    path = write_json(tmp_path / "scen.json", {"scenario": levels})
+def test_exchange_without_money_market_equilibrium_exits_3(tmp_path, capsys, doc, diagnostic):
+    path = write_json(tmp_path / "scen.json", doc)
     assert main(["exchange", path]) == 3
     assert diagnostic in capsys.readouterr().err
 

@@ -164,16 +164,19 @@ def test_money_market_rate_domain():
 @pytest.mark.parametrize(
     "levels",
     [
-        (1e-300, 1.0, 1e300, 1.0),  # the ratio underflows to 0
-        (1.0, 1e300, 1e300, 1.0),  # the demand overflows, so the ratio is 0
-        (1e300, 1e-300, 1e-300, 1.0),  # the demand underflows to 0
-        (1e300, 1e-300, 1.0, 1.0),  # the ratio overflows
+        (1e-300, 1.0, 1e300, 1.0, 1.0),  # the ratio underflows to 0
+        (1.0, 1e300, 1e300, 1.0, 1.0),  # the demand overflows, so the ratio is 0
+        (1e300, 1e-300, 1e-300, 1.0, 1.0),  # the demand underflows to 0
+        (1e300, 1e-300, 1.0, 1.0, 1.0),  # the ratio overflows
+        (1.1, 1.0, 1.0, 1.0, 5e-324),  # -ln(1.1) / eta overflows
     ],
 )
 def test_money_market_rate_without_a_finite_log_has_no_equilibrium(levels):
-    # positive finite levels whose ratio M / (P * Y * L0) leaves the floats
-    with pytest.raises(NoEquilibriumError, match="not a positive finite number"):
-        money_market_rate(*levels, 1.0)
+    # positive finite levels and eta whose ratio M / (P * Y * L0) or rate leaves the floats
+    with pytest.raises(
+        NoEquilibriumError, match="no money-market rate: .* is not a (positive )?finite number"
+    ):
+        money_market_rate(*levels)
 
 
 @given(
@@ -203,6 +206,10 @@ def test_uip_positive_differential_discounts_spot():
 def test_uip_no_equilibrium():
     with pytest.raises(NoEquilibriumError):
         uip_spot_rate(-1.2, 0.0, 1.0)
+    # 1 + i_p - i_f overflows, so the spot underflows to 0; or the spot overflows
+    for args in ((1.75e308, -1.75e308, 1.0), (0.0, 1.0 - 2.0**-52, 1e300)):
+        with pytest.raises(NoEquilibriumError, match="not a positive finite number"):
+            uip_spot_rate(*args)
     with pytest.raises(ValueError):
         uip_spot_rate(0.0, 0.0, -1.0)
 

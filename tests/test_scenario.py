@@ -6,6 +6,8 @@ import importlib.util
 import io
 import itertools
 import json
+import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,22 +391,53 @@ def test_format_cell_passes_strings_through():
     ),
     dormant=st.integers(min_value=0, max_value=2**64),
     num=st.integers(min_value=1, max_value=10**6),
-    den=st.integers(min_value=1, max_value=10**30),
+    den=st.one_of(
+        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=2**1000, max_value=2**1100),  # a subnormal or zero float(E)
+    ),
 )
 @example(held=[2**53 + 1], dormant=0, num=1, den=1)  # the first int a float cannot hold
 @example(held=[2**62 + 2**9], dormant=0, num=1, den=1)  # a tie, rounded to even
 @example(held=[2**63 - 1], dormant=0, num=1, den=3)  # the largest int64
 @example(held=[2**63 - 1], dormant=1, num=1, den=3)  # the same balance past the int64 total
 @example(held=[2**63 + 2**11], dormant=0, num=1, den=1)  # one balance past int64
+@example(held=[12345678901, 0], dormant=0, num=1, den=3 * 2**1040)  # a subnormal float(E)
+@example(held=[2**40 + 1], dormant=0, num=1, den=2**1080)  # float(E) underflows to 0
+# a total past the largest float, every balance below it
+@example(held=[2**1023 + 2**968, 2**1023], dormant=0, num=1, den=3)
 def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, num, den):
-    # the view reads int64 while the exact total of all balances is below 2**63
+    # float(balance) * float(E) while float(E) is normal and the exact total of
+    # all balances is at most the largest float; else balance * E correctly rounded
     members = [f"p{i:08d}" for i in range(len(held))]
     balances = {**dict(zip(members, held)), "p99999999": dormant}
     rate = Fraction(num, den)
-    values = scenario._member_values(balances, members, sum(balances.values()), rate, num / den)
-    expected = np.array([float(balance) * (num / den) for balance in held])
+    total = sum(balances.values())
+    values = scenario._member_values(balances, members, total, rate, num / den)
+    if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
+        expected = np.array([float(balance) * (num / den) for balance in held])
+    else:
+        expected = np.array([float(balance * rate) for balance in held])
     assert values.dtype == np.float64
     assert values.tobytes() == expected.tobytes()
+
+
+def test_members_holding_value_have_a_finite_gini_below_the_normal_floats():
+    # E passes below 2**-1022 at epoch 300 and float(E) is 0 from epoch 316,
+    # while all three members hold about 1e-20 each
+    config = parse_config(
+        {
+            "policy": {"basic_income": 1e-20, "demurrage_alpha": 0.9},
+            "epochs": 330,
+            "population": {"kind": "fixed", "N": 3},
+            "seed": 3,
+            "transfers": {"count_per_epoch": 2, "max_fraction": 0.5},
+        }
+    )
+    records = list(scenario.run_epochs(config))
+    assert min(record.rate for record in records) == 0.0
+    for record in records:
+        if record.total > 0:
+            assert math.isfinite(record.metrics[0]), record.macro.epoch
 
 
 def test_load_config_rejects_bad_json(tmp_path):
