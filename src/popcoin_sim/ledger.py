@@ -49,6 +49,7 @@ import numbers
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -225,7 +226,9 @@ def mint_epoch_poplet(
     participants = _apply_census_deltas(
         state.participants, new_census, new_accounts, removed_accounts
     )
-    step = (1 - params.demurrage_alpha) * Fraction(new_census, state.census)
+    # (1 - alpha) * N_new / N_old as one Fraction, with alpha = p/q
+    p, q = params.demurrage_alpha.numerator, params.demurrage_alpha.denominator
+    step = Fraction((q - p) * new_census, q * state.census)
     rate = state.exchange_rate * step
     # B / E' as one unreduced integer ratio; ``excess`` is den * (issued - B/E').
     income = params.basic_income
@@ -299,12 +302,15 @@ def total_supply_popcoin(state: LedgerState) -> float:
 # written through ``decimal``, which has no such limit and writes the same
 # digits, and every int is read back through it. Balances pass it too (after
 # about 2,150 epochs at alpha = 0.99), so they are written the same way.
+# Each account id goes through ``encode_basestring_ascii``, the encoder that
+# ``json.dumps`` calls for a string, without its per-call set-up.
 
 
 def state_to_json(state: LedgerState) -> str:
     rate = state.exchange_rate
     balances = ",".join(
-        f"{json.dumps(key)}:{Decimal(value)}" for key, value in sorted(state.balances.items())
+        f"{encode_basestring_ascii(key)}:{Decimal(value)}"
+        for key, value in sorted(state.balances.items())
     )
     members = {  # in sorted key order
         "balances": "{" + balances + "}",

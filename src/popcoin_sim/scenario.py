@@ -69,7 +69,6 @@ into one ``<path>: ...`` diagnostic.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import logging
 import math
@@ -77,6 +76,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -775,35 +775,33 @@ def _long_rows(rows):
 # --- the study table ---------------------------------------------------------
 # The supply and inequality tables reuse the epoch cells t and M_total
 # (row[4]), and gini, variance and max_ratio (row[7:]); they format only
-# their own columns.
+# their own columns. The cap and the bounds depend on alpha, B and N_t alone,
+# so each is computed and formatted once per distinct census.
 
 
 def _supply_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
     income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
+    caps = {
+        n: _format_cell(steady_state_supply(income, alpha, n) if alpha else math.inf)
+        for n in {m.census for m in macros}
+    }
     rows = (
-        [
-            row[0],
-            row[4],
-            _format_cell(m.supply),
-            _format_cell(steady_state_supply(income, alpha, m.census) if alpha else math.inf),
-        ]
-        for row, m in zip(cells, macros)
+        [row[0], row[4], _format_cell(m.supply), caps[m.census]] for row, m in zip(cells, macros)
     )
     return {"supply.csv": (SUPPLY_COLUMNS, rows)}
 
 
 def _inequality_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
     income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
-    rows = (
-        [
-            row[0],
-            *row[7:],
-            _format_cell(gini_bound(alpha, m.census)),
-            _format_cell(variance_bound(alpha, income, m.census)),
-            _format_cell(ratio_bound(alpha, m.census)),
+    bounds = {
+        n: [
+            _format_cell(gini_bound(alpha, n)),
+            _format_cell(variance_bound(alpha, income, n)),
+            _format_cell(ratio_bound(alpha, n)),
         ]
-        for row, m in zip(cells, macros)
-    )
+        for n in {m.census for m in macros}
+    }
+    rows = ([row[0], *row[7:], *bounds[m.census]] for row, m in zip(cells, macros))
     return {"inequality.csv": (INEQUALITY_COLUMNS, rows)}
 
 
@@ -869,10 +867,14 @@ def _format_cell(value) -> str:
 
 def write_rows(handle, header: Sequence[str], rows) -> None:
     """Write a header and rows of ``_format_cell`` strings as CSV to an open
-    text handle, file or stdout; each table formats its cells where it builds them."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    text handle, file or stdout; each table formats its cells where it builds them.
+
+    Every cell is a ``_format_cell`` string of an int or a float and every
+    header a fixed column name, so none holds ``,``, ``"``, ``\\r`` or ``\\n``:
+    joining the cells with commas writes the bytes ``csv.writer`` with
+    ``lineterminator="\\n"`` would, with nothing to quote.
+    """
+    handle.writelines(",".join(row) + "\n" for row in chain([header], rows))
 
 
 def write_outputs(out: Path, files: dict) -> list[str]:

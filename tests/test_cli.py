@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -454,7 +455,9 @@ def test_unwritable_output_is_one_diagnostic(tmp_path, capsys, command, out, rea
     assert capsys.readouterr().err.splitlines() == [diagnostic]
 
 
-class BrokenPipe:
+class BrokenPipe(io.TextIOBase):
+    """A text stream whose reader has gone: every write, and so every writelines, fails."""
+
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 

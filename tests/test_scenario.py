@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -369,8 +370,9 @@ def test_plot_data_is_emit_plot_data_of_the_epoch_rows(tmp_path):
         {column: (int if column in ("t", "N") else float)(cell) for column, cell in zip(header, row)}
         for row in table
     ]
+    long_rows = [list(map(scenario._format_cell, row)) for row in emit_plot_data(rows)]
     buffer = io.StringIO()
-    scenario.write_rows(buffer, ["t", "series", "value"], emit_plot_data(rows))
+    scenario.write_rows(buffer, ["t", "series", "value"], long_rows)
     assert buffer.getvalue().encode("utf-8") == (tmp_path / "plot_data.csv").read_bytes()
 
 
@@ -378,6 +380,46 @@ def test_format_cell_passes_strings_through():
     cell = repr(0.1)
     assert scenario._format_cell(cell) is cell
     assert [scenario._format_cell(v) for v in (3, -0.0, float("inf"))] == ["3", "0.0", "inf"]
+
+
+HEADERS = [
+    scenario.EPOCH_COLUMNS,
+    scenario.SUPPLY_COLUMNS,
+    scenario.INEQUALITY_COLUMNS,
+    scenario.EXCHANGE_COLUMNS,
+    scenario.AGENT_COLUMNS,
+    scenario.PLOT_COLUMNS,
+]
+EDGE_CELLS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.max, 2**64 + 1, -(2**70)]
+
+
+@given(
+    header=st.sampled_from(HEADERS),
+    rows=st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(),
+                st.integers(min_value=2**64, max_value=2**300),
+                st.floats(),
+                st.sampled_from(EDGE_CELLS),
+            ),
+            max_size=12,
+        ),
+        max_size=6,
+    ),
+)
+@example(header=scenario.EPOCH_COLUMNS, rows=[EDGE_CELLS, [-x for x in EDGE_CELLS]])
+def test_write_rows_writes_the_bytes_of_csv_writer(header, rows):
+    # no _format_cell string and no column name needs quoting, so joining the
+    # cells with commas is csv.writer's dialect with "\n" line ends
+    cells = [list(map(scenario._format_cell, row)) for row in rows]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(cells)
+    written = io.StringIO()
+    scenario.write_rows(written, header, cells)
+    assert written.getvalue() == expected.getvalue()
 
 
 @given(
@@ -456,6 +498,37 @@ def test_benchmark_seams_are_scenario_attributes():
     spec.loader.exec_module(spans)
     for name in (*spans.SEAMS, "_mix_transfers", "SplitMix64"):
         assert callable(getattr(scenario, name, None)), name
+
+
+def test_one_run_calls_every_seam_the_benchmark_times(tmp_path, monkeypatch):
+    """perfbench/spans.py times a run by wrapping these scenario attributes, and
+    its layer metrics need a mint span in every epoch. A run with transfers and
+    all four studies calls the mint and the transfer mix once per epoch, and
+    each writer and bound at least once. ROADMAP item 1, which moves the spans
+    onto the calls the epoch generator makes, replaces this test."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    once_per_epoch = ("mint_epoch_poplet", "_mix_transfers")
+    at_least_once = (
+        "_write_csv", "_write_json", "_write_text", "gini_bound", "variance_bound", "ratio_bound"
+    )
+    for name in (*once_per_epoch, *at_least_once):
+        monkeypatch.setattr(scenario, name, counted(name, getattr(scenario, name)))
+    epochs = 6
+    outputs = [{"study": study} for study in scenario.STUDIES if study != "agent"]
+    outputs.append({"study": "agent", "params": {"problems": [{"basic_income": 10.0}]}})
+    run_scenario(parse_config({**GOOD_CONFIG, "epochs": epochs, "outputs": outputs}), tmp_path)
+    for name in once_per_epoch:
+        assert calls[name] == epochs, name
+    for name in at_least_once:
+        assert calls[name] >= 1, name
 
 
 def test_dormant_holders_appear_after_degrowth(tmp_path):
