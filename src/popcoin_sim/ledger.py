@@ -33,8 +33,7 @@ It exists as an independent oracle for equivalence tests and is not meant
 for production use.
 
 ``LedgerState`` keeps no genesis metadata: ``genesis``'s ``poplet_scale``
-only sets the initial rate 1/poplet_scale. ``transfer`` and the scenario's
-transfer mix derive new states with ``dataclasses.replace``.
+only sets the initial rate 1/poplet_scale.
 
 Accounts may hold balances without being counted in the census: a
 participant removed from the census keeps its account, keeps earning the
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -60,6 +59,11 @@ from .errors import (
 )
 
 Account = str
+
+
+def _is_int(value) -> bool:
+    """An int other than a bool: ``True`` is an int to Python but not to JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def exact(value) -> Fraction:
@@ -154,7 +158,7 @@ def genesis(
         raise InvalidGenesisError("at least one initial account is required")
     if len(set(accounts)) != len(accounts):
         raise InvalidGenesisError("duplicate account ids in genesis")
-    if not isinstance(poplet_scale, int) or isinstance(poplet_scale, bool) or poplet_scale < 1:
+    if not _is_int(poplet_scale) or poplet_scale < 1:
         raise InvalidGenesisError(
             f"poplet_scale must be a positive integer, got {poplet_scale!r}"
         )
@@ -174,9 +178,9 @@ def _apply_census_deltas(
 ) -> frozenset[Account]:
     new = list(new_accounts)
     removed = list(removed_accounts)
-    if len(set(new)) != len(new) or len(set(removed)) != len(removed):
-        raise CensusMismatchError("duplicate ids in census deltas")
     new_set, removed_set = set(new), set(removed)
+    if len(new_set) != len(new) or len(removed_set) != len(removed):
+        raise CensusMismatchError("duplicate ids in census deltas")
     if new_set & removed_set:
         raise CensusMismatchError("an id cannot be both added and removed")
     if not removed_set <= participants:
@@ -185,7 +189,7 @@ def _apply_census_deltas(
     if new_set & participants:
         dupes = sorted(new_set & participants)
         raise CensusMismatchError(f"added ids are already participants: {dupes}")
-    if not isinstance(new_census, int) or isinstance(new_census, bool) or new_census < 1:
+    if not _is_int(new_census) or new_census < 1:
         raise CensusMismatchError(f"census must be a positive integer, got {new_census!r}")
     expected = len(participants) + len(new_set) - len(removed_set)
     if new_census != expected:
@@ -254,7 +258,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     immutable, so "unchanged" is structural). Dormant holders may send and
     receive like anyone else.
     """
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+    if not _is_int(amount) or amount < 0:
         raise ValueError(f"amount must be a non-negative integer, got {amount!r}")
     for account in (sender, recipient):
         if account not in state.balances:
@@ -266,7 +270,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     balances = dict(state.balances)
     balances[sender] -= amount
     balances[recipient] += amount
-    return replace(state, balances=balances)
+    return LedgerState(state.epoch, state.exchange_rate, balances, state.participants)
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -333,26 +337,28 @@ def state_from_json(text: str) -> LedgerState:
         balances = doc["balances"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed ledger snapshot: missing {err}") from None
-    if not isinstance(epoch, int) or epoch < 0:
+    if not _is_int(epoch) or epoch < 0:
         raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
-    if not isinstance(num, int) or not isinstance(den, int) or num < 1 or den < 1:
+    if not _is_int(num) or not _is_int(den) or num < 1 or den < 1:
         raise ValueError("exchange_rate num/den must be positive integers")
     if not isinstance(balances, dict) or not balances:
         raise ValueError("balances must be a non-empty object")
     for account, poplets in balances.items():
-        if not isinstance(poplets, int) or isinstance(poplets, bool) or poplets < 0:
+        if not _is_int(poplets) or poplets < 0:
             raise ValueError(f"balance of {account!r} must be a non-negative integer")
     participants = doc.get("participants")
     if participants is None:
         member_set = frozenset(balances)
     else:
+        if not isinstance(participants, list) or not all(isinstance(a, str) for a in participants):
+            raise ValueError("participants must be a list of account ids")
         member_set = frozenset(participants)
         if len(member_set) != len(participants):
             raise ValueError("duplicate ids in participants")
         if not member_set <= set(balances):
             raise ValueError("participants must all hold balance entries")
-    if census != len(member_set):
-        raise ValueError(f"census {census} does not match {len(member_set)} participants")
+    if not _is_int(census) or census != len(member_set):
+        raise ValueError(f"census {census!r} does not match {len(member_set)} participants")
     return LedgerState(
         epoch=epoch,
         exchange_rate=Fraction(num, den),

@@ -86,8 +86,8 @@ from .agent import AgentProblem, effective_tax, optimal_out1
 from .errors import ConfigError, InvariantViolation
 from .exchange import LEVEL_FIELDS, ExchangeScenario, OvershootingResult, overshooting_experiment
 # The epoch generator calls neither the single-metric functions nor ``transfer``,
-# ``total_supply_popcoin_exact`` and ``interest_rate``; they are its oracles
-# and stay patchable attributes of this module.
+# ``total_supply_popcoin_exact`` and ``interest_rate``; they stay attributes of
+# this module only as the seams that perfbench/spans.py wraps.
 from .inequality import (
     epoch_metrics,
     gini,  # noqa: F401
@@ -98,7 +98,9 @@ from .inequality import (
     variance_bound,
 )
 from .ledger import (
+    LedgerState,
     PolicyParams,
+    _is_int,
     exact,
     genesis,
     mint_epoch_poplet,
@@ -106,7 +108,12 @@ from .ledger import (
     total_supply_popcoin_exact,  # noqa: F401
     transfer,  # noqa: F401
 )
-from .monetary import MacroState, interest_rate, run_macro, steady_state_supply  # noqa: F401
+from .monetary import (
+    MacroState,
+    interest_rate,  # noqa: F401
+    run_macro,
+    steady_state_supply,
+)
 from .rng import SplitMix64
 
 log = logging.getLogger("popcoin_sim.scenario")
@@ -134,7 +141,6 @@ MAX_TRANSFERS_PER_EPOCH = 10**6
 # The member view's float path: int64 below a poplet total of 2**63, float64
 # up to the largest float, and only while float(E) is a normal float.
 _INT64_LIMIT, _MAX_FLOAT, _MIN_NORMAL = 2**63, int(sys.float_info.max), sys.float_info.min
-_U1, _U63 = np.uint64(1), np.uint64(63)
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -192,10 +198,6 @@ def _is_number(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     return _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _must(ok, expect: str):
@@ -618,12 +620,8 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
     senders = draws[0::3] % np.uint64(n)
     recipients = draws[1::3] % np.uint64(n - 1)
-    # Skip the sender: add 1 unless recipient < sender, which is the wrapped
-    # sign bit of recipient - sender, as both are below 2**63.
-    below_sender = recipients - senders
-    below_sender >>= _U63
-    recipients += _U1
-    recipients -= below_sender
+    # Skip the sender: add 1 when the draw is >= the sender index.
+    recipients += recipients >= senders
     for sender_idx, recipient_idx, amount_raw in zip(
         senders.tolist(), recipients.tolist(), draws[2::3].tolist()
     ):
@@ -638,7 +636,7 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
                 )
             balances[sender] = held - amount
             balances[accounts[recipient_idx]] += amount
-    return replace(state, balances=balances)
+    return LedgerState(state.epoch, state.exchange_rate, balances, state.participants)
 
 
 def _member_values(balances: dict, members: list, poplets: int, rate: Fraction, rate_float: float):

@@ -439,6 +439,16 @@ def test_snapshot_carries_participants_only_when_dormant_exist():
         lambda d: d["balances"].__setitem__("a0", -1),
         lambda d: d.__setitem__("balances", {}),
         lambda d: d.__setitem__("participants", ["ghost"]),
+        # JSON true and 1.0 equal 1 in Python, but are not JSON integers
+        lambda d: d.__setitem__("epoch", True),
+        lambda d: d.update(census=True, participants=["a0"]),
+        lambda d: d.update(census=1.0, participants=["a0"]),
+        lambda d: d["exchange_rate"].__setitem__("num", True),
+        lambda d: d["exchange_rate"].__setitem__("den", True),
+        # participants must be a list of account ids
+        lambda d: d.update(balances={"a": 0, "b": 0}, participants="ab"),
+        lambda d: d.__setitem__("participants", 5),
+        lambda d: d.__setitem__("participants", [[1]]),
     ],
 )
 def test_snapshot_rejects_malformed_documents(mutate):
