@@ -80,7 +80,6 @@ from .rng import SplitMix64
 from .scenario import (
     ScenarioConfig,
     census_path,
-    emit_plot_data,
     load_config,
     parse_config,
     run_scenario,

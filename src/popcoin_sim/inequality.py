@@ -26,25 +26,24 @@ from .errors import UndefinedGiniError
 from .monetary import steady_state_supply
 
 
-def _as_array(values) -> np.ndarray:
+def _as_distribution(values) -> tuple[np.ndarray, np.ndarray]:
+    """The balances as a float array, and sorted: the one check of this module.
+    The sort puts -inf first and +inf, then nan, last, so the ends decide."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D array of balances")
-    return arr
-
-
-def _as_distribution(values) -> np.ndarray:
-    arr = _as_array(values)
-    if not np.all(np.isfinite(arr)):
+    ordered = np.sort(arr)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("balances must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ValueError("balances must be non-negative")
-    return arr
+    return arr, ordered
 
 
 def policy_transform(values, alpha: float, basic_income: float) -> np.ndarray:
     """Apply one constant-census epoch to a balance vector: (1-alpha)X + B."""
-    arr = _as_distribution(values)
+    arr = _as_distribution(values)[0]
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if basic_income < 0:
@@ -54,8 +53,8 @@ def policy_transform(values, alpha: float, basic_income: float) -> np.ndarray:
 
 def variance(values) -> float:
     """Population variance of the balance vector, ``np.var`` where that is finite."""
-    arr = _as_distribution(values)
-    return _variance(arr, float(arr.max()))
+    arr, ordered = _as_distribution(values)
+    return _variance(arr, float(ordered[-1]))
 
 
 def _variance(arr: np.ndarray, hi: float) -> float:
@@ -76,7 +75,7 @@ def gini(values) -> float:
     For ascending x with total S: G = (2 * sum(i * x_i) - (N+1) * S) / (N * S)
     with 1-based ranks — algebraically equal to the pairwise form below.
     """
-    ordered = np.sort(_as_distribution(values))
+    ordered = _as_distribution(values)[1]
     if ordered[-1] == 0.0:
         raise UndefinedGiniError("gini is undefined for an all-zero distribution")
     return _gini_sorted(ordered)
@@ -99,27 +98,19 @@ def _gini_sorted(ordered: np.ndarray) -> float:
 def epoch_metrics(values) -> tuple[float, float, float]:
     """``(gini, variance, max_inequality_ratio)`` of one balance vector.
 
-    The vector is sorted once and validated on its ends; each value is bit
-    for bit the one the public function returns, and each rejection raises
-    the public functions' error, except that an all-zero vector gets a nan
-    Gini instead of ``UndefinedGiniError``.
+    The vector is sorted once; each value is bit for bit the one the public
+    function returns, and each rejection raises the public functions' error,
+    except that an all-zero vector gets a nan Gini instead of ``UndefinedGiniError``.
     """
-    arr = _as_array(values)
-    ordered = np.sort(arr)
-    # The sort puts -inf first and +inf, then nan, last: the ends are finite
-    # only when every value is, and the first end is the least value.
+    arr, ordered = _as_distribution(values)
     lo, hi = float(ordered[0]), float(ordered[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("balances must be finite")
-    if lo < 0:
-        raise ValueError("balances must be non-negative")
     gini_value = _gini_sorted(ordered) if hi != 0.0 else float("nan")
     return gini_value, _variance(arr, hi), inequality_ratio(hi, lo)
 
 
 def gini_pairwise(values) -> float:
     """Gini from the defining double sum, O(N^2); test oracle for ``gini``."""
-    arr = _as_distribution(values)
+    arr = _as_distribution(values)[0]
     total = float(arr.sum())
     if total == 0.0:
         raise UndefinedGiniError("gini is undefined for an all-zero distribution")
@@ -145,8 +136,8 @@ def inequality_ratio(balance_a: float, balance_b: float) -> float:
 
 def max_inequality_ratio(values) -> float:
     """Largest pairwise ratio in a vector: max over pairs of max/min."""
-    arr = _as_distribution(values)
-    return inequality_ratio(float(arr.max()), float(arr.min()))
+    ordered = _as_distribution(values)[1]
+    return inequality_ratio(float(ordered[-1]), float(ordered[0]))
 
 
 def variance_bound(alpha: float, basic_income: float, census: int) -> float:

@@ -44,7 +44,6 @@ further basic income.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -69,23 +68,20 @@ def _is_int(value) -> bool:
 def exact(value) -> Fraction:
     """Coerce a number to an exact Fraction.
 
-    Floats are reinterpreted through their shortest decimal literal, so a
-    config value written as ``0.02`` becomes exactly 1/50 rather than the
-    nearest binary double. Strings are parsed as decimal literals directly.
+    Floats and Decimals are read through their decimal literal, so a config
+    value written as ``0.02`` becomes exactly 1/50 rather than the nearest
+    binary double, and a non-finite one raises ``ValueError`` as a string that
+    is no decimal literal does. Every other value but a bool goes to
+    ``Fraction`` as it is.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not numeric here")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (float, Decimal)):
         return Fraction(str(value))
-    if isinstance(value, str):
+    try:
         return Fraction(value)
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact number")
+    except TypeError:
+        raise TypeError(f"cannot interpret {value!r} as an exact number") from None
 
 
 @dataclass(frozen=True)
@@ -143,6 +139,15 @@ class MintReport:
     rounding_residue_poplets: int
 
 
+def _genesis_accounts(initial_accounts: Iterable[Account]) -> list[Account]:
+    accounts = list(initial_accounts)
+    if not accounts:
+        raise InvalidGenesisError("at least one initial account is required")
+    if len(set(accounts)) != len(accounts):
+        raise InvalidGenesisError("duplicate account ids in genesis")
+    return accounts
+
+
 def genesis(
     params: PolicyParams,
     initial_accounts: Iterable[Account],
@@ -153,11 +158,7 @@ def genesis(
     ``poplet_scale`` fixes the initial rate at 1/poplet_scale currency units
     per poplet; larger scales make the atomic unit finer.
     """
-    accounts = list(initial_accounts)
-    if not accounts:
-        raise InvalidGenesisError("at least one initial account is required")
-    if len(set(accounts)) != len(accounts):
-        raise InvalidGenesisError("duplicate account ids in genesis")
+    accounts = _genesis_accounts(initial_accounts)
     if not _is_int(poplet_scale) or poplet_scale < 1:
         raise InvalidGenesisError(
             f"poplet_scale must be a positive integer, got {poplet_scale!r}"
@@ -328,7 +329,11 @@ def state_to_json(state: LedgerState) -> str:
 
 
 def state_from_json(text: str) -> LedgerState:
-    doc = json.loads(text, parse_int=lambda digits: int(Decimal(digits)))
+    """Read a snapshot back; any text that is not one raises ``ValueError``."""
+    try:
+        doc = json.loads(text, parse_int=lambda digits: int(Decimal(digits)))
+    except RecursionError:
+        raise ValueError("malformed ledger snapshot: nested too deeply") from None
     try:
         epoch = doc["epoch"]
         census = doc["census"]
@@ -350,8 +355,10 @@ def state_from_json(text: str) -> LedgerState:
     if participants is None:
         member_set = frozenset(balances)
     else:
-        if not isinstance(participants, list) or not all(isinstance(a, str) for a in participants):
-            raise ValueError("participants must be a list of account ids")
+        if not isinstance(participants, list) or not participants or not all(
+            isinstance(a, str) for a in participants
+        ):
+            raise ValueError("participants must be a non-empty list of account ids")
         member_set = frozenset(participants)
         if len(member_set) != len(participants):
             raise ValueError("duplicate ids in participants")
@@ -389,11 +396,7 @@ class DirectLedgerState:
 
 
 def direct_genesis(initial_accounts: Iterable[Account]) -> DirectLedgerState:
-    accounts = list(initial_accounts)
-    if not accounts:
-        raise InvalidGenesisError("at least one initial account is required")
-    if len(set(accounts)) != len(accounts):
-        raise InvalidGenesisError("duplicate account ids in genesis")
+    accounts = _genesis_accounts(initial_accounts)
     return DirectLedgerState(
         epoch=0,
         balances={a: Fraction(0) for a in accounts},

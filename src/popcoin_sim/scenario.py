@@ -314,6 +314,13 @@ PROBLEM_FIELDS = (
     Field("demurrage_alpha", _reword(check_alpha, "be in [0, 1)")),
 )
 
+# An output selector: a study, which checks its own params.
+SELECTOR_FIELDS = (
+    Field("study", lambda v: None if v in STUDIES else f"be one of {', '.join(STUDIES)}; got {v!r}",
+          required=True),
+    Field("params", lambda params: None),
+)
+
 CONFIG_KEYS = ("policy", "epochs", "population", "seed", "poplet_scale", "transfers", "outputs")
 _EPOCHS = _at_most(_NON_NEGATIVE_INTEGER, MAX_EPOCHS)
 _SEED = _must(lambda v: v is None or _is_int(v) and -(2**63) <= v < 2**64, "be a 64-bit integer")
@@ -457,18 +464,12 @@ def normalize_agent_input(doc) -> dict:
 
 
 def _study(entry, where: str, policy: dict, out: list[str]) -> dict | None:
-    """One normalised output selector (None when it is not one)."""
-    if not isinstance(entry, dict):
-        out.append(f"{where}: must be an object")
-        return None
-    for key in entry:
-        if key not in ("study", "params"):
-            out.append(f"{where}: unknown key {key!r}")
-    study = entry.get("study")
+    """One normalised output selector (None when it is not one); the table
+    checks its shape and study, and each study its params."""
+    selector = _walk(entry, SELECTOR_FIELDS, where, out)
+    study, params = selector.get("study"), selector.get("params")
     if study not in STUDIES:
-        out.append(f"{where}.study: must be one of {', '.join(STUDIES)}; got {study!r}")
         return None
-    params = entry.get("params")
     if study in ("supply", "inequality"):
         if params not in (None, {}):
             out.append(f"{where}: study {study!r} takes no params")
@@ -755,11 +756,6 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     write_outputs(out, files)
     log.info("run complete: %d epochs, %d files in %s", len(cells), len(files), out)
     return {"out_dir": str(out), "files": sorted(files)}
-
-
-def emit_plot_data(rows: Sequence[dict]) -> list[list]:
-    """Long-format (t, series, value) rows for every non-time epoch column."""
-    return list(_long_rows([row[column] for column in EPOCH_COLUMNS] for row in rows))
 
 
 def _long_rows(rows):

@@ -586,6 +586,40 @@ def run_child(args, **env):
     )
 
 
+@pytest.mark.parametrize(
+    "population",
+    [
+        {"kind": "step_shock", "N0": 6, "factor": 2, "at_epoch": 4},  # opens accounts
+        {"kind": "degrowth", "N0": 12, "n": -0.08},  # retires them
+    ],
+)
+def test_run_writes_the_same_bytes_under_any_hash_seed(tmp_path, population):
+    # the mint credits the members of a frozenset, whose order follows the
+    # hash seed; no output byte may
+    config = write_json(
+        tmp_path / "cfg.json",
+        dict(
+            CONFIG,
+            epochs=10,
+            population=population,
+            transfers={"count_per_epoch": 5, "max_fraction": 0.5},
+            outputs=[{"study": "supply"}, {"study": "inequality"}],
+        ),
+    )
+    runs = []
+    for hash_seed in ("1", "4"):
+        out = tmp_path / f"out{hash_seed}"
+        args = ["run", config, "--out", str(out), "--plot-data"]
+        done = run_child(args, PYTHONHASHSEED=hash_seed)
+        assert done.returncode == 0, done.stderr
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(runs[0]) == sorted(
+        ["manifest.json", "epochs.csv", "final_state.json", "supply.csv", "inequality.csv",
+         "plot_data.csv"]
+    )
+    assert runs[0] == runs[1]
+
+
 def test_log_env_var_controls_verbosity(tmp_path):
     config = write_json(tmp_path / "cfg.json", CONFIG)
     quiet = run_child(["run", config, "--out", str(tmp_path / "q")], POPCOIN_SIM_LOG="warning")

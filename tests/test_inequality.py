@@ -220,6 +220,44 @@ def test_epoch_metrics_equal_the_public_functions_bit_for_bit(values):
 
 NAN, INF = math.nan, math.inf
 
+# every function that takes a balance vector, each through the one distribution check
+CALLERS = {
+    "epoch_metrics": epoch_metrics,
+    "gini": gini,
+    "variance": variance,
+    "max_inequality_ratio": max_inequality_ratio,
+    "policy_transform": lambda values: policy_transform(values, 0.5, 1.0),
+    "gini_pairwise": gini_pairwise,
+}
+
+
+
+
+def _every_value_rule(values):
+    """The distribution check's rule stated on every value, not on the ends of
+    a sorted array: the oracle for ``_as_distribution``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        return "expected a non-empty 1-D array of balances"
+    if not np.all(np.isfinite(arr)):
+        return "balances must be finite"
+    if np.any(arr < 0):
+        return "balances must be non-negative"
+    return None
+
+
+def _rejection(caller, values):
+    """The message of the ValueError a caller raises for values, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            caller(values)
+    except UndefinedGiniError:
+        return None  # all zero: a valid distribution that has no Gini
+    except ValueError as err:
+        assert type(err) is ValueError
+        return str(err)
+    return None
+
 
 @pytest.mark.parametrize(
     "values",
@@ -234,16 +272,15 @@ NAN, INF = math.nan, math.inf
         [-1.0, NAN],
         [INF, -1.0],
         [NAN, -0.0],
+        [1.0, NAN, 2.0],
+        [-INF, 1.0],
+        [-0.0, 1.0],  # -0.0 is not negative
     ],
 )
 def test_epoch_metrics_rejects_what_each_public_function_rejects(values):
-    with pytest.raises(ValueError) as block:
-        epoch_metrics(values)
-    for public in (gini, variance, max_inequality_ratio):
-        with pytest.raises(ValueError) as single:
-            public(values)
-        assert type(single.value) is type(block.value)
-        assert str(single.value) == str(block.value)
+    expected = _every_value_rule(values)
+    for caller in CALLERS.values():
+        assert _rejection(caller, values) == expected
 
 
 def test_epoch_metrics_accepts_negative_zero():
@@ -261,16 +298,10 @@ def test_epoch_metrics_accepts_negative_zero():
     )
 )
 def test_epoch_metrics_rejects_exactly_what_as_distribution_rejects(values):
-    # it checks the ends of the sorted array instead of every value
-    def raised(check):
-        try:
-            with np.errstate(over="ignore"):
-                check(values)
-        except ValueError as err:
-            return str(err)
-        return None
-
-    assert raised(epoch_metrics) == raised(_as_distribution)
+    # the one check reads the ends of the sorted array instead of every value
+    expected = _every_value_rule(values)
+    for caller in (_as_distribution, *CALLERS.values()):
+        assert _rejection(caller, values) == expected
 
 
 # --- contraction properties -----------------------------------------------------------

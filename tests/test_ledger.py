@@ -2,7 +2,9 @@
 poplet-vs-direct-rebasing equivalence."""
 
 import json
+import math
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,21 @@ def test_exact_reads_floats_as_decimal_literals():
     assert exact(0.1) == Fraction(1, 10)
     assert exact("0.25") == Fraction(1, 4)
     assert exact(3) == Fraction(3)
+    assert exact(Decimal("0.25")) == exact(Decimal("2.5E-1")) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, math.nan, Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), "inf"]
+)
+def test_exact_rejects_every_non_finite_number_alike(value):
+    with pytest.raises(ValueError):
+        exact(value)
+
+
+@pytest.mark.parametrize("value", [True, None, object(), 1j])
+def test_exact_rejects_a_bool_or_a_non_number_with_type_error(value):
+    with pytest.raises(TypeError):
+        exact(value)
 
 
 # --- genesis ------------------------------------------------------------------
@@ -457,6 +474,22 @@ def test_snapshot_rejects_malformed_documents(mutate):
     mutate(doc)
     with pytest.raises(ValueError):
         state_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # no API sequence empties the census; the next mint would divide by it
+        '{"balances":{"a":5},"census":0,"epoch":0,'
+        '"exchange_rate":{"den":1,"num":1},"participants":[]}',
+        # deeper than the parser's recursion limit
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["empty-census", "nested-past-the-recursion-limit"],
+)
+def test_snapshot_rejects_what_no_state_writes(text):
+    with pytest.raises(ValueError):
+        state_from_json(text)
 
 
 def _dumps_snapshot(state):

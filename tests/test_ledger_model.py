@@ -1,0 +1,147 @@
+"""A stateful model of the public ledger API.
+
+Hypothesis drives a ``LedgerState`` and a ``DirectLedgerState`` side by side
+through mints that open and retire members, valid and over-balance
+transfers, and snapshot round trips, and checks after every step what the
+module docstring of ``ledger`` promises: the poplets held are exactly the
+poplets issued, the issuance residue is at most half a poplet per
+participant, the census is a non-empty subset of the holders, each account
+stays within half a poplet per credited epoch of the rebasing oracle, and a
+rejected call changes nothing.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from popcoin_sim import (
+    CensusMismatchError,
+    InsufficientBalanceError,
+    PolicyParams,
+    direct_genesis,
+    direct_transfer,
+    genesis,
+    mint_epoch_direct,
+    mint_epoch_poplet,
+    state_from_json,
+    state_to_json,
+    transfer,
+)
+
+
+class LedgerModel(RuleBasedStateMachine):
+    @initialize(
+        income=st.sampled_from([1, 2922, 0.5]),
+        alpha=st.sampled_from([0, 0.02, 0.5, 0.9]),
+        scale=st.sampled_from([1, 10**6]),
+        census=st.integers(min_value=1, max_value=4),
+    )
+    def start(self, income, alpha, scale, census):
+        self.params = PolicyParams(income, alpha)
+        accounts = [f"a{i}" for i in range(census)]
+        self.state = genesis(self.params, accounts, scale)
+        self.mirror = direct_genesis(accounts)
+        self.opened = census
+        self.issued = 0  # sum over epochs of N_u * issued_u
+        self.residue = 0  # the last mint's rounding residue
+        self.credited = dict.fromkeys(accounts, 0)  # epochs that paid each account
+
+    def _unchanged_after(self, error, call):
+        """Call ``call``, which must raise ``error``, and check it changed nothing."""
+        before = state_to_json(self.state), dict(self.mirror.balances)
+        with pytest.raises(error):
+            call()
+        assert (state_to_json(self.state), dict(self.mirror.balances)) == before
+
+    @rule(grow=st.integers(min_value=0, max_value=3), data=st.data())
+    def mint(self, grow, data):
+        members = sorted(self.state.participants)
+        retire = st.lists(st.sampled_from(members), unique=True, max_size=len(members) - 1)
+        removed = data.draw(retire)
+        added = [f"a{self.opened + k}" for k in range(grow)]
+        self.opened += grow
+        census = len(members) + grow - len(removed)
+        self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
+        self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
+        self.issued += census * report.issued_per_participant
+        self.residue = report.rounding_residue_poplets
+        for account in self.state.participants:
+            self.credited[account] = self.credited.get(account, 0) + 1
+
+    @rule(data=st.data())
+    def mint_with_a_wrong_census(self, data):
+        census = self.state.census + data.draw(st.sampled_from([-1, 1, 2]))
+        self._unchanged_after(
+            CensusMismatchError, lambda: mint_epoch_poplet(self.state, self.params, census)
+        )
+
+    def _pair(self, data):
+        accounts = sorted(self.state.balances)
+        return data.draw(st.sampled_from(accounts)), data.draw(st.sampled_from(accounts))
+
+    @rule(data=st.data())
+    def transfer_within_balance(self, data):
+        sender, recipient = self._pair(data)
+        rate = self.state.exchange_rate
+        # rounding can leave either ledger a little richer; both must hold the amount
+        most = min(self.state.balances[sender], int(self.mirror.balances[sender] / rate))
+        amount = data.draw(st.integers(min_value=0, max_value=most))
+        value = amount * rate
+        self.state = transfer(self.state, sender, recipient, amount)
+        self.mirror = direct_transfer(self.mirror, sender, recipient, value)
+
+    @rule(data=st.data(), excess=st.integers(min_value=1, max_value=10**6))
+    def transfer_past_balance(self, data, excess):
+        sender, recipient = self._pair(data)
+        amount = self.state.balances[sender] + excess
+        self._unchanged_after(
+            InsufficientBalanceError, lambda: transfer(self.state, sender, recipient, amount)
+        )
+
+    @rule()
+    def snapshot_round_trip(self):
+        text = state_to_json(self.state)
+        again = state_from_json(text)
+        assert again == self.state
+        assert state_to_json(again) == text
+        self.state = again
+
+    @rule()
+    def snapshot_of_an_empty_census(self):
+        # the census never empties, so a snapshot that says it did is rejected
+        doc = json.loads(state_to_json(self.state))
+        doc.update(census=0, participants=[])
+        self._unchanged_after(ValueError, lambda: state_from_json(json.dumps(doc)))
+
+    @invariant()
+    def poplets_held_are_poplets_issued(self):
+        assert sum(self.state.balances.values()) == self.issued
+
+    @invariant()
+    def residue_is_at_most_half_a_poplet_each(self):
+        assert abs(self.residue) <= (self.state.census + 1) // 2
+
+    @invariant()
+    def census_is_a_non_empty_subset_of_the_holders(self):
+        participants = self.state.participants
+        assert self.state.census == len(participants) >= 1
+        assert participants <= self.state.balances.keys()
+        assert participants == self.mirror.participants
+        assert self.state.balances.keys() == self.mirror.balances.keys()
+
+    @invariant()
+    def values_track_the_rebasing_oracle(self):
+        rate = self.state.exchange_rate
+        for account, poplets in self.state.balances.items():
+            gap = abs(poplets * rate - self.mirror.balances[account])
+            assert gap <= Fraction(self.credited[account], 2) * rate
+
+
+LedgerModel.TestCase.settings = settings(
+    derandomize=True, max_examples=60, stateful_step_count=20, deadline=None
+)
+TestLedgerModel = LedgerModel.TestCase

@@ -22,7 +22,6 @@ from popcoin_sim import (
     ConfigError,
     SplitMix64,
     census_path,
-    emit_plot_data,
     load_config,
     parse_config,
     run_scenario,
@@ -348,32 +347,18 @@ def test_epoch_records_format_to_the_epochs_csv_rows(tmp_path, epochs):
     assert done.value.value.epoch == epochs
 
 
-def test_emit_plot_data_round_trips_rows():
-    rows = [
-        {"t": 1, "N": 5, "n": 0.0, "E": 1.0, "M_total": 2.0, "D": 3.0, "R": -0.02,
-         "gini": 0.0, "variance": 0.0, "max_ratio": 1.0}
-    ]
-    long_rows = emit_plot_data(rows)
-    assert [1, "N", 5] in long_rows
-    assert [1, "R", -0.02] in long_rows
-    assert len(long_rows) == 9
-
-
 def test_plot_data_is_emit_plot_data_of_the_epoch_rows(tmp_path):
-    # the run formats each epoch cell once and streams the plot rows from those
-    # strings; the pure API must give the same bytes from rows read back, as
-    # repr round-trips every float
+    # plot_data.csv is the long form of epochs.csv: one (t, series, value) row
+    # per non-time cell, row by row in column order, each cell as written there
     config = parse_config({**GOOD_CONFIG, "epochs": 12, "outputs": []})
     run_scenario(config, tmp_path, include_plot_data=True)
     header, *table = read_csv(tmp_path / "epochs.csv")
-    rows = [
-        {column: (int if column in ("t", "N") else float)(cell) for column, cell in zip(header, row)}
-        for row in table
+    long_rows = [
+        [row[0], column, cell] for row in table for column, cell in zip(header[1:], row[1:])
     ]
-    long_rows = [list(map(scenario._format_cell, row)) for row in emit_plot_data(rows)]
-    buffer = io.StringIO()
-    scenario.write_rows(buffer, ["t", "series", "value"], long_rows)
-    assert buffer.getvalue().encode("utf-8") == (tmp_path / "plot_data.csv").read_bytes()
+    assert len(long_rows) == 12 * 9
+    expected = "".join(",".join(row) + "\n" for row in [["t", "series", "value"], *long_rows])
+    assert (tmp_path / "plot_data.csv").read_bytes() == expected.encode("utf-8")
 
 
 def test_format_cell_passes_strings_through():
