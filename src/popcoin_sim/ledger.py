@@ -27,6 +27,17 @@ unreduced ratio ``B.num * E'.den / (B.den * E'.num)``, rounded half to even.
 ``MintReport`` carries only the issuance and its rounding residue; the epoch,
 census and rate are the returned state's.
 
+Every member receives the same ``issued`` poplets, so a state's balances
+(``Balances``, a read-only mapping) keep that basic income as one counter,
+``credit``: the poplets every current member has received in common.
+``held`` maps each account to its poplets less the common credit, so a
+member's balance is ``held[a] + credit`` and a dormant holder's ``held[a]``.
+A mint adds ``issued`` to ``credit``. At a fixed census it shares ``held``
+with the state it came from, so it does O(1) work; on a census change it
+copies ``held`` once and writes only the accounts that leave, whose balance
+is frozen into ``held``, and those that join, which are inserted in the order
+given. ``transfer`` and ``state_to_json`` read ``held`` directly.
+
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
 It exists as an independent oracle for equivalence tests and is not meant
@@ -44,11 +55,11 @@ further basic income.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
 
 from .errors import (
     CensusMismatchError,
@@ -108,22 +119,65 @@ class PolicyParams:
             )
 
 
+class Balances(Mapping):
+    """A state's poplet balances: ``held[a] + credit`` for a member ``a``,
+    ``held[a]`` for a dormant holder.
+
+    ``members`` is the state's ``participants`` and ``credit`` the poplets
+    every current member has received in common, so a member who joined late
+    holds about ``-credit`` in ``held``. Read-only, like the state.
+    """
+
+    __slots__ = ("held", "members", "credit")
+
+    def __init__(self, held: dict[Account, int], members: frozenset[Account], credit: int):
+        self.held, self.members, self.credit = held, members, credit
+
+    def __getitem__(self, account: Account) -> int:
+        poplets = self.held[account]
+        return poplets + self.credit if account in self.members else poplets
+
+    def __contains__(self, account) -> bool:
+        return account in self.held
+
+    def __iter__(self):
+        return iter(self.held)
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def __repr__(self) -> str:
+        return f"Balances({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class LedgerState:
     """Immutable snapshot of the ledger; operations return fresh states.
 
     ``participants`` is the current census. It is always a subset of the
-    balance keys; keys outside it are dormant holders.
+    balance keys; keys outside it are dormant holders. ``balances`` may be
+    given as any mapping of account to poplets, which the state copies; it
+    keeps a ``Balances`` as it is only when its members are ``participants``.
     """
 
     epoch: int
     exchange_rate: Fraction
-    balances: Mapping[Account, int]
+    balances: Balances
     participants: frozenset[Account]
+
+    def __post_init__(self):
+        balances = self.balances
+        if not (isinstance(balances, Balances) and balances.members is self.participants):
+            object.__setattr__(self, "balances", Balances(dict(balances), self.participants, 0))
 
     @property
     def census(self) -> int:
         return len(self.participants)
+
+
+def _state(epoch: int, rate: Fraction, held: dict, participants: frozenset, credit: int):
+    """The state whose members' balances are ``held`` plus ``credit``."""
+    return LedgerState(epoch, rate, Balances(held, participants, credit), participants)
 
 
 @dataclass(frozen=True)
@@ -227,10 +281,14 @@ def mint_epoch_poplet(
     redenomination and demurrage are priced into the same epoch's basic
     income. Newly added accounts receive this epoch's issuance; removed ones
     keep their poplets but receive nothing further.
+
+    Each member is credited by adding ``issued`` to the common ``credit``.
+    A removed account's balance is frozen into ``held``, and a joining one
+    (new, in the order given, or a dormant holder) holds its balance plus
+    ``issued`` less the new ``credit``; no other entry is written.
     """
-    participants = _apply_census_deltas(
-        state.participants, new_census, new_accounts, removed_accounts
-    )
+    new, removed = list(new_accounts), list(removed_accounts)
+    participants = _apply_census_deltas(state.participants, new_census, new, removed)
     # (1 - alpha) * N_new / N_old as one Fraction, with alpha = p/q
     p, q = params.demurrage_alpha.numerator, params.demurrage_alpha.denominator
     step = Fraction((q - p) * new_census, q * state.census)
@@ -239,17 +297,16 @@ def mint_epoch_poplet(
     income = params.basic_income
     den = income.denominator * rate.numerator
     issued, excess = _round_half_even(income.numerator * rate.denominator, den)
-    balances = dict(state.balances)
-    for account in participants:
-        balances[account] = balances.get(account, 0) + issued
+    balances = state.balances
+    held, credit = balances.held, balances.credit + issued
+    if new or removed:
+        held = held.copy()
+        for account in removed:
+            held[account] += balances.credit
+        for account in new:
+            held[account] = held.get(account, 0) + issued - credit
     report = MintReport(issued, _round_half_even(new_census * excess, den)[0])
-    next_state = LedgerState(
-        epoch=state.epoch + 1,
-        exchange_rate=rate,
-        balances=balances,
-        participants=participants,
-    )
-    return next_state, report
+    return _state(state.epoch + 1, rate, held, participants, credit), report
 
 
 def transfer(state: LedgerState, sender: Account, recipient: Account, amount: int) -> LedgerState:
@@ -261,17 +318,18 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     """
     if not _is_int(amount) or amount < 0:
         raise ValueError(f"amount must be a non-negative integer, got {amount!r}")
+    balances = state.balances
     for account in (sender, recipient):
-        if account not in state.balances:
+        if account not in balances.held:
             raise UnknownAccountError(f"unknown account: {account!r}")
-    if state.balances[sender] < amount:
+    if balances[sender] < amount:
         raise InsufficientBalanceError(
-            f"{sender!r} holds {state.balances[sender]} poplets, cannot send {amount}"
+            f"{sender!r} holds {balances[sender]} poplets, cannot send {amount}"
         )
-    balances = dict(state.balances)
-    balances[sender] -= amount
-    balances[recipient] += amount
-    return LedgerState(state.epoch, state.exchange_rate, balances, state.participants)
+    held = balances.held.copy()
+    held[sender] -= amount
+    held[recipient] += amount
+    return _state(state.epoch, state.exchange_rate, held, state.participants, balances.credit)
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -286,7 +344,9 @@ def balance_popcoin(state: LedgerState, account: Account) -> float:
 
 
 def total_supply_popcoin_exact(state: LedgerState) -> Fraction:
-    return sum(state.balances.values()) * state.exchange_rate
+    balances = state.balances
+    poplets = sum(balances.held.values()) + len(balances.members) * balances.credit
+    return poplets * state.exchange_rate
 
 
 def total_supply_popcoin(state: LedgerState) -> float:
@@ -313,19 +373,20 @@ def total_supply_popcoin(state: LedgerState) -> float:
 
 def state_to_json(state: LedgerState) -> str:
     rate = state.exchange_rate
+    members, credit = state.participants, state.balances.credit
     balances = ",".join(
-        f"{encode_basestring_ascii(key)}:{Decimal(value)}"
-        for key, value in sorted(state.balances.items())
+        f"{encode_basestring_ascii(key)}:{Decimal(poplets + credit if key in members else poplets)}"
+        for key, poplets in sorted(state.balances.held.items())
     )
-    members = {  # in sorted key order
+    fields = {  # in sorted key order
         "balances": "{" + balances + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
         "exchange_rate": f'{{"den":{Decimal(rate.denominator)},"num":{Decimal(rate.numerator)}}}',
     }
     if len(state.participants) != len(state.balances):
-        members["participants"] = json.dumps(sorted(state.participants), separators=(",", ":"))
-    return "{" + ",".join(f'"{key}":{text}' for key, text in members.items()) + "}"
+        fields["participants"] = json.dumps(sorted(state.participants), separators=(",", ":"))
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 
 
 def state_from_json(text: str) -> LedgerState:
@@ -369,7 +430,7 @@ def state_from_json(text: str) -> LedgerState:
     return LedgerState(
         epoch=epoch,
         exchange_rate=Fraction(num, den),
-        balances=dict(balances),
+        balances=balances,
         participants=member_set,
     )
 

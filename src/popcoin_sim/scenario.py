@@ -25,6 +25,13 @@ final ledger state. Each epoch makes three checks, any of which raises
 * the ledger total ``poplets * E`` matches the recurrence's supply within
   the declared rounding-plus-float tolerance.
 
+The balances are read once per epoch: one pass over the ledger's ``held``
+entries (see ``ledger``) fills one array, int64 while ``poplets + N_t *
+credit`` is below 2**63 and Python ints from there on, whose exact sum plus
+``N_t * credit`` is the poplet check's total and whose members' entries plus
+``credit`` are the members' balances. ``held`` keeps the accounts in creation
+order, so a member's position in it is its account number.
+
 ``run_scenario`` formats each record's cells once; every file that shows one
 of its columns writes that string. Only after the last epoch does it write
 ``manifest.json``, ``epochs.csv``, ``final_state.json``, the files that
@@ -98,9 +105,10 @@ from .inequality import (
     variance_bound,
 )
 from .ledger import (
-    LedgerState,
+    Balances,
     PolicyParams,
     _is_int,
+    _state,
     exact,
     genesis,
     mint_epoch_poplet,
@@ -607,15 +615,17 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     Equal to folding ``ledger.transfer`` over the drawn transfers with
     scalar ``rng.below`` draws, but the epoch's ``3 * count`` raw draws come
     from one ``rng.draws`` array, the account indices are reduced in uint64
-    arrays, and the transfers update one copy of the balances in place.
-    Only the amount draws become Python ints: their bound ``cap + 1`` can
-    pass 64 bits.
+    arrays, and the transfers move poplets inside one copy of the balances'
+    ``held``, where a member's balance is its entry plus the common
+    ``credit``. Only the amount draws become Python ints: their bound
+    ``cap + 1`` can pass 64 bits.
     """
-    accounts = sorted(state.balances)
+    balances = state.balances
+    accounts = sorted(balances.held)
     n = len(accounts)
     if n < 2:
         return state
-    balances = dict(state.balances)
+    held, members, credit = balances.held.copy(), balances.members, balances.credit
     num, den = frac.numerator, frac.denominator
     draws = rng.draws(3 * count)
     # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
@@ -627,33 +637,60 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
         senders.tolist(), recipients.tolist(), draws[2::3].tolist()
     ):
         sender = accounts[sender_idx]
-        held = balances[sender]
-        amount = amount_raw % (held * num // den + 1)
+        entry = held[sender]
+        poplets = entry + credit if sender in members else entry
+        amount = amount_raw % (poplets * num // den + 1)
         if amount > 0:
-            if amount > held:
+            if amount > poplets:
                 raise InvariantViolation(
                     f"transfer mix drew {Decimal(amount)} poplets from {sender!r}, "
-                    f"which holds {Decimal(held)}"
+                    f"which holds {Decimal(poplets)}"
                 )
-            balances[sender] = held - amount
-            balances[accounts[recipient_idx]] += amount
-    return LedgerState(state.epoch, state.exchange_rate, balances, state.participants)
+            held[sender] = entry - amount
+            held[accounts[recipient_idx]] += amount
+    return _state(state.epoch, state.exchange_rate, held, state.participants, credit)
 
 
-def _member_values(balances: dict, members: list, poplets: int, rate: Fraction, rate_float: float):
+def _read_balances(balances: Balances, member_at: np.ndarray, poplets: int):
+    """The poplets ``balances`` hold and each member's balance, from one pass
+    over ``held``; ``member_at`` are the members' positions in ``held``.
+
+    While ``poplets + N * credit`` is below 2**63 the pass fills an int64
+    array whose sum cannot wrap: in a ledger that holds the ``poplets``
+    issued, a dormant holder's entry lies in [0, poplets] and a member's in
+    [-credit, poplets], so the entries' magnitudes sum to at most that bound.
+    Where a ledger that holds other than ``poplets`` wraps the sum, the sum
+    is off by a multiple of 2**64, so a fault goes unseen only if it is
+    itself a nonzero multiple of 2**64 poplets. Otherwise the balances are a
+    list of ints.
+    """
+    held, credit = balances.held, balances.credit
+    common = len(member_at) * credit
+    if poplets + common < _INT64_LIMIT:
+        try:
+            array = np.fromiter(held.values(), np.int64, len(held))
+        except OverflowError:  # an entry past int64, which no sound ledger holds here
+            pass
+        else:
+            return int(array.sum()) + common, array[member_at] + credit
+    entries = list(held.values())
+    return sum(entries) + common, [entries[i] + credit for i in member_at.tolist()]
+
+
+def _member_values(balances, poplets: int, rate: Fraction, rate_float: float):
     """Each member's value as a float array; see the module docstring.
 
-    ``poplets`` is the exact sum of ``balances``, all non-negative, so it
-    bounds every balance: below 2**63 each fits int64, which converts to
-    float64 half-even exactly as ``float(int)`` does, and up to the largest
-    float none overflows. A normal ``float(E)`` keeps each nonzero value
-    normal, so it carries a float's full precision.
+    ``balances`` are the members' balances from ``_read_balances``, an int64
+    array or a list of ints, all non-negative and at most ``poplets``, the
+    exact sum of every balance. Each converts to float64 half-even exactly as
+    ``float(int)`` does, and up to the largest float none overflows. A normal
+    ``float(E)`` keeps each nonzero value normal, so it carries a float's
+    full precision.
     """
     if rate_float >= _MIN_NORMAL and poplets <= _MAX_FLOAT:
-        dtype = np.int64 if poplets < _INT64_LIMIT else float
-        return np.fromiter(map(balances.__getitem__, members), dtype, len(members)) * rate_float
+        return np.asarray(balances, float) * rate_float
     num, den = rate.numerator, rate.denominator
-    return np.array([balances[account] * num / den for account in members])
+    return np.array([balance * num / den for balance in map(int, balances)])
 
 
 class EpochRecord(NamedTuple):
@@ -672,12 +709,13 @@ def run_epochs(config: ScenarioConfig):
     path = census_path(normalized["population"], normalized["epochs"])
     peak = max(path)
 
-    # Census members in sorted order, kept without sorting: ids are created in
-    # increasing order and removals take the highest ids, so growth appends
-    # and shrinkage truncates. Every id ever created holds a balance, so the
-    # next id is the number of balances.
-    members = [_account_id(i) for i in range(path[0])]
-    state = genesis(params, members, normalized["poplet_scale"])
+    # The census members' positions in the balances' ``held``, which keeps
+    # creation order: ids are created in increasing order, so an account's
+    # position is its number, and removals take the highest ids, so growth
+    # appends and shrinkage truncates. Every id ever created holds a
+    # balance, so the next id is the number of balances.
+    member_at = np.arange(path[0])
+    state = genesis(params, map(_account_id, range(path[0])), normalized["poplet_scale"])
     transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
     rng = SplitMix64(normalized["seed"]) if transfer_count else None
@@ -685,12 +723,13 @@ def run_epochs(config: ScenarioConfig):
     poplets = 0  # every poplet issued so far; genesis balances are zero
     for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
         t, n_now = macro_state.epoch, macro_state.census
-        new_accounts, removed = [], members[n_now:]
-        del members[n_now:]
-        if n_now > len(members):
+        new_accounts, removed = [], list(map(_account_id, member_at[n_now:].tolist()))
+        member_at = member_at[:n_now]
+        if n_now > len(member_at):
             opened = len(state.balances)
-            new_accounts = [_account_id(opened + k) for k in range(n_now - len(members))]
-            members.extend(new_accounts)
+            fresh = np.arange(opened, opened + n_now - len(member_at))
+            new_accounts = list(map(_account_id, fresh.tolist()))
+            member_at = np.concatenate((member_at, fresh))
         state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
         poplets += n_now * report.issued_per_participant
         if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
@@ -700,8 +739,7 @@ def run_epochs(config: ScenarioConfig):
             )
         if rng is not None:
             state = _mix_transfers(state, rng, transfer_count, frac)
-        balances = state.balances
-        held = sum(balances.values())
+        held, balances = _read_balances(state.balances, member_at, poplets)
         if held != poplets:
             raise InvariantViolation(
                 f"epoch {t}: the ledger holds {Decimal(held)} poplets, "
@@ -721,7 +759,7 @@ def run_epochs(config: ScenarioConfig):
                 f"epoch {t}: ledger supply {total} deviates from "
                 f"recurrence {macro_state.supply} by more than {tolerance}"
             )
-        values = _member_values(balances, members, poplets, state.exchange_rate, rate_float)
+        values = _member_values(balances, poplets, state.exchange_rate, rate_float)
         yield EpochRecord(macro_state, rate_float, total, epoch_metrics(values))
     return state
 

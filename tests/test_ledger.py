@@ -185,10 +185,13 @@ def test_mint_added_account_receives_income_removed_keeps_balance():
 
 
 def test_mint_without_census_deltas_keeps_the_participant_set():
-    # a fixed-census epoch copies no frozenset
+    # a fixed-census epoch copies no frozenset and no balances: it adds the
+    # issuance to the common credit alone
     state = make_ledger(3)
-    after, _ = mint_epoch_poplet(state, DEFAULT, 3)
+    after, report = mint_epoch_poplet(state, DEFAULT, 3)
     assert after.participants is state.participants
+    assert after.balances.held is state.balances.held
+    assert after.balances.credit == state.balances.credit + report.issued_per_participant
     grown, _ = mint_epoch_poplet(after, DEFAULT, 4, new_accounts=["new"])
     assert grown.participants == after.participants | {"new"}
 
@@ -314,6 +317,61 @@ def test_mint_half_ties_round_to_even():
     # 15 participants each short by half a poplet: -7.5 rounds to -8 = -(15 + 1) // 2
     assert _exact_residue(state, params, report) == Fraction(-15, 2)
     assert report.rounding_residue_poplets == -8
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    income=incomes,
+    alpha=alphas,
+    n0=st.integers(min_value=1, max_value=5),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["hold", "grow", "shrink", "swap", "rejoin", "transfer"]),
+            st.integers(min_value=0, max_value=10**9),
+            st.integers(min_value=0, max_value=10**9),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+def test_the_common_credit_equals_the_dict_fold(income, alpha, n0, steps):
+    # the same steps folded through a plain dict that credits every member
+    # (``_mint_reference``) give the same balances and snapshot at every step
+    params = PolicyParams(basic_income=income, demurrage_alpha=alpha)
+    state = make_ledger(n0, params=params)
+    reference = state  # built from a plain dict: held is the balances, credit is 0
+    fresh = iter(f"b{i}" for i in range(100))
+    for move, pick, raw in steps:
+        if move == "transfer":
+            accounts = sorted(state.balances)
+            sender, recipient = accounts[pick % len(accounts)], accounts[raw % len(accounts)]
+            amount = raw % (state.balances[sender] + 1)
+            state = transfer(state, sender, recipient, amount)
+            balances = dict(reference.balances.held)
+            balances[sender] -= amount
+            balances[recipient] += amount
+            reference = LedgerState(
+                state.epoch, reference.exchange_rate, balances, reference.participants
+            )
+        else:
+            members = sorted(state.participants)
+            dormant = sorted(state.balances.keys() - state.participants)
+            added, removed = [], []
+            if move in ("shrink", "swap") and len(members) > 1:
+                removed = [members[pick % len(members)]]
+            if move in ("grow", "swap"):
+                added = [next(fresh) for _ in range(1 + raw % 2)]
+            if move == "rejoin" and dormant:
+                added = [dormant[pick % len(dormant)]]
+            census = state.census + len(added) - len(removed)
+            rate, balances, participants, _ = _mint_reference(
+                reference, params, census, added, removed
+            )
+            state, _ = mint_epoch_poplet(state, params, census, added, removed)
+            reference = LedgerState(state.epoch, rate, balances, frozenset(participants))
+        assert state.participants == reference.participants
+        assert dict(state.balances) == reference.balances.held
+        assert state_to_json(state) == _dumps_snapshot(reference)
 
 
 # --- transfers ------------------------------------------------------------------
@@ -616,7 +674,9 @@ def test_poplet_ledger_tracks_direct_rebasing(moves, transfer_picks):
         sender = accounts[s_i % len(accounts)]
         recipient = accounts[r_i % len(accounts)]
         if sender != recipient:
-            amount = raw % (state.balances[sender] + 1)
+            # issuance rounding can leave either ledger a little richer; both must hold the amount
+            most = min(state.balances[sender], int(mirror.balances[sender] / state.exchange_rate))
+            amount = raw % (most + 1)
             state = transfer(state, sender, recipient, amount)
             mirror = direct_transfer(mirror, sender, recipient, amount * state.exchange_rate)
     bound = epochs * state.exchange_rate

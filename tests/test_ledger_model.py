@@ -1,7 +1,7 @@
 """A stateful model of the public ledger API.
 
 Hypothesis drives a ``LedgerState`` and a ``DirectLedgerState`` side by side
-through mints that open and retire members, valid and over-balance
+through mints that open, retire and re-admit members, valid and over-balance
 transfers, and snapshot round trips, and checks after every step what the
 module docstring of ``ledger`` promises: the poplets held are exactly the
 poplets issued, the issuance residue is at most half a poplet per
@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from popcoin_sim import (
     CensusMismatchError,
@@ -57,6 +57,15 @@ class LedgerModel(RuleBasedStateMachine):
             call()
         assert (state_to_json(self.state), dict(self.mirror.balances)) == before
 
+    def _mint(self, added, removed):
+        census = self.state.census + len(added) - len(removed)
+        self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
+        self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
+        self.issued += census * report.issued_per_participant
+        self.residue = report.rounding_residue_poplets
+        for account in self.state.participants:
+            self.credited[account] = self.credited.get(account, 0) + 1
+
     @rule(grow=st.integers(min_value=0, max_value=3), data=st.data())
     def mint(self, grow, data):
         members = sorted(self.state.participants)
@@ -64,13 +73,14 @@ class LedgerModel(RuleBasedStateMachine):
         removed = data.draw(retire)
         added = [f"a{self.opened + k}" for k in range(grow)]
         self.opened += grow
-        census = len(members) + grow - len(removed)
-        self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
-        self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
-        self.issued += census * report.issued_per_participant
-        self.residue = report.rounding_residue_poplets
-        for account in self.state.participants:
-            self.credited[account] = self.credited.get(account, 0) + 1
+        self._mint(added, removed)
+
+    @precondition(lambda self: self.state.census < len(self.state.balances))
+    @rule(data=st.data())
+    def rejoin(self, data):
+        # dormant holders re-enter the census with the poplets they kept
+        dormant = sorted(self.state.balances.keys() - self.state.participants)
+        self._mint(data.draw(st.lists(st.sampled_from(dormant), unique=True, min_size=1)), [])
 
     @rule(data=st.data())
     def mint_with_a_wrong_census(self, data):

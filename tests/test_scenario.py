@@ -29,6 +29,7 @@ from popcoin_sim import (
     state_from_json,
     validate_config,
 )
+from popcoin_sim.ledger import Balances
 
 GOOD_CONFIG = {
     "policy": {"basic_income": 2922, "demurrage_alpha": 0.02},
@@ -439,13 +440,96 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     balances = {**dict(zip(members, held)), "p99999999": dormant}
     rate = Fraction(num, den)
     total = sum(balances.values())
-    values = scenario._member_values(balances, members, total, rate, num / den)
+    read = Balances(balances, frozenset(members), 0)
+    _, member_balances = scenario._read_balances(read, np.arange(len(held)), total)
+    values = scenario._member_values(member_balances, total, rate, num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
     else:
         expected = np.array([float(balance * rate) for balance in held])
     assert values.dtype == np.float64
     assert values.tobytes() == expected.tobytes()
+
+
+def counted_ledger(held, member_at, credit):
+    """The balances with these ``held`` entries, in creation order, whose
+    members sit at ``member_at``; their positions; and every balance."""
+    ids = [f"p{i:08d}" for i in range(len(held))]
+    balances = Balances(dict(zip(ids, held)), frozenset(ids[i] for i in member_at), credit)
+    every = [entry + credit if i in member_at else entry for i, entry in enumerate(held)]
+    return balances, np.array(member_at), every
+
+
+@st.composite
+def counted_ledgers(draw):
+    """Members from the start, then dormant holders, then members who joined
+    late and hold less than the common credit, as a run creates them."""
+    credit = draw(st.integers(min_value=0, max_value=2**63))
+    first = draw(st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=4))
+    dormant = draw(st.lists(st.integers(min_value=0, max_value=2**63), max_size=3))
+    late = draw(st.lists(st.integers(min_value=0, max_value=credit), max_size=4))
+    held = [*first, *dormant, *(balance - credit for balance in late)]
+    member_at = [*range(len(first)), *range(len(first) + len(dormant), len(held))]
+    return counted_ledger(held, member_at, credit)
+
+
+# poplets + N * credit just below and at 2**63, with one member; the census
+# grown fourfold, N * credit past poplets, below 2**63 and at 2**64; poplets
+# just below and at 2**63; and past 2**63 with a dormant holder between members
+@example(ledger=counted_ledger([0], [0], 2**62 - 1))
+@example(ledger=counted_ledger([0], [0], 2**62))
+@example(ledger=counted_ledger([0, 3 - 2**60, 3 - 2**60, 3 - 2**60], [0, 1, 2, 3], 2**60))
+@example(ledger=counted_ledger([0, 3 - 2**62, 3 - 2**62, 3 - 2**62], [0, 1, 2, 3], 2**62))
+@example(ledger=counted_ledger([2**63 - 1, 0], [0], 0))
+@example(ledger=counted_ledger([2**63 - 1, 1], [0], 0))
+@example(ledger=counted_ledger([2**63, 5, 3 - 2**62], [0, 2], 2**62))
+@given(ledger=counted_ledgers())
+def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
+    # an int64 array while poplets + N * credit is below 2**63, and Python ints
+    # from there on, give the exact poplet total, the members' balances and values
+    balances, member_at, every = ledger
+    members = [every[i] for i in member_at]
+    poplets = sum(every)
+    total, member_balances = scenario._read_balances(balances, member_at, poplets)
+    assert total == poplets
+    assert isinstance(member_balances, np.ndarray) == (
+        poplets + len(members) * balances.credit < 2**63
+    )
+    assert list(map(int, member_balances)) == members
+    for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
+        values = scenario._member_values(member_balances, poplets, Fraction(num, den), num / den)
+        if num / den >= sys.float_info.min:
+            expected = [float(balance) * (num / den) for balance in members]
+        else:
+            expected = [float(balance * Fraction(num, den)) for balance in members]
+        assert values.tobytes() == np.array(expected).tobytes()
+
+
+def test_one_read_of_the_balances_counts_an_entry_past_int64():
+    # only a broken ledger holds one; the poplet check must still see its total
+    balances = Balances({"p00000000": 2**63, "p00000001": 0}, frozenset({"p00000000"}), 0)
+    total, member_balances = scenario._read_balances(balances, np.arange(1), 5)
+    assert total == 2**63
+    assert member_balances == [2**63]
+
+
+@pytest.mark.parametrize(
+    "population",
+    [
+        {"kind": "step_shock", "N0": 3, "factor": 2.5, "at_epoch": 2},
+        {"kind": "degrowth", "N0": 8, "n": -0.2},
+    ],
+)
+def test_the_balances_keep_the_accounts_in_creation_order(population):
+    # the one read of the balances takes each member's position as its number
+    config = parse_config({**GOOD_CONFIG, "population": population, "outputs": []})
+    records = scenario.run_epochs(config)
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(records)
+    final = done.value.value
+    assert final.census != config.normalized["population"]["N0"]
+    assert list(final.balances) == [f"p{i:08d}" for i in range(len(final.balances))]
 
 
 def test_members_holding_value_have_a_finite_gini_below_the_normal_floats():

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from popcoin_sim import InvariantViolation, LedgerState, SplitMix64, transfer
+from popcoin_sim.ledger import Balances
 from popcoin_sim.rng import LOOKAHEAD
 from popcoin_sim.scenario import _mix_transfers
 
@@ -106,11 +107,15 @@ def ledger_states(draw):
     # balances reach past int64, as they do at long horizons
     balances = {a: draw(st.integers(min_value=0, max_value=2**80)) for a in ids}
     dormant = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    members = frozenset(a for a, off in zip(ids, dormant) if not off)
+    # members hold their balance less the common credit, late joiners less than nothing
+    credit = draw(st.integers(min_value=0, max_value=2**80))
+    held = {a: poplets - credit if a in members else poplets for a, poplets in balances.items()}
     return LedgerState(
         epoch=draw(st.integers(min_value=0, max_value=10**4)),
         exchange_rate=Fraction(1, draw(st.integers(min_value=1, max_value=10**12))),
-        balances=balances,
-        participants=frozenset(a for a, off in zip(ids, dormant) if not off),
+        balances=Balances(held, members, credit),
+        participants=members,
     )
 
 
