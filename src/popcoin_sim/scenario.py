@@ -28,9 +28,9 @@ final ledger state. Each epoch makes three checks, any of which raises
 The balances are read once per epoch: one pass over the ledger's ``held``
 entries (see ``ledger``) fills one array, int64 while ``poplets + N_t *
 credit`` is below 2**63 and Python ints from there on, whose exact sum plus
-``N_t * credit`` is the poplet check's total and whose members' entries plus
-``credit`` are the members' balances. ``held`` keeps the accounts in creation
-order, so a member's position in it is its account number.
+``N_t * credit`` is the poplet check's total and whose first ``N_t`` entries
+plus ``credit`` are the members' balances: a run keeps ``held`` in id order,
+the order the accounts were opened, with the members first (see the ids below).
 
 ``run_scenario`` formats each record's cells once; every file that shows one
 of its columns writes that string. Only after the last epoch does it write
@@ -46,10 +46,11 @@ otherwise it is ``balance * E`` correctly rounded, finite because no value
 exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
-minting, ``count_per_epoch`` transfers run over the sorted list of all
-account ids. Per transfer, three draws: sender index ``below(A)``,
-recipient index ``below(A-1)`` skipping the sender (add 1 when the draw is
->= the sender index), then an amount ``below(cap + 1)`` where
+minting, ``count_per_epoch`` transfers run over the list of all accounts,
+members and dormant holders, in the ledger's order, which in a run is id
+order. Per transfer, three draws: sender index ``below(A)``, recipient index
+``below(A-1)`` skipping the sender (add 1 when the draw is >= the sender
+index), then an amount ``below(cap + 1)`` where
 ``cap = balance * frac_num // frac_den`` in exact integer arithmetic from
 the decimal ``max_fraction``. Zero-amount draws are no-ops but still
 consume their draws; with fewer than two accounts the epoch consumes none.
@@ -62,13 +63,17 @@ takes the block as one array, which the generator may have computed epochs
 ahead, and reduces the account indices in uint64; the order and meaning of
 the draws are the ones above.
 
-Account ids are ``p%08d``, created in increasing order, so creation order
-is sorted order. Validation therefore rejects census paths that would open
-more than ``MAX_ACCOUNTS`` (10**8) accounts, and paths that leave the
-floats. It also rejects more than ``MAX_EPOCHS`` (10**5) epochs and more
-than ``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, numbers that
-do not fit a float, a study listed twice in ``outputs``, and, last, a money
-supply that can pass the largest float.
+Account ids are ``p%08d``, and the census at epoch t is the accounts
+``p00000000`` .. ``p(N_t - 1)``: a shrinking census makes its highest-numbered
+members dormant, and a growing one takes the ids ``N_{t-1}`` .. ``N_t - 1``,
+re-admitting each dormant holder among them and opening the rest. Ids are
+therefore opened in increasing order, so id order is the order of opening,
+and a run opens ``max(N_t)`` accounts. Validation rejects census paths whose
+peak passes ``MAX_ACCOUNTS`` (10**8), and paths that leave the floats. It
+also rejects more than ``MAX_EPOCHS`` (10**5) epochs and more than
+``MAX_TRANSFERS_PER_EPOCH`` (10**6) transfers per epoch, numbers that do not
+fit a float, a study listed twice in ``outputs``, and, last, a money supply
+that can pass the largest float.
 Every input file is read by ``read_json``, which turns any fault of the file
 into one ``<path>: ...`` diagnostic.
 """
@@ -139,8 +144,8 @@ EXCHANGE_COLUMNS = [
 AGENT_COLUMNS = ["in1", "out1", "savings", "tax_rate"]
 PLOT_COLUMNS = ["t", "series", "value"]
 
-# Account ids are p%08d, created in increasing order; below this many accounts
-# their creation order is also their sorted order, which the epoch generator relies on.
+# Account ids are p%08d and a run opens the ids below its peak census, so below
+# this many accounts their string order is their numeric order.
 MAX_ACCOUNTS = 10**8
 # Validation builds the census path, one entry per epoch, and the transfer mix
 # draws its 3 * count_per_epoch numbers at once; these limits bound both.
@@ -388,8 +393,7 @@ def _validate_census_path(population: dict, epochs: int, out: list[str]) -> list
     except (OverflowError, ValueError):  # float overflow, round() of inf or nan
         out.append(f"population: the census path is not finite within {epochs} epochs")
         return None
-    accounts = path[0] + sum(max(0, now - before) for before, now in zip(path, path[1:]))
-    if accounts > MAX_ACCOUNTS:
+    if max(path) > MAX_ACCOUNTS:  # the census at epoch t is the first N_t accounts
         out.append(
             f"population: the census path opens more than {MAX_ACCOUNTS} accounts, "
             "the most that 8-digit account ids support"
@@ -621,7 +625,7 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     ``cap + 1`` can pass 64 bits.
     """
     balances = state.balances
-    accounts = sorted(balances.held)
+    accounts = list(balances.held)
     n = len(accounts)
     if n < 2:
         return state
@@ -651,9 +655,9 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     return _state(state.epoch, state.exchange_rate, held, state.participants, credit)
 
 
-def _read_balances(balances: Balances, member_at: np.ndarray, poplets: int):
+def _read_balances(balances: Balances, members: int, poplets: int):
     """The poplets ``balances`` hold and each member's balance, from one pass
-    over ``held``; ``member_at`` are the members' positions in ``held``.
+    over ``held``, whose first ``members`` entries are the members'.
 
     While ``poplets + N * credit`` is below 2**63 the pass fills an int64
     array whose sum cannot wrap: in a ledger that holds the ``poplets``
@@ -665,16 +669,16 @@ def _read_balances(balances: Balances, member_at: np.ndarray, poplets: int):
     list of ints.
     """
     held, credit = balances.held, balances.credit
-    common = len(member_at) * credit
+    common = members * credit
     if poplets + common < _INT64_LIMIT:
         try:
             array = np.fromiter(held.values(), np.int64, len(held))
         except OverflowError:  # an entry past int64, which no sound ledger holds here
             pass
         else:
-            return int(array.sum()) + common, array[member_at] + credit
+            return int(array.sum()) + common, array[:members] + credit
     entries = list(held.values())
-    return sum(entries) + common, [entries[i] + credit for i in member_at.tolist()]
+    return sum(entries) + common, [entry + credit for entry in entries[:members]]
 
 
 def _member_values(balances, poplets: int, rate: Fraction, rate_float: float):
@@ -708,13 +712,6 @@ def run_epochs(config: ScenarioConfig):
     normalized, params = config.normalized, config.policy
     path = census_path(normalized["population"], normalized["epochs"])
     peak = max(path)
-
-    # The census members' positions in the balances' ``held``, which keeps
-    # creation order: ids are created in increasing order, so an account's
-    # position is its number, and removals take the highest ids, so growth
-    # appends and shrinkage truncates. Every id ever created holds a
-    # balance, so the next id is the number of balances.
-    member_at = np.arange(path[0])
     state = genesis(params, map(_account_id, range(path[0])), normalized["poplet_scale"])
     transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
@@ -722,15 +719,13 @@ def run_epochs(config: ScenarioConfig):
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
     for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
-        t, n_now = macro_state.epoch, macro_state.census
-        new_accounts, removed = [], list(map(_account_id, member_at[n_now:].tolist()))
-        member_at = member_at[:n_now]
-        if n_now > len(member_at):
-            opened = len(state.balances)
-            fresh = np.arange(opened, opened + n_now - len(member_at))
-            new_accounts = list(map(_account_id, fresh.tolist()))
-            member_at = np.concatenate((member_at, fresh))
-        state, report = mint_epoch_poplet(state, params, n_now, new_accounts, removed)
+        t, n_now, before = macro_state.epoch, macro_state.census, state.census
+        # The ids between the two censuses join (a dormant holder in its place
+        # in ``held``, a new id appended) or leave: ``held`` stays in id order
+        # with the members first.
+        moved = map(_account_id, range(min(before, n_now), max(before, n_now)))
+        joining, leaving = (moved, ()) if n_now > before else ((), moved)
+        state, report = mint_epoch_poplet(state, params, n_now, joining, leaving)
         poplets += n_now * report.issued_per_participant
         if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
             raise InvariantViolation(
@@ -739,7 +734,7 @@ def run_epochs(config: ScenarioConfig):
             )
         if rng is not None:
             state = _mix_transfers(state, rng, transfer_count, frac)
-        held, balances = _read_balances(state.balances, member_at, poplets)
+        held, balances = _read_balances(state.balances, n_now, poplets)
         if held != poplets:
             raise InvariantViolation(
                 f"epoch {t}: the ledger holds {Decimal(held)} poplets, "

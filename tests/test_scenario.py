@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -22,7 +22,9 @@ from popcoin_sim import (
     ConfigError,
     SplitMix64,
     census_path,
+    genesis,
     load_config,
+    mint_epoch_poplet,
     parse_config,
     run_scenario,
     scenario,
@@ -441,7 +443,7 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     rate = Fraction(num, den)
     total = sum(balances.values())
     read = Balances(balances, frozenset(members), 0)
-    _, member_balances = scenario._read_balances(read, np.arange(len(held)), total)
+    _, member_balances = scenario._read_balances(read, len(held), total)
     values = scenario._member_values(member_balances, total, rate, num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
@@ -451,46 +453,45 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     assert values.tobytes() == expected.tobytes()
 
 
-def counted_ledger(held, member_at, credit):
-    """The balances with these ``held`` entries, in creation order, whose
-    members sit at ``member_at``; their positions; and every balance."""
+def counted_ledger(held, members, credit):
+    """The balances with these ``held`` entries, in id order, whose first
+    ``members`` accounts are the census; that count; and every balance."""
     ids = [f"p{i:08d}" for i in range(len(held))]
-    balances = Balances(dict(zip(ids, held)), frozenset(ids[i] for i in member_at), credit)
-    every = [entry + credit if i in member_at else entry for i, entry in enumerate(held)]
-    return balances, np.array(member_at), every
+    balances = Balances(dict(zip(ids, held)), frozenset(ids[:members]), credit)
+    every = [entry + credit if i < members else entry for i, entry in enumerate(held)]
+    return balances, members, every
 
 
 @st.composite
 def counted_ledgers(draw):
-    """Members from the start, then dormant holders, then members who joined
-    late and hold less than the common credit, as a run creates them."""
+    """Members from the start, then members who joined late and hold less
+    than the common credit, then dormant holders, as a run lays them out."""
     credit = draw(st.integers(min_value=0, max_value=2**63))
     first = draw(st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=4))
-    dormant = draw(st.lists(st.integers(min_value=0, max_value=2**63), max_size=3))
     late = draw(st.lists(st.integers(min_value=0, max_value=credit), max_size=4))
-    held = [*first, *dormant, *(balance - credit for balance in late)]
-    member_at = [*range(len(first)), *range(len(first) + len(dormant), len(held))]
-    return counted_ledger(held, member_at, credit)
+    dormant = draw(st.lists(st.integers(min_value=0, max_value=2**63), max_size=3))
+    held = [*first, *(balance - credit for balance in late), *dormant]
+    return counted_ledger(held, len(first) + len(late), credit)
 
 
 # poplets + N * credit just below and at 2**63, with one member; the census
 # grown fourfold, N * credit past poplets, below 2**63 and at 2**64; poplets
-# just below and at 2**63; and past 2**63 with a dormant holder between members
-@example(ledger=counted_ledger([0], [0], 2**62 - 1))
-@example(ledger=counted_ledger([0], [0], 2**62))
-@example(ledger=counted_ledger([0, 3 - 2**60, 3 - 2**60, 3 - 2**60], [0, 1, 2, 3], 2**60))
-@example(ledger=counted_ledger([0, 3 - 2**62, 3 - 2**62, 3 - 2**62], [0, 1, 2, 3], 2**62))
-@example(ledger=counted_ledger([2**63 - 1, 0], [0], 0))
-@example(ledger=counted_ledger([2**63 - 1, 1], [0], 0))
-@example(ledger=counted_ledger([2**63, 5, 3 - 2**62], [0, 2], 2**62))
+# just below and at 2**63; and past 2**63 with a dormant holder after the members
+@example(ledger=counted_ledger([0], 1, 2**62 - 1))
+@example(ledger=counted_ledger([0], 1, 2**62))
+@example(ledger=counted_ledger([0, 3 - 2**60, 3 - 2**60, 3 - 2**60], 4, 2**60))
+@example(ledger=counted_ledger([0, 3 - 2**62, 3 - 2**62, 3 - 2**62], 4, 2**62))
+@example(ledger=counted_ledger([2**63 - 1, 0], 1, 0))
+@example(ledger=counted_ledger([2**63 - 1, 1], 1, 0))
+@example(ledger=counted_ledger([2**63, 3 - 2**62, 5], 2, 2**62))
 @given(ledger=counted_ledgers())
 def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
     # an int64 array while poplets + N * credit is below 2**63, and Python ints
     # from there on, give the exact poplet total, the members' balances and values
-    balances, member_at, every = ledger
-    members = [every[i] for i in member_at]
+    balances, count, every = ledger
+    members = every[:count]
     poplets = sum(every)
-    total, member_balances = scenario._read_balances(balances, member_at, poplets)
+    total, member_balances = scenario._read_balances(balances, count, poplets)
     assert total == poplets
     assert isinstance(member_balances, np.ndarray) == (
         poplets + len(members) * balances.credit < 2**63
@@ -508,7 +509,7 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
 def test_one_read_of_the_balances_counts_an_entry_past_int64():
     # only a broken ledger holds one; the poplet check must still see its total
     balances = Balances({"p00000000": 2**63, "p00000001": 0}, frozenset({"p00000000"}), 0)
-    total, member_balances = scenario._read_balances(balances, np.arange(1), 5)
+    total, member_balances = scenario._read_balances(balances, 1, 5)
     assert total == 2**63
     assert member_balances == [2**63]
 
@@ -518,18 +519,118 @@ def test_one_read_of_the_balances_counts_an_entry_past_int64():
     [
         {"kind": "step_shock", "N0": 3, "factor": 2.5, "at_epoch": 2},
         {"kind": "degrowth", "N0": 8, "n": -0.2},
+        {"kind": "fixed", "N": 4},
+        {"kind": "exponential", "N0": 2, "n": 0.3},
+        {"kind": "logistic", "N0": 2, "K": 9, "rate": 0.8},
     ],
 )
 def test_the_balances_keep_the_accounts_in_creation_order(population):
-    # the one read of the balances takes each member's position as its number
+    # a run opens p0 .. p(peak - 1) in id order, and its census is the first N_t
     config = parse_config({**GOOD_CONFIG, "population": population, "outputs": []})
-    records = scenario.run_epochs(config)
+    path = census_path(population, GOOD_CONFIG["epochs"])
+    final = final_state(scenario.run_epochs(config))
+    ids = [f"p{i:08d}" for i in range(max(path))]
+    assert list(final.balances) == ids
+    assert final.participants == frozenset(ids[: path[-1]])
+
+
+@pytest.mark.parametrize("path", [[5, 3, 6], [4, 2, 2, 5]])
+def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, path):
+    # No admitted census kind shrinks and then grows; a patched path shows that
+    # the census at epoch t is p0 .. p(N_t - 1), dormant holders re-admitted first.
+    monkeypatch.setattr(scenario, "census_path", lambda population, epochs: path)
+    minted = []
+
+    def recording_mint(state, *args):
+        after, report = mint_epoch_poplet(state, *args)
+        minted.append((state, after, report.issued_per_participant))
+        return after, report
+
+    monkeypatch.setattr(scenario, "mint_epoch_poplet", recording_mint)
+    transfers = {"count_per_epoch": 6, "max_fraction": 0.5}
+    config = parse_config({**GOOD_CONFIG, "epochs": len(path) - 1, "transfers": transfers})
+    final = final_state(scenario.run_epochs(config))
+    ids = [f"p{i:08d}" for i in range(max(path))]
+    assert final.participants == frozenset(ids[: path[-1]])
+    assert list(final.balances) == ids
+    for t, (before, after, issued) in enumerate(minted, start=1):
+        assert list(after.balances) == ids[: max(path[: t + 1])]
+        assert after.participants == frozenset(ids[: path[t]])
+        # each member is credited this epoch, a re-admitted holder too; no one else
+        for account, poplets in after.balances.items():
+            credited = issued if account in after.participants else 0
+            assert poplets == before.balances.get(account, 0) + credited, (t, account)
+    # a fold of the ledger API over the same id-range deltas
+    rng, state = SplitMix64(GOOD_CONFIG["seed"]), genesis(config.policy, ids[: path[0]], 10**8)
+    for before, now in zip(path, path[1:]):
+        moved = ids[min(before, now) : max(before, now)]
+        joining, leaving = (moved, []) if now > before else ([], moved)
+        state, _ = mint_epoch_poplet(state, config.policy, now, joining, leaving)
+        state = scenario._mix_transfers(state, rng, 6, Fraction(1, 2))
+    assert final == state
+    assert list(final.balances) == list(state.balances)
+
+
+PEAK = 10**6
+
+
+@st.composite
+def census_populations(draw):
+    """A population block with its params in its kind's ``POPULATION_FIELDS``
+    domain, and an epoch count of at most 500 within which its census path
+    stays at or below ``PEAK``."""
+    kind = draw(st.sampled_from(scenario.POPULATION_KINDS))
+    n0 = draw(st.integers(min_value=1, max_value=PEAK))
+    if kind == "fixed":
+        return {"kind": kind, "N": n0}, draw(st.integers(min_value=0, max_value=500))
+    if kind == "step_shock":
+        factor = st.floats(min_value=5e-324, max_value=PEAK / n0)
+        population = {"kind": kind, "N0": n0, "factor": draw(factor | st.sampled_from([0.5, 1.0]))}
+        population["at_epoch"] = draw(st.integers(min_value=1, max_value=501))
+    elif kind == "logistic":
+        capacity = st.integers(min_value=1, max_value=PEAK) | st.floats(min_value=1, max_value=PEAK)
+        rate = st.floats(min_value=5e-324, max_value=100) | st.sampled_from([5e-324, 1e-300])
+        population = {"kind": kind, "N0": n0, "K": draw(capacity), "rate": draw(rate)}
+    else:
+        edges = [-(2.0**-52), -0.5, -1 + 2.0**-53] + [2.0**-52] * (kind == "exponential")
+        top = 1.0 if kind == "exponential" else -(2.0**-1074)
+        growth = st.floats(min_value=-1, max_value=top, exclude_min=True) | st.sampled_from(edges)
+        population = {"kind": kind, "N0": n0, "n": draw(growth)}
+    path = census_path(population, draw(st.integers(min_value=0, max_value=500)))
+    # the longest prefix of the path at or below the peak, as an epoch count
+    return population, next((t - 1 for t, n in enumerate(path) if n > PEAK), len(path) - 1)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=census_populations())
+@example(case=({"kind": "exponential", "N0": PEAK, "n": 2.0**-52}, 500))
+@example(case=({"kind": "exponential", "N0": PEAK, "n": -(2.0**-52)}, 500))
+@example(case=({"kind": "exponential", "N0": PEAK, "n": -0.5}, 500))
+@example(case=({"kind": "degrowth", "N0": PEAK, "n": -(2.0**-52)}, 500))
+@example(case=({"kind": "degrowth", "N0": 3, "n": -0.5}, 500))
+@example(case=({"kind": "logistic", "N0": PEAK, "K": 1, "rate": 0.1}, 500))  # K < N0
+@example(case=({"kind": "logistic", "N0": 1, "K": PEAK, "rate": 5e-324}, 500))
+@example(case=({"kind": "logistic", "N0": 7, "K": 5000.5, "rate": 1e-300}, 500))
+@example(case=({"kind": "step_shock", "N0": PEAK, "factor": 5e-324, "at_epoch": 3}, 500))
+@example(case=({"kind": "step_shock", "N0": 9, "factor": 0.5, "at_epoch": 1}, 500))
+def test_every_admitted_census_path_is_monotone(case):
+    # A run re-admits a dormant holder only when its census shrinks and then
+    # grows, which no admitted census path does.
+    population, epochs = case
+    policy = {"basic_income": 1, "demurrage_alpha": 0.5}
+    config = parse_config({"policy": policy, "epochs": epochs, "population": population})
+    path = census_path(config.normalized["population"], epochs)
+    assert max(path) <= PEAK
+    steps = [now - before for before, now in zip(path, path[1:])]
+    assert all(step >= 0 for step in steps) or all(step <= 0 for step in steps), population
+
+
+def final_state(records):
+    """The final ledger state, which ``run_epochs`` returns after its last record."""
     with pytest.raises(StopIteration) as done:
         while True:
             next(records)
-    final = done.value.value
-    assert final.census != config.normalized["population"]["N0"]
-    assert list(final.balances) == [f"p{i:08d}" for i in range(len(final.balances))]
+    return done.value.value
 
 
 def test_members_holding_value_have_a_finite_gini_below_the_normal_floats():

@@ -78,8 +78,9 @@ def test_interleaved_calls_follow_the_scalar_stream(seed, calls):
 
 
 def mix_by_transfer_fold(state, rng, count, frac):
-    """The transfer mix as documented: scalar draws, one pure transfer each."""
-    accounts = sorted(state.balances)
+    """The transfer mix as documented: scalar draws over the accounts in the
+    ledger's order, one pure transfer each."""
+    accounts = list(state.balances)
     if len(accounts) < 2:
         return state
     for _ in range(count):
@@ -96,6 +97,7 @@ def mix_by_transfer_fold(state, rng, count, frac):
 
 @st.composite
 def ledger_states(draw):
+    # ids stay in drawn order, rarely sorted, so the test tells ledger order from sorted order
     ids = draw(
         st.lists(
             st.text(alphabet="abpz019", min_size=1, max_size=6),
@@ -142,6 +144,8 @@ def funded(*ids):
 @example(state=funded("a", "b", "c"), seed=1, count=1, frac=Fraction(1))
 @example(state=funded("a", "b", "c"), seed=8, count=1, frac=Fraction(1))
 @example(state=funded("a", "b"), seed=5, count=2, frac=Fraction(1))
+# ids out of sorted order: seed 7 sends from the first account in the ledger, "c"
+@example(state=funded("c", "a", "b"), seed=7, count=1, frac=Fraction(1))
 def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
     held_before = dict(state.balances)
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
