@@ -29,14 +29,28 @@ census and rate are the returned state's.
 
 Every member receives the same ``issued`` poplets, so a state's balances
 (``Balances``, a read-only mapping) keep that basic income as one counter,
-``credit``: the poplets every current member has received in common.
-``held`` maps each account to its poplets less the common credit, so a
-member's balance is ``held[a] + credit`` and a dormant holder's ``held[a]``.
+``credit``: the poplets every current member has received in common. The
+balances are indexed by position. An account-id table, the ``ids`` tuple and
+its ``index`` dict, gives each account its position; states share it and
+never change it, and only a mint that opens accounts copies it. ``held``
+lists each account's poplets less the common credit, a ``bytearray`` of
+``flags`` marks the members, and ``count`` counts them, so a member's
+balance is ``held[i] + credit`` and a dormant holder's ``held[i]``.
+
 A mint adds ``issued`` to ``credit``. At a fixed census it shares ``held``
-with the state it came from, so it does O(1) work; on a census change it
-copies ``held`` once and writes only the accounts that leave, whose balance
-is frozen into ``held``, and those that join, which are inserted in the order
-given. ``transfer`` and ``state_to_json`` read ``held`` directly.
+and ``flags`` with the state it came from, so it does O(1) work; on a census
+change it copies the list and the bytearray once and writes only the
+positions of the accounts that leave, whose balance is frozen into
+``held``, and of those that join, new ones appended in the order given.
+``transfer`` copies ``held``, writes two positions and passes no image.
+
+``image`` is an int64 array equal to ``held``, or None. It is a cache for
+the one read of the balances that a run makes each epoch, which
+``Balances.int64_image`` builds, keeps or drops. Balances built from a
+parent's take their image from ``Balances._image_after``, given the
+positions they wrote: the parent's image patched there, or none when they
+pass None for the positions or write a quarter of the entries or more, so no state's image ever differs from its ``held``. The member set, ``participants``, is built from the flags
+on first access and cached; the run never asks for it.
 
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
@@ -59,7 +73,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import (
     CensusMismatchError,
@@ -120,44 +137,130 @@ class PolicyParams:
 
 
 class Balances(Mapping):
-    """A state's poplet balances: ``held[a] + credit`` for a member ``a``,
-    ``held[a]`` for a dormant holder.
+    """A state's poplet balances, by position: ``held[i] + credit`` for a
+    member, ``held[i]`` for a dormant holder (see the module docstring).
 
-    ``members`` is the state's ``participants`` and ``credit`` the poplets
-    every current member has received in common, so a member who joined late
-    holds about ``-credit`` in ``held``. Read-only, like the state.
+    ``ids`` and ``index`` map positions to accounts and back, ``flags[i]`` is
+    1 for a member, ``count`` is the number of members and ``credit`` the
+    poplets every current member has received in common, so a member who
+    joined late holds about ``-credit`` in ``held``. ``image`` is None or an
+    int64 array equal to ``held``. Read-only, like the state, except for two
+    caches: the member set, built on first read, and the image, which
+    ``int64_image`` builds and drops. Balances derived from these take their
+    image from ``_image_after``, the one place that patches or drops it.
     """
 
-    __slots__ = ("held", "members", "credit")
+    __slots__ = ("ids", "index", "held", "flags", "count", "credit", "image", "_members")
 
-    def __init__(self, held: dict[Account, int], members: frozenset[Account], credit: int):
-        self.held, self.members, self.credit = held, members, credit
+    def __init__(self, ids, index, held, flags, count, credit, image=None):
+        self.ids, self.index, self.held, self.flags = ids, index, held, flags
+        self.count, self.credit, self.image = count, credit, image
+        self._members = None
+
+    @classmethod
+    def from_entries(
+        cls, entries: Mapping[Account, int], members: Iterable[Account], credit: int = 0
+    ) -> Balances:
+        """``entries[a]`` held at each account, in the mapping's order; the
+        ``members`` are the census and hold ``credit`` more."""
+        ids = tuple(entries)
+        members = frozenset(members)
+        balances = cls(
+            ids,
+            dict(zip(ids, range(len(ids)))),
+            [entries[account] for account in ids],
+            bytearray(account in members for account in ids),
+            len(members),
+            credit,
+        )
+        balances._members = members
+        return balances
+
+    def _moved(self, held: list[int], credit: int, written=None) -> Balances:
+        """These accounts and members, holding ``held`` above ``credit``, with
+        the image ``_image_after(held, written)``."""
+        image = self._image_after(held, written)
+        moved = Balances(self.ids, self.index, held, self.flags, self.count, credit, image)
+        moved._members = self._members
+        return moved
+
+    def _image_after(self, held: list[int], written) -> np.ndarray | None:
+        """The image of ``held``, a list that equals this ``held`` except at the
+        positions ``written``, appended ones among them: this image when
+        nothing is written, else a copy patched at ``written``.
+
+        None when ``written`` is None, when these balances have no image,
+        when a written entry leaves int64, or when ``written`` lists a
+        quarter of the entries or more: patching costs about four times as
+        much per entry as the ``np.fromiter`` that the next read then runs.
+        """
+        image = self.image
+        if image is None or written is None or 4 * len(written) >= len(held):
+            return None
+        if not written:
+            return image
+        patched = np.concatenate((image, np.zeros(len(held) - len(image), np.int64)))
+        try:
+            patched[written] = np.array([held[i] for i in written], np.int64)
+        except OverflowError:
+            return None
+        return patched
+
+    def int64_image(self, fits: bool) -> np.ndarray | None:
+        """``held`` as an int64 array when ``fits``, else None.
+
+        The array is built on the first call and kept as ``image``, so the
+        balances derived from these patch it; a call without ``fits`` drops
+        the image, so they skip that work. None too when an entry leaves
+        int64, which ``fits`` is meant to rule out.
+        """
+        if not fits:
+            self.image = None
+        elif self.image is None:
+            try:
+                self.image = np.fromiter(self.held, np.int64, len(self.held))
+            except OverflowError:
+                pass
+        return self.image
+
+    @property
+    def members(self) -> frozenset[Account]:
+        if self._members is None:
+            self._members = frozenset(compress(self.ids, self.flags))
+        return self._members
+
+    def is_member(self, account: Account) -> bool:
+        position = self.index.get(account)
+        return position is not None and self.flags[position] == 1
 
     def __getitem__(self, account: Account) -> int:
-        poplets = self.held[account]
-        return poplets + self.credit if account in self.members else poplets
+        position = self.index[account]
+        poplets = self.held[position]
+        return poplets + self.credit if self.flags[position] else poplets
 
     def __contains__(self, account) -> bool:
-        return account in self.held
+        return account in self.index
 
     def __iter__(self):
-        return iter(self.held)
+        return iter(self.ids)
 
     def __len__(self) -> int:
-        return len(self.held)
+        return len(self.ids)
 
     def __repr__(self) -> str:
         return f"Balances({dict(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerState:
     """Immutable snapshot of the ledger; operations return fresh states.
 
-    ``participants`` is the current census. It is always a subset of the
-    balance keys; keys outside it are dormant holders. ``balances`` may be
-    given as any mapping of account to poplets, which the state copies; it
-    keeps a ``Balances`` as it is only when its members are ``participants``.
+    ``participants`` is the current census, the members of ``balances``,
+    built on first access. It is always a subset of the balance keys; keys
+    outside it are dormant holders. ``balances`` may be given as any mapping
+    of account to poplets with the ``participants``, which the state copies;
+    a ``Balances`` is kept as it is when ``participants`` is omitted or
+    equals its members.
     """
 
     epoch: int
@@ -165,19 +268,23 @@ class LedgerState:
     balances: Balances
     participants: frozenset[Account]
 
-    def __post_init__(self):
-        balances = self.balances
-        if not (isinstance(balances, Balances) and balances.members is self.participants):
-            object.__setattr__(self, "balances", Balances(dict(balances), self.participants, 0))
+    def __init__(self, epoch: int, exchange_rate: Fraction, balances, participants=None):
+        if not (
+            isinstance(balances, Balances)
+            and (participants is None or participants == balances.members)
+        ):
+            balances = Balances.from_entries(balances, participants)
+        object.__setattr__(self, "epoch", epoch)
+        object.__setattr__(self, "exchange_rate", exchange_rate)
+        object.__setattr__(self, "balances", balances)
+
+    @property
+    def participants(self) -> frozenset[Account]:
+        return self.balances.members
 
     @property
     def census(self) -> int:
-        return len(self.participants)
-
-
-def _state(epoch: int, rate: Fraction, held: dict, participants: frozenset, credit: int):
-    """The state whose members' balances are ``held`` plus ``credit``."""
-    return LedgerState(epoch, rate, Balances(held, participants, credit), participants)
+        return self.balances.count
 
 
 @dataclass(frozen=True)
@@ -225,39 +332,62 @@ def genesis(
     )
 
 
-def _apply_census_deltas(
-    participants: frozenset[Account],
-    new_census: int,
-    new_accounts: Iterable[Account],
-    removed_accounts: Iterable[Account],
-) -> frozenset[Account]:
-    new = list(new_accounts)
-    removed = list(removed_accounts)
-    new_set, removed_set = set(new), set(removed)
-    if len(new_set) != len(new) or len(removed_set) != len(removed):
-        raise CensusMismatchError("duplicate ids in census deltas")
-    if new_set & removed_set:
-        raise CensusMismatchError("an id cannot be both added and removed")
-    if not removed_set <= participants:
-        missing = sorted(removed_set - participants)
-        raise CensusMismatchError(f"removed ids are not current participants: {missing}")
-    if new_set & participants:
-        dupes = sorted(new_set & participants)
-        raise CensusMismatchError(f"added ids are already participants: {dupes}")
+def _check_census(census: int, is_member, new_census, new: list, removed: list) -> None:
+    """Raise ``CensusMismatchError`` unless ``new_census`` is the ``census``
+    members with ``new`` added and ``removed`` removed.
+
+    ``is_member`` tells a current member; it is asked only about the deltas,
+    so the check is O(len(new) + len(removed)), and a mint with no deltas
+    compares the counts alone.
+    """
+    if new or removed:
+        new_set, removed_set = set(new), set(removed)
+        if len(new_set) != len(new) or len(removed_set) != len(removed):
+            raise CensusMismatchError("duplicate ids in census deltas")
+        if not new_set.isdisjoint(removed_set):
+            raise CensusMismatchError("an id cannot be both added and removed")
+        missing = sorted(account for account in removed_set if not is_member(account))
+        if missing:
+            raise CensusMismatchError(f"removed ids are not current participants: {missing}")
+        dupes = sorted(account for account in new_set if is_member(account))
+        if dupes:
+            raise CensusMismatchError(f"added ids are already participants: {dupes}")
     if not _is_int(new_census) or new_census < 1:
         raise CensusMismatchError(f"census must be a positive integer, got {new_census!r}")
-    expected = len(participants) + len(new_set) - len(removed_set)
+    expected = census + len(new) - len(removed)
     if new_census != expected:
         raise CensusMismatchError(
             f"declared census {new_census} does not match "
-            f"{len(participants)} + {len(new_set)} added - {len(removed_set)} removed = {expected}"
+            f"{census} + {len(new)} added - {len(removed)} removed = {expected}"
         )
-    # An empty delta keeps the same frozenset, as every fixed-census epoch does.
-    if new_set:
-        participants = participants | new_set
-    if removed_set:
-        participants = participants - removed_set
-    return participants
+
+
+def _census_change(
+    balances: Balances, new: list, removed: list, issued: int, credit: int
+) -> Balances:
+    """``balances`` after ``removed`` leave and ``new`` join at a mint that
+    issues ``issued`` and raises the common credit to ``credit``."""
+    ids, index = balances.ids, balances.index
+    opened = [account for account in new if account not in index]
+    if opened:
+        ids += tuple(opened)
+        index = dict(index)
+        index.update(zip(opened, range(len(balances.ids), len(ids))))
+    held = balances.held + [0] * len(opened)
+    flags = balances.flags + bytes(len(opened))
+    written = []
+    for account in removed:
+        position = index[account]
+        held[position] += balances.credit
+        flags[position] = 0
+        written.append(position)
+    for account in new:
+        position = index[account]
+        held[position] += issued - credit
+        flags[position] = 1
+        written.append(position)
+    count = balances.count + len(new) - len(removed)
+    return Balances(ids, index, held, flags, count, credit, balances._image_after(held, written))
 
 
 def _round_half_even(num: int, den: int) -> tuple[int, int]:
@@ -284,29 +414,28 @@ def mint_epoch_poplet(
 
     Each member is credited by adding ``issued`` to the common ``credit``.
     A removed account's balance is frozen into ``held``, and a joining one
-    (new, in the order given, or a dormant holder) holds its balance plus
-    ``issued`` less the new ``credit``; no other entry is written.
+    (new, appended in the order given, or a dormant holder) holds its
+    balance plus ``issued`` less the new ``credit``; no other position is
+    written.
     """
     new, removed = list(new_accounts), list(removed_accounts)
-    participants = _apply_census_deltas(state.participants, new_census, new, removed)
+    balances = state.balances
+    _check_census(balances.count, balances.is_member, new_census, new, removed)
     # (1 - alpha) * N_new / N_old as one Fraction, with alpha = p/q
     p, q = params.demurrage_alpha.numerator, params.demurrage_alpha.denominator
-    step = Fraction((q - p) * new_census, q * state.census)
+    step = Fraction((q - p) * new_census, q * balances.count)
     rate = state.exchange_rate * step
     # B / E' as one unreduced integer ratio; ``excess`` is den * (issued - B/E').
     income = params.basic_income
     den = income.denominator * rate.numerator
     issued, excess = _round_half_even(income.numerator * rate.denominator, den)
-    balances = state.balances
-    held, credit = balances.held, balances.credit + issued
+    credit = balances.credit + issued
     if new or removed:
-        held = held.copy()
-        for account in removed:
-            held[account] += balances.credit
-        for account in new:
-            held[account] = held.get(account, 0) + issued - credit
+        balances = _census_change(balances, new, removed, issued, credit)
+    else:
+        balances = balances._moved(balances.held, credit, ())
     report = MintReport(issued, _round_half_even(new_census * excess, den)[0])
-    return _state(state.epoch + 1, rate, held, participants, credit), report
+    return LedgerState(state.epoch + 1, rate, balances), report
 
 
 def transfer(state: LedgerState, sender: Account, recipient: Account, amount: int) -> LedgerState:
@@ -320,16 +449,17 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
         raise ValueError(f"amount must be a non-negative integer, got {amount!r}")
     balances = state.balances
     for account in (sender, recipient):
-        if account not in balances.held:
+        if account not in balances.index:
             raise UnknownAccountError(f"unknown account: {account!r}")
     if balances[sender] < amount:
         raise InsufficientBalanceError(
             f"{sender!r} holds {balances[sender]} poplets, cannot send {amount}"
         )
     held = balances.held.copy()
-    held[sender] -= amount
-    held[recipient] += amount
-    return _state(state.epoch, state.exchange_rate, held, state.participants, balances.credit)
+    held[balances.index[sender]] -= amount
+    held[balances.index[recipient]] += amount
+    moved = balances._moved(held, balances.credit)  # no image: the run's reads do not follow
+    return LedgerState(state.epoch, state.exchange_rate, moved)
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -345,7 +475,7 @@ def balance_popcoin(state: LedgerState, account: Account) -> float:
 
 def total_supply_popcoin_exact(state: LedgerState) -> Fraction:
     balances = state.balances
-    poplets = sum(balances.held.values()) + len(balances.members) * balances.credit
+    poplets = sum(balances.held) + balances.count * balances.credit
     return poplets * state.exchange_rate
 
 
@@ -372,20 +502,20 @@ def total_supply_popcoin(state: LedgerState) -> float:
 
 
 def state_to_json(state: LedgerState) -> str:
-    rate = state.exchange_rate
-    members, credit = state.participants, state.balances.credit
-    balances = ",".join(
-        f"{encode_basestring_ascii(key)}:{Decimal(poplets + credit if key in members else poplets)}"
-        for key, poplets in sorted(state.balances.held.items())
-    )
+    rate, balances = state.exchange_rate, state.balances
+    ids, flags, credit = balances.ids, balances.flags, balances.credit
     fields = {  # in sorted key order
-        "balances": "{" + balances + "}",
+        "balances": "{" + ",".join(
+            f"{encode_basestring_ascii(key)}:{Decimal(poplets + credit if member else poplets)}"
+            for key, poplets, member in sorted(zip(ids, balances.held, flags))
+        ) + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
         "exchange_rate": f'{{"den":{Decimal(rate.denominator)},"num":{Decimal(rate.numerator)}}}',
     }
-    if len(state.participants) != len(state.balances):
-        fields["participants"] = json.dumps(sorted(state.participants), separators=(",", ":"))
+    if balances.count != len(ids):
+        members = sorted(compress(ids, flags))
+        fields["participants"] = json.dumps(members, separators=(",", ":"))
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 
 
@@ -473,9 +603,11 @@ def mint_epoch_direct(
     removed_accounts: Iterable[Account] = (),
 ) -> DirectLedgerState:
     """One epoch of per-account rebasing: scale everyone, credit participants."""
-    participants = _apply_census_deltas(
-        state.participants, new_census, new_accounts, removed_accounts
-    )
+    new, removed = list(new_accounts), list(removed_accounts)
+    participants = state.participants
+    _check_census(len(participants), participants.__contains__, new_census, new, removed)
+    if new or removed:
+        participants = (participants | set(new)) - set(removed)
     scale = (1 - params.demurrage_alpha) * Fraction(new_census, state.census)
     balances = {a: b * scale for a, b in state.balances.items()}
     for account in participants:

@@ -25,12 +25,19 @@ final ledger state. Each epoch makes three checks, any of which raises
 * the ledger total ``poplets * E`` matches the recurrence's supply within
   the declared rounding-plus-float tolerance.
 
-The balances are read once per epoch: one pass over the ledger's ``held``
-entries (see ``ledger``) fills one array, int64 while ``poplets + N_t *
+The balances are read once per epoch, from the ledger's position-indexed
+``held`` list (see ``ledger``): an int64 array while ``poplets + N_t *
 credit`` is below 2**63 and Python ints from there on, whose exact sum plus
 ``N_t * credit`` is the poplet check's total and whose first ``N_t`` entries
 plus ``credit`` are the members' balances: a run keeps ``held`` in id order,
 the order the accounts were opened, with the members first (see the ids below).
+The int64 array is the balances' image, which the states carry from epoch to
+epoch: the mint shares it or patches the positions it writes, and the
+transfer mix patches its senders and recipients, unless either writes a
+quarter of the entries or more. An epoch thus copies its lists and
+arrays whole but writes only the positions that change, and the read only
+sums. Where a state carries no image the read builds one with
+``np.fromiter``; past 2**63 it drops it, and the later states carry none.
 
 ``run_scenario`` formats each record's cells once; every file that shows one
 of its columns writes that string. Only after the last epoch does it write
@@ -111,9 +118,9 @@ from .inequality import (
 )
 from .ledger import (
     Balances,
+    LedgerState,
     PolicyParams,
     _is_int,
-    _state,
     exact,
     genesis,
     mint_epoch_poplet,
@@ -620,16 +627,17 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     scalar ``rng.below`` draws, but the epoch's ``3 * count`` raw draws come
     from one ``rng.draws`` array, the account indices are reduced in uint64
     arrays, and the transfers move poplets inside one copy of the balances'
-    ``held``, where a member's balance is its entry plus the common
-    ``credit``. Only the amount draws become Python ints: their bound
-    ``cap + 1`` can pass 64 bits.
+    ``held``, indexed by position, where a member's balance is its entry
+    plus the common ``credit``. Only the amount draws become Python ints:
+    their bound ``cap + 1`` can pass 64 bits. The senders and recipients are
+    the positions written, where ``Balances._image_after`` patches the image
+    or, for many transfers, drops it for the next read to build.
     """
     balances = state.balances
-    accounts = list(balances.held)
-    n = len(accounts)
+    n = len(balances.held)
     if n < 2:
         return state
-    held, members, credit = balances.held.copy(), balances.members, balances.credit
+    held, flags, credit = balances.held.copy(), balances.flags, balances.credit
     num, den = frac.numerator, frac.denominator
     draws = rng.draws(3 * count)
     # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
@@ -637,48 +645,49 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     recipients = draws[1::3] % np.uint64(n - 1)
     # Skip the sender: add 1 when the draw is >= the sender index.
     recipients += recipients >= senders
-    for sender_idx, recipient_idx, amount_raw in zip(
-        senders.tolist(), recipients.tolist(), draws[2::3].tolist()
-    ):
-        sender = accounts[sender_idx]
+    senders, recipients = senders.tolist(), recipients.tolist()
+    for sender, recipient, amount_raw in zip(senders, recipients, draws[2::3].tolist()):
         entry = held[sender]
-        poplets = entry + credit if sender in members else entry
+        poplets = entry + credit if flags[sender] else entry
         amount = amount_raw % (poplets * num // den + 1)
         if amount > 0:
             if amount > poplets:
                 raise InvariantViolation(
-                    f"transfer mix drew {Decimal(amount)} poplets from {sender!r}, "
+                    f"transfer mix drew {Decimal(amount)} poplets from {balances.ids[sender]!r}, "
                     f"which holds {Decimal(poplets)}"
                 )
             held[sender] = entry - amount
-            held[accounts[recipient_idx]] += amount
-    return _state(state.epoch, state.exchange_rate, held, state.participants, credit)
+            held[recipient] += amount
+    moved = balances._moved(held, credit, senders + recipients)
+    return LedgerState(state.epoch, state.exchange_rate, moved)
 
 
 def _read_balances(balances: Balances, members: int, poplets: int):
-    """The poplets ``balances`` hold and each member's balance, from one pass
-    over ``held``, whose first ``members`` entries are the members'.
+    """The poplets ``balances`` hold and each member's balance, from one read
+    of ``held``, whose first ``members`` entries are the members'.
 
-    While ``poplets + N * credit`` is below 2**63 the pass fills an int64
-    array whose sum cannot wrap: in a ledger that holds the ``poplets``
-    issued, a dormant holder's entry lies in [0, poplets] and a member's in
-    [-credit, poplets], so the entries' magnitudes sum to at most that bound.
-    Where a ledger that holds other than ``poplets`` wraps the sum, the sum
-    is off by a multiple of 2**64, so a fault goes unseen only if it is
-    itself a nonzero multiple of 2**64 poplets. Otherwise the balances are a
-    list of ints.
+    While ``poplets + N * credit`` is below 2**63 the read sums the balances'
+    int64 image (``Balances.int64_image``), built from ``held`` when the state
+    has none and kept for the states derived from this one. The poplet check
+    and the members' values then read the image, not ``held``: they see a
+    fault in ``held`` only at a position its writer patched, and rest on the
+    image rule (see ``ledger``) for the others. The image's sum cannot wrap:
+    in a ledger that holds the ``poplets`` issued, a dormant holder's entry
+    lies in [0, poplets] and a member's in [-credit, poplets], so the
+    entries' magnitudes sum to at most that bound. Where a ledger that holds other
+    than ``poplets`` wraps the sum, the sum is off by a multiple of 2**64, so
+    a fault goes unseen only if it is itself a nonzero multiple of 2**64
+    poplets. Past the bound the balances are a list of ints and the image is
+    dropped, so the states derived from this one skip patching it; should a
+    shrinking census bring the total back under the bound, the read builds
+    it anew.
     """
     held, credit = balances.held, balances.credit
     common = members * credit
-    if poplets + common < _INT64_LIMIT:
-        try:
-            array = np.fromiter(held.values(), np.int64, len(held))
-        except OverflowError:  # an entry past int64, which no sound ledger holds here
-            pass
-        else:
-            return int(array.sum()) + common, array[:members] + credit
-    entries = list(held.values())
-    return sum(entries) + common, [entry + credit for entry in entries[:members]]
+    image = balances.int64_image(poplets + common < _INT64_LIMIT)
+    if image is not None:
+        return int(image.sum()) + common, image[:members] + credit
+    return sum(held) + common, [entry + credit for entry in held[:members]]
 
 
 def _member_values(balances, poplets: int, rate: Fraction, rate_float: float):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from popcoin_sim import parse_config, run_scenario
+from popcoin_sim import parse_config, run_scenario, scenario
 
 POLICY = {"basic_income": 2922.0, "demurrage_alpha": 0.02}
 
@@ -335,6 +335,51 @@ def digests(name: str, out_dir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_bytes(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
+
+
+# Shapes wide enough that the mint and the mix patch the balances' image:
+# each epoch moves fewer accounts in and out of the census than a quarter of
+# them and makes fewer transfers than an eighth. The cases above mostly drop it.
+PATCHING = {
+    "wide_degrowth": {
+        "policy": POLICY,
+        "epochs": 15,
+        "population": {"kind": "degrowth", "N0": 400, "n": -0.01},
+        "seed": 5,
+        "transfers": {"count_per_epoch": 10, "max_fraction": 0.5},
+    },
+    "wide_growth": {
+        "policy": POLICY,
+        "epochs": 15,
+        "population": {"kind": "exponential", "N0": 100, "n": 0.05},
+        "seed": 6,
+        "transfers": {"count_per_epoch": 3, "max_fraction": 1.0},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(PATCHING))
+def test_every_read_sees_an_image_equal_to_held(name, monkeypatch):
+    # the poplet check and the member values read the balances' int64 image,
+    # not ``held``, so each epoch's image, as the mint and the mix left it and
+    # as the read leaves it, must equal ``held``
+    real_read = scenario._read_balances
+    carried = []  # per epoch: whether the state came to the read with an image
+
+    def checked_read(balances, members, poplets):
+        carried.append(balances.image is not None)
+        assert balances.image is None or balances.image.tolist() == balances.held
+        read = real_read(balances, members, poplets)
+        assert balances.image is None or balances.image.tolist() == balances.held
+        return read
+
+    monkeypatch.setattr(scenario, "_read_balances", checked_read)
+    config = parse_config(PATCHING[name] if name in PATCHING else CASES[name][0])
+    for _ in scenario.run_epochs(config):
+        pass
+    assert len(carried) == config.normalized["epochs"]
+    if name in PATCHING:  # after the first read, every state comes with a patched image
+        assert carried == [False] + [True] * (len(carried) - 1)
 
 
 if __name__ == "__main__":

@@ -185,15 +185,44 @@ def test_mint_added_account_receives_income_removed_keeps_balance():
 
 
 def test_mint_without_census_deltas_keeps_the_participant_set():
-    # a fixed-census epoch copies no frozenset and no balances: it adds the
+    # a fixed-census epoch copies no frozenset and no balances: it shares the
+    # id table, the entries, the member flags and the image, and adds the
     # issuance to the common credit alone
     state = make_ledger(3)
+    state.balances.int64_image(True)  # as a run's read leaves it
     after, report = mint_epoch_poplet(state, DEFAULT, 3)
     assert after.participants is state.participants
-    assert after.balances.held is state.balances.held
+    for part in ("ids", "index", "held", "flags", "image"):
+        assert getattr(after.balances, part) is getattr(state.balances, part)
     assert after.balances.credit == state.balances.credit + report.issued_per_participant
     grown, _ = mint_epoch_poplet(after, DEFAULT, 4, new_accounts=["new"])
     assert grown.participants == after.participants | {"new"}
+
+
+def test_a_census_change_writes_copies_and_leaves_its_input_as_it_was():
+    # a removal shares the id table and copies the entries and flags; a mint
+    # that opens an account copies the table too; each writes fewer than a
+    # quarter of the entries and patches a copy of the image, and one that
+    # writes a quarter or more drops it
+    state = make_ledger(12)
+    state.balances.int64_image(True)  # as a run's read leaves it
+    accounts = state.balances.ids
+    before = dict(state.balances), state.participants
+    shrunk, _ = mint_epoch_poplet(state, DEFAULT, 11, removed_accounts=["a1"])
+    assert shrunk.balances.ids is accounts
+    assert shrunk.balances.index is state.balances.index
+    assert shrunk.balances.held is not state.balances.held
+    assert shrunk.balances.flags is not state.balances.flags
+    grown, _ = mint_epoch_poplet(shrunk, DEFAULT, 13, new_accounts=["new", "a1"])
+    assert grown.balances.ids == accounts + ("new",)
+    assert grown.participants == {*accounts, "new"}
+    assert (dict(state.balances), state.participants) == before
+    assert state.balances.image.tolist() == [0] * 12
+    assert shrunk.balances.ids == accounts and "new" not in shrunk.balances
+    for after in (shrunk, grown):
+        assert after.balances.image.tolist() == after.balances.held
+    wide, _ = mint_epoch_poplet(grown, DEFAULT, 9, removed_accounts=["a0", "a2", "a3", "a4"])
+    assert wide.balances.image is None and grown.balances.image is not None
 
 
 def test_mint_census_mismatch_errors():
@@ -347,7 +376,7 @@ def test_the_common_credit_equals_the_dict_fold(income, alpha, n0, steps):
             sender, recipient = accounts[pick % len(accounts)], accounts[raw % len(accounts)]
             amount = raw % (state.balances[sender] + 1)
             state = transfer(state, sender, recipient, amount)
-            balances = dict(reference.balances.held)
+            balances = dict(reference.balances)
             balances[sender] -= amount
             balances[recipient] += amount
             reference = LedgerState(
@@ -370,7 +399,7 @@ def test_the_common_credit_equals_the_dict_fold(income, alpha, n0, steps):
             state, _ = mint_epoch_poplet(state, params, census, added, removed)
             reference = LedgerState(state.epoch, rate, balances, frozenset(participants))
         assert state.participants == reference.participants
-        assert dict(state.balances) == reference.balances.held
+        assert dict(state.balances) == dict(reference.balances)
         assert state_to_json(state) == _dumps_snapshot(reference)
 
 

@@ -2,17 +2,20 @@
 
 Hypothesis drives a ``LedgerState`` and a ``DirectLedgerState`` side by side
 through mints that open, retire and re-admit members, valid and over-balance
-transfers, and snapshot round trips, and checks after every step what the
-module docstring of ``ledger`` promises: the poplets held are exactly the
-poplets issued, the issuance residue is at most half a poplet per
-participant, the census is a non-empty subset of the holders, each account
-stays within half a poplet per credited epoch of the rebasing oracle, and a
-rejected call changes nothing.
+transfers, the scenario's transfer mix and its one read of the balances, and
+snapshot round trips, and checks after every step what the module docstring
+of ``ledger`` promises: the poplets held are exactly the poplets issued, the
+issuance residue is at most half a poplet per participant, the census is a
+non-empty subset of the holders, each account stays within half a poplet per
+credited epoch of the rebasing oracle, a rejected call changes nothing, the
+balances' int64 image is absent or equal to ``held``, and every state kept
+from earlier still reads the balances and members it had.
 """
 
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -20,8 +23,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from popcoin_sim import (
     CensusMismatchError,
+    DirectLedgerState,
     InsufficientBalanceError,
     PolicyParams,
+    SplitMix64,
     direct_genesis,
     direct_transfer,
     genesis,
@@ -31,6 +36,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
+from popcoin_sim.scenario import _mix_transfers, _read_balances
 
 
 class LedgerModel(RuleBasedStateMachine):
@@ -38,7 +44,7 @@ class LedgerModel(RuleBasedStateMachine):
         income=st.sampled_from([1, 2922, 0.5]),
         alpha=st.sampled_from([0, 0.02, 0.5, 0.9]),
         scale=st.sampled_from([1, 10**6]),
-        census=st.integers(min_value=1, max_value=4),
+        census=st.integers(min_value=1, max_value=12),
     )
     def start(self, income, alpha, scale, census):
         self.params = PolicyParams(income, alpha)
@@ -49,6 +55,11 @@ class LedgerModel(RuleBasedStateMachine):
         self.issued = 0  # sum over epochs of N_u * issued_u
         self.residue = 0  # the last mint's rounding residue
         self.credited = dict.fromkeys(accounts, 0)  # epochs that paid each account
+        self.kept = []  # earlier states, each with the balances and members it had
+        self._keep()
+
+    def _keep(self):
+        self.kept.append((self.state, dict(self.state.balances), self.state.participants))
 
     def _unchanged_after(self, error, call):
         """Call ``call``, which must raise ``error``, and check it changed nothing."""
@@ -65,6 +76,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.residue = report.rounding_residue_poplets
         for account in self.state.participants:
             self.credited[account] = self.credited.get(account, 0) + 1
+        self._keep()
 
     @rule(grow=st.integers(min_value=0, max_value=3), data=st.data())
     def mint(self, grow, data):
@@ -98,11 +110,13 @@ class LedgerModel(RuleBasedStateMachine):
         sender, recipient = self._pair(data)
         rate = self.state.exchange_rate
         # rounding can leave either ledger a little richer; both must hold the amount
+        # (after a mix the mirror may hold less than nothing: then it sends nothing)
         most = min(self.state.balances[sender], int(self.mirror.balances[sender] / rate))
-        amount = data.draw(st.integers(min_value=0, max_value=most))
-        value = amount * rate
+        amount = data.draw(st.integers(min_value=0, max_value=max(most, 0)))
         self.state = transfer(self.state, sender, recipient, amount)
-        self.mirror = direct_transfer(self.mirror, sender, recipient, value)
+        if amount:
+            self.mirror = direct_transfer(self.mirror, sender, recipient, amount * rate)
+        self._keep()
 
     @rule(data=st.data(), excess=st.integers(min_value=1, max_value=10**6))
     def transfer_past_balance(self, data, excess):
@@ -112,6 +126,36 @@ class LedgerModel(RuleBasedStateMachine):
             InsufficientBalanceError, lambda: transfer(self.state, sender, recipient, amount)
         )
 
+    @rule(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        patch=st.booleans(),
+        frac=st.sampled_from([Fraction(1, 4), Fraction(1)]),
+    )
+    def mix(self, seed, patch, frac):
+        # the run's transfer mix after its read, as in a run: one transfer
+        # among nine or more accounts patches the image, as many transfers
+        # as accounts drop it
+        self.read()
+        accounts = len(self.state.balances)
+        count = 1 if patch else accounts
+        before = dict(self.state.balances)
+        self.state = _mix_transfers(self.state, SplitMix64(seed), count, frac)
+        rate = self.state.exchange_rate
+        moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}
+        mirror = {a: b + moved[a] for a, b in self.mirror.balances.items()}
+        self.mirror = DirectLedgerState(self.mirror.epoch, mirror, self.mirror.participants)
+        self._keep()
+
+    @rule()
+    def read(self):
+        # the run's one read of the balances, which leaves the state an image
+        # below poplets + N * credit = 2**63 and none past it
+        balances = self.state.balances
+        total, _ = _read_balances(balances, self.state.census, self.issued)
+        assert total == self.issued
+        bound = self.issued + self.state.census * balances.credit
+        assert (balances.image is not None) == (bound < 2**63)
+
     @rule()
     def snapshot_round_trip(self):
         text = state_to_json(self.state)
@@ -119,6 +163,7 @@ class LedgerModel(RuleBasedStateMachine):
         assert again == self.state
         assert state_to_json(again) == text
         self.state = again
+        self._keep()
 
     @rule()
     def snapshot_of_an_empty_census(self):
@@ -142,6 +187,24 @@ class LedgerModel(RuleBasedStateMachine):
         assert participants <= self.state.balances.keys()
         assert participants == self.mirror.participants
         assert self.state.balances.keys() == self.mirror.balances.keys()
+
+    @invariant()
+    def each_image_is_none_or_held(self):
+        for state, _, _ in self.kept:  # the current state is the last one kept
+            image, held = state.balances.image, state.balances.held
+            assert image is None or (image.dtype == np.int64 and image.tolist() == held)
+
+    @invariant()
+    def kept_states_read_what_they_held(self):
+        # no later mint, transfer, mix or read changed an earlier state
+        for state, balances, participants in self.kept:
+            assert dict(state.balances) == balances
+            assert state.participants == participants == {
+                account for account in balances if state.balances.is_member(account)
+            }
+            assert state.census == len(participants)
+            # accounts opened later are not the earlier state's
+            assert {a for a in self.state.balances if a in state.balances} == balances.keys()
 
     @invariant()
     def values_track_the_rebasing_oracle(self):

@@ -442,7 +442,7 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     balances = {**dict(zip(members, held)), "p99999999": dormant}
     rate = Fraction(num, den)
     total = sum(balances.values())
-    read = Balances(balances, frozenset(members), 0)
+    read = Balances.from_entries(balances, members)
     _, member_balances = scenario._read_balances(read, len(held), total)
     values = scenario._member_values(member_balances, total, rate, num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
@@ -457,7 +457,7 @@ def counted_ledger(held, members, credit):
     """The balances with these ``held`` entries, in id order, whose first
     ``members`` accounts are the census; that count; and every balance."""
     ids = [f"p{i:08d}" for i in range(len(held))]
-    balances = Balances(dict(zip(ids, held)), frozenset(ids[:members]), credit)
+    balances = Balances.from_entries(dict(zip(ids, held)), ids[:members], credit)
     every = [entry + credit if i < members else entry for i, entry in enumerate(held)]
     return balances, members, every
 
@@ -497,6 +497,13 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
         poplets + len(members) * balances.credit < 2**63
     )
     assert list(map(int, member_balances)) == members
+    # the read leaves the int64 image it summed, or none past the bound, and a
+    # second read from that image gives the same total and members
+    image = balances.image
+    assert (image is not None) == isinstance(member_balances, np.ndarray)
+    assert image is None or image.tolist() == balances.held
+    again, again_members = scenario._read_balances(balances, count, poplets)
+    assert again == poplets and list(map(int, again_members)) == members
     for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
         values = scenario._member_values(member_balances, poplets, Fraction(num, den), num / den)
         if num / den >= sys.float_info.min:
@@ -508,10 +515,44 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
 
 def test_one_read_of_the_balances_counts_an_entry_past_int64():
     # only a broken ledger holds one; the poplet check must still see its total
-    balances = Balances({"p00000000": 2**63, "p00000001": 0}, frozenset({"p00000000"}), 0)
+    balances = Balances.from_entries({"p00000000": 2**63, "p00000001": 0}, ["p00000000"])
     total, member_balances = scenario._read_balances(balances, 1, 5)
     assert total == 2**63
     assert member_balances == [2**63]
+
+
+def test_states_carry_an_image_only_below_int64(monkeypatch):
+    # at alpha = 0.99 the balances grow about 100-fold per epoch, so the run
+    # passes poplets + N * credit = 2**63 within a few epochs; two transfers
+    # among 40 accounts write fewer than a quarter of the entries, so the mix
+    # patches the image while there is one
+    config = parse_config(
+        {
+            "policy": {"basic_income": 1.0, "demurrage_alpha": 0.99},
+            "epochs": 12,
+            "population": {"kind": "fixed", "N": 40},
+            "seed": 3,
+            "transfers": {"count_per_epoch": 2, "max_fraction": 0.5},
+        }
+    )
+    seen = []  # after each mix: whether the state has an image, equal to held, and the bound
+    real_mix = scenario._mix_transfers
+
+    def recording_mix(state, rng, count, frac):
+        mixed = real_mix(state, rng, count, frac)
+        balances = mixed.balances
+        image = balances.image
+        bound = sum(balances.values()) + balances.count * balances.credit
+        seen.append((image is not None, image is None or image.tolist() == balances.held, bound))
+        return mixed
+
+    monkeypatch.setattr(scenario, "_mix_transfers", recording_mix)
+    final_state(scenario.run_epochs(config))
+    assert seen[0][2] < 2**63 <= seen[-1][2]
+    assert all(equal for _, equal, _ in seen)
+    # the epoch after a read below the bound patches the image; after one past it, none
+    for (_, _, bound), (has_image, _, _) in zip(seen, seen[1:]):
+        assert has_image == (bound < 2**63)
 
 
 @pytest.mark.parametrize(
