@@ -42,15 +42,9 @@ and ``flags`` with the state it came from, so it does O(1) work; on a census
 change it copies the list and the bytearray once and writes only the
 positions of the accounts that leave, whose balance is frozen into
 ``held``, and of those that join, new ones appended in the order given.
-``transfer`` copies ``held``, writes two positions and passes no image.
-
-``image`` is an int64 array equal to ``held``, or None. It is a cache for
-the one read of the balances that a run makes each epoch, which
-``Balances.int64_image`` builds, keeps or drops. Balances built from a
-parent's take their image from ``Balances._image_after``, given the
-positions they wrote: the parent's image patched there, or none when they
-pass None for the positions or write a quarter of the entries or more, so no state's image ever differs from its ``held``. The member set, ``participants``, is built from the flags
-on first access and cached; the run never asks for it.
+``transfer`` copies ``held`` and writes two positions. The member set,
+``participants``, is built from the flags on first access and cached, and
+the run never asks for it. The ledger keeps no other cache.
 
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
@@ -75,8 +69,6 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .errors import (
     CensusMismatchError,
@@ -143,18 +135,15 @@ class Balances(Mapping):
     ``ids`` and ``index`` map positions to accounts and back, ``flags[i]`` is
     1 for a member, ``count`` is the number of members and ``credit`` the
     poplets every current member has received in common, so a member who
-    joined late holds about ``-credit`` in ``held``. ``image`` is None or an
-    int64 array equal to ``held``. Read-only, like the state, except for two
-    caches: the member set, built on first read, and the image, which
-    ``int64_image`` builds and drops. Balances derived from these take their
-    image from ``_image_after``, the one place that patches or drops it.
+    joined late holds about ``-credit`` in ``held``. Read-only, like the
+    state, except for the member set, which is built on first read.
     """
 
-    __slots__ = ("ids", "index", "held", "flags", "count", "credit", "image", "_members")
+    __slots__ = ("ids", "index", "held", "flags", "count", "credit", "_members")
 
-    def __init__(self, ids, index, held, flags, count, credit, image=None):
+    def __init__(self, ids, index, held, flags, count, credit):
         self.ids, self.index, self.held, self.flags = ids, index, held, flags
-        self.count, self.credit, self.image = count, credit, image
+        self.count, self.credit = count, credit
         self._members = None
 
     @classmethod
@@ -162,9 +151,14 @@ class Balances(Mapping):
         cls, entries: Mapping[Account, int], members: Iterable[Account], credit: int = 0
     ) -> Balances:
         """``entries[a]`` held at each account, in the mapping's order; the
-        ``members`` are the census and hold ``credit`` more."""
+        ``members`` are the census and hold ``credit`` more. Raises
+        ``ValueError`` for an empty census or a member without an entry."""
         ids = tuple(entries)
         members = frozenset(members)
+        if not members:
+            raise ValueError("participants must not be empty")
+        if not members <= entries.keys():
+            raise ValueError("participants must all hold balance entries")
         balances = cls(
             ids,
             dict(zip(ids, range(len(ids)))),
@@ -176,52 +170,11 @@ class Balances(Mapping):
         balances._members = members
         return balances
 
-    def _moved(self, held: list[int], credit: int, written=None) -> Balances:
-        """These accounts and members, holding ``held`` above ``credit``, with
-        the image ``_image_after(held, written)``."""
-        image = self._image_after(held, written)
-        moved = Balances(self.ids, self.index, held, self.flags, self.count, credit, image)
+    def _moved(self, held: list[int], credit: int) -> Balances:
+        """These accounts and members, holding ``held`` above ``credit``."""
+        moved = Balances(self.ids, self.index, held, self.flags, self.count, credit)
         moved._members = self._members
         return moved
-
-    def _image_after(self, held: list[int], written) -> np.ndarray | None:
-        """The image of ``held``, a list that equals this ``held`` except at the
-        positions ``written``, appended ones among them: this image when
-        nothing is written, else a copy patched at ``written``.
-
-        None when ``written`` is None, when these balances have no image,
-        when a written entry leaves int64, or when ``written`` lists a
-        quarter of the entries or more: patching costs about four times as
-        much per entry as the ``np.fromiter`` that the next read then runs.
-        """
-        image = self.image
-        if image is None or written is None or 4 * len(written) >= len(held):
-            return None
-        if not written:
-            return image
-        patched = np.concatenate((image, np.zeros(len(held) - len(image), np.int64)))
-        try:
-            patched[written] = np.array([held[i] for i in written], np.int64)
-        except OverflowError:
-            return None
-        return patched
-
-    def int64_image(self, fits: bool) -> np.ndarray | None:
-        """``held`` as an int64 array when ``fits``, else None.
-
-        The array is built on the first call and kept as ``image``, so the
-        balances derived from these patch it; a call without ``fits`` drops
-        the image, so they skip that work. None too when an entry leaves
-        int64, which ``fits`` is meant to rule out.
-        """
-        if not fits:
-            self.image = None
-        elif self.image is None:
-            try:
-                self.image = np.fromiter(self.held, np.int64, len(self.held))
-            except OverflowError:
-                pass
-        return self.image
 
     @property
     def members(self) -> frozenset[Account]:
@@ -375,19 +328,16 @@ def _census_change(
         index.update(zip(opened, range(len(balances.ids), len(ids))))
     held = balances.held + [0] * len(opened)
     flags = balances.flags + bytes(len(opened))
-    written = []
     for account in removed:
         position = index[account]
         held[position] += balances.credit
         flags[position] = 0
-        written.append(position)
     for account in new:
         position = index[account]
         held[position] += issued - credit
         flags[position] = 1
-        written.append(position)
     count = balances.count + len(new) - len(removed)
-    return Balances(ids, index, held, flags, count, credit, balances._image_after(held, written))
+    return Balances(ids, index, held, flags, count, credit)
 
 
 def _round_half_even(num: int, den: int) -> tuple[int, int]:
@@ -433,7 +383,7 @@ def mint_epoch_poplet(
     if new or removed:
         balances = _census_change(balances, new, removed, issued, credit)
     else:
-        balances = balances._moved(balances.held, credit, ())
+        balances = balances._moved(balances.held, credit)
     report = MintReport(issued, _round_half_even(new_census * excess, den)[0])
     return LedgerState(state.epoch + 1, rate, balances), report
 
@@ -458,8 +408,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     held = balances.held.copy()
     held[balances.index[sender]] -= amount
     held[balances.index[recipient]] += amount
-    moved = balances._moved(held, balances.credit)  # no image: the run's reads do not follow
-    return LedgerState(state.epoch, state.exchange_rate, moved)
+    return LedgerState(state.epoch, state.exchange_rate, balances._moved(held, balances.credit))
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -553,16 +502,10 @@ def state_from_json(text: str) -> LedgerState:
         member_set = frozenset(participants)
         if len(member_set) != len(participants):
             raise ValueError("duplicate ids in participants")
-        if not member_set <= set(balances):
-            raise ValueError("participants must all hold balance entries")
-    if not _is_int(census) or census != len(member_set):
-        raise ValueError(f"census {census!r} does not match {len(member_set)} participants")
-    return LedgerState(
-        epoch=epoch,
-        exchange_rate=Fraction(num, den),
-        balances=balances,
-        participants=member_set,
-    )
+    state = LedgerState(epoch, Fraction(num, den), balances, member_set)
+    if not _is_int(census) or census != state.census:
+        raise ValueError(f"census {census!r} does not match {state.census} participants")
+    return state
 
 
 # --- direct-rebasing oracle -------------------------------------------------

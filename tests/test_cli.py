@@ -87,10 +87,10 @@ def test_run_checks_the_poplet_total_after_the_transfer_mix(
     real_mix = scenario._mix_transfers
 
     def mix_dropping(state, rng, count, frac):
-        state = real_mix(state, rng, count, frac)
+        state, written = real_mix(state, rng, count, frac)
         balances = dict(state.balances)
         balances[max(balances, key=balances.get)] -= dropped
-        return dataclasses.replace(state, balances=balances)
+        return dataclasses.replace(state, balances=balances), written
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping)
     config = write_json(tmp_path / "cfg.json", CONFIG)
@@ -122,10 +122,10 @@ def test_the_poplet_total_check_prints_counts_past_the_int_to_str_limit(
     real_mix = scenario._mix_transfers
 
     def mix_creating(state, rng, count, frac):
-        state = real_mix(state, rng, count, frac)
+        state, written = real_mix(state, rng, count, frac)
         balances = dict(state.balances)
         balances["p00000000"] += 10**5000
-        return dataclasses.replace(state, balances=balances)
+        return dataclasses.replace(state, balances=balances), written
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_creating)
     config = write_json(tmp_path / "cfg.json", CONFIG)
@@ -155,12 +155,12 @@ def test_an_invariant_violation_at_epoch_1_writes_no_file(tmp_path, capsys, monk
     real_mix = scenario._mix_transfers
 
     def mix_dropping_at_epoch_1(state, rng, count, frac):
-        state = real_mix(state, rng, count, frac)
+        state, written = real_mix(state, rng, count, frac)
         if state.epoch != 1:
-            return state
+            return state, written
         balances = dict(state.balances)
         balances[max(balances, key=balances.get)] -= 1
-        return dataclasses.replace(state, balances=balances)
+        return dataclasses.replace(state, balances=balances), written
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping_at_epoch_1)
     config = write_json(tmp_path / "cfg.json", dict(CONFIG, epochs=5))

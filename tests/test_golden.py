@@ -337,9 +337,9 @@ def test_golden_output_bytes(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-# Shapes wide enough that the mint and the mix patch the balances' image:
-# each epoch moves fewer accounts in and out of the census than a quarter of
-# them and makes fewer transfers than an eighth. The cases above mostly drop it.
+# Shapes wide enough that the mint and the mix patch the run's image: each
+# epoch moves fewer accounts in and out of the census than a quarter of them
+# and makes fewer transfers than an eighth. The cases above mostly drop it.
 PATCHING = {
     "wide_degrowth": {
         "policy": POLICY,
@@ -360,25 +360,25 @@ PATCHING = {
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(PATCHING))
 def test_every_read_sees_an_image_equal_to_held(name, monkeypatch):
-    # the poplet check and the member values read the balances' int64 image,
-    # not ``held``, so each epoch's image, as the mint and the mix left it and
-    # as the read leaves it, must equal ``held``
+    # the poplet check and the member values read the run's int64 image of
+    # ``held``, not ``held``, so each epoch's image, as the mint's and the
+    # mix's patches left it and as the read leaves it, must equal ``held``
     real_read = scenario._read_balances
-    carried = []  # per epoch: whether the state came to the read with an image
+    carried = []  # per epoch: whether the run came to the read with an image
 
-    def checked_read(balances, members, poplets):
-        carried.append(balances.image is not None)
-        assert balances.image is None or balances.image.tolist() == balances.held
-        read = real_read(balances, members, poplets)
-        assert balances.image is None or balances.image.tolist() == balances.held
-        return read
+    def checked_read(balances, members, poplets, image):
+        carried.append(image is not None)
+        assert image is None or image.tolist() == balances.held
+        total, values, image = real_read(balances, members, poplets, image)
+        assert image is None or image.tolist() == balances.held
+        return total, values, image
 
     monkeypatch.setattr(scenario, "_read_balances", checked_read)
     config = parse_config(PATCHING[name] if name in PATCHING else CASES[name][0])
     for _ in scenario.run_epochs(config):
         pass
     assert len(carried) == config.normalized["epochs"]
-    if name in PATCHING:  # after the first read, every state comes with a patched image
+    if name in PATCHING:  # after the first read, every epoch comes with a patched image
         assert carried == [False] + [True] * (len(carried) - 1)
 
 

@@ -186,13 +186,12 @@ def test_mint_added_account_receives_income_removed_keeps_balance():
 
 def test_mint_without_census_deltas_keeps_the_participant_set():
     # a fixed-census epoch copies no frozenset and no balances: it shares the
-    # id table, the entries, the member flags and the image, and adds the
-    # issuance to the common credit alone
+    # id table, the entries and the member flags, and adds the issuance to
+    # the common credit alone
     state = make_ledger(3)
-    state.balances.int64_image(True)  # as a run's read leaves it
     after, report = mint_epoch_poplet(state, DEFAULT, 3)
     assert after.participants is state.participants
-    for part in ("ids", "index", "held", "flags", "image"):
+    for part in ("ids", "index", "held", "flags"):
         assert getattr(after.balances, part) is getattr(state.balances, part)
     assert after.balances.credit == state.balances.credit + report.issued_per_participant
     grown, _ = mint_epoch_poplet(after, DEFAULT, 4, new_accounts=["new"])
@@ -201,11 +200,8 @@ def test_mint_without_census_deltas_keeps_the_participant_set():
 
 def test_a_census_change_writes_copies_and_leaves_its_input_as_it_was():
     # a removal shares the id table and copies the entries and flags; a mint
-    # that opens an account copies the table too; each writes fewer than a
-    # quarter of the entries and patches a copy of the image, and one that
-    # writes a quarter or more drops it
+    # that opens an account copies the table too
     state = make_ledger(12)
-    state.balances.int64_image(True)  # as a run's read leaves it
     accounts = state.balances.ids
     before = dict(state.balances), state.participants
     shrunk, _ = mint_epoch_poplet(state, DEFAULT, 11, removed_accounts=["a1"])
@@ -217,12 +213,19 @@ def test_a_census_change_writes_copies_and_leaves_its_input_as_it_was():
     assert grown.balances.ids == accounts + ("new",)
     assert grown.participants == {*accounts, "new"}
     assert (dict(state.balances), state.participants) == before
-    assert state.balances.image.tolist() == [0] * 12
     assert shrunk.balances.ids == accounts and "new" not in shrunk.balances
-    for after in (shrunk, grown):
-        assert after.balances.image.tolist() == after.balances.held
-    wide, _ = mint_epoch_poplet(grown, DEFAULT, 9, removed_accounts=["a0", "a2", "a3", "a4"])
-    assert wide.balances.image is None and grown.balances.image is not None
+
+
+def test_a_state_rejects_participants_without_balance_entries():
+    # a member without an entry would be counted by every mint and hold nothing
+    with pytest.raises(ValueError, match="participants must all hold balance entries"):
+        LedgerState(0, Fraction(1, 100), {"a": 0}, frozenset({"a", "b"}))
+
+
+def test_a_state_rejects_an_empty_census():
+    # the next mint would divide by it
+    with pytest.raises(ValueError, match="participants must not be empty"):
+        LedgerState(0, Fraction(1, 100), {"a": 0}, frozenset())
 
 
 def test_mint_census_mismatch_errors():

@@ -7,9 +7,11 @@ snapshot round trips, and checks after every step what the module docstring
 of ``ledger`` promises: the poplets held are exactly the poplets issued, the
 issuance residue is at most half a poplet per participant, the census is a
 non-empty subset of the holders, each account stays within half a poplet per
-credited epoch of the rebasing oracle, a rejected call changes nothing, the
-balances' int64 image is absent or equal to ``held``, and every state kept
-from earlier still reads the balances and members it had.
+credited epoch of the rebasing oracle, a rejected call changes nothing, and
+every state kept from earlier still reads the balances and members it had.
+The model also carries the run's int64 image of ``held`` as a run does,
+patched at the positions each mint, transfer and mix writes and kept by each
+read, and checks that it is absent or equal to ``held``.
 """
 
 import json
@@ -36,7 +38,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
-from popcoin_sim.scenario import _mix_transfers, _read_balances
+from popcoin_sim.scenario import _mix_transfers, _patched, _read_balances
 
 
 class LedgerModel(RuleBasedStateMachine):
@@ -56,6 +58,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.residue = 0  # the last mint's rounding residue
         self.credited = dict.fromkeys(accounts, 0)  # epochs that paid each account
         self.kept = []  # earlier states, each with the balances and members it had
+        self.image = None  # the run's image of the current state's ``held``
         self._keep()
 
     def _keep(self):
@@ -73,6 +76,8 @@ class LedgerModel(RuleBasedStateMachine):
         self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
         self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
         self.issued += census * report.issued_per_participant
+        written = [self.state.balances.index[account] for account in [*added, *removed]]
+        self.image = _patched(self.image, self.state.balances.held, written)
         self.residue = report.rounding_residue_poplets
         for account in self.state.participants:
             self.credited[account] = self.credited.get(account, 0) + 1
@@ -114,6 +119,9 @@ class LedgerModel(RuleBasedStateMachine):
         most = min(self.state.balances[sender], int(self.mirror.balances[sender] / rate))
         amount = data.draw(st.integers(min_value=0, max_value=max(most, 0)))
         self.state = transfer(self.state, sender, recipient, amount)
+        balances = self.state.balances
+        written = [balances.index[sender], balances.index[recipient]]
+        self.image = _patched(self.image, balances.held, written)
         if amount:
             self.mirror = direct_transfer(self.mirror, sender, recipient, amount * rate)
         self._keep()
@@ -133,13 +141,14 @@ class LedgerModel(RuleBasedStateMachine):
     )
     def mix(self, seed, patch, frac):
         # the run's transfer mix after its read, as in a run: one transfer
-        # among nine or more accounts patches the image, as many transfers
-        # as accounts drop it
+        # among nine or more accounts patches the image at the positions it
+        # returns, as many transfers as accounts drop it
         self.read()
         accounts = len(self.state.balances)
         count = 1 if patch else accounts
         before = dict(self.state.balances)
-        self.state = _mix_transfers(self.state, SplitMix64(seed), count, frac)
+        self.state, written = _mix_transfers(self.state, SplitMix64(seed), count, frac)
+        self.image = _patched(self.image, self.state.balances.held, written)
         rate = self.state.exchange_rate
         moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}
         mirror = {a: b + moved[a] for a, b in self.mirror.balances.items()}
@@ -148,13 +157,13 @@ class LedgerModel(RuleBasedStateMachine):
 
     @rule()
     def read(self):
-        # the run's one read of the balances, which leaves the state an image
-        # below poplets + N * credit = 2**63 and none past it
+        # the run's one read of the balances, which keeps an image below
+        # poplets + N * credit = 2**63 and none past it
         balances = self.state.balances
-        total, _ = _read_balances(balances, self.state.census, self.issued)
+        total, _, self.image = _read_balances(balances, self.state.census, self.issued, self.image)
         assert total == self.issued
         bound = self.issued + self.state.census * balances.credit
-        assert (balances.image is not None) == (bound < 2**63)
+        assert (self.image is not None) == (bound < 2**63)
 
     @rule()
     def snapshot_round_trip(self):
@@ -163,6 +172,7 @@ class LedgerModel(RuleBasedStateMachine):
         assert again == self.state
         assert state_to_json(again) == text
         self.state = again
+        self.image = None  # the snapshot's accounts are in sorted order, not the state's
         self._keep()
 
     @rule()
@@ -189,10 +199,9 @@ class LedgerModel(RuleBasedStateMachine):
         assert self.state.balances.keys() == self.mirror.balances.keys()
 
     @invariant()
-    def each_image_is_none_or_held(self):
-        for state, _, _ in self.kept:  # the current state is the last one kept
-            image, held = state.balances.image, state.balances.held
-            assert image is None or (image.dtype == np.int64 and image.tolist() == held)
+    def the_run_image_is_none_or_held(self):
+        image, held = self.image, self.state.balances.held
+        assert image is None or (image.dtype == np.int64 and image.tolist() == held)
 
     @invariant()
     def kept_states_read_what_they_held(self):

@@ -443,7 +443,7 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     rate = Fraction(num, den)
     total = sum(balances.values())
     read = Balances.from_entries(balances, members)
-    _, member_balances = scenario._read_balances(read, len(held), total)
+    _, member_balances, _ = scenario._read_balances(read, len(held), total, None)
     values = scenario._member_values(member_balances, total, rate, num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
@@ -491,18 +491,17 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
     balances, count, every = ledger
     members = every[:count]
     poplets = sum(every)
-    total, member_balances = scenario._read_balances(balances, count, poplets)
+    total, member_balances, image = scenario._read_balances(balances, count, poplets, None)
     assert total == poplets
     assert isinstance(member_balances, np.ndarray) == (
         poplets + len(members) * balances.credit < 2**63
     )
     assert list(map(int, member_balances)) == members
-    # the read leaves the int64 image it summed, or none past the bound, and a
-    # second read from that image gives the same total and members
-    image = balances.image
+    # the read returns the int64 image it summed, or none past the bound, and
+    # a second read from that image gives the same total and members
     assert (image is not None) == isinstance(member_balances, np.ndarray)
     assert image is None or image.tolist() == balances.held
-    again, again_members = scenario._read_balances(balances, count, poplets)
+    again, again_members, _ = scenario._read_balances(balances, count, poplets, image)
     assert again == poplets and list(map(int, again_members)) == members
     for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
         values = scenario._member_values(member_balances, poplets, Fraction(num, den), num / den)
@@ -516,16 +515,17 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
 def test_one_read_of_the_balances_counts_an_entry_past_int64():
     # only a broken ledger holds one; the poplet check must still see its total
     balances = Balances.from_entries({"p00000000": 2**63, "p00000001": 0}, ["p00000000"])
-    total, member_balances = scenario._read_balances(balances, 1, 5)
+    total, member_balances, image = scenario._read_balances(balances, 1, 5, None)
     assert total == 2**63
     assert member_balances == [2**63]
+    assert image is None
 
 
 def test_states_carry_an_image_only_below_int64(monkeypatch):
     # at alpha = 0.99 the balances grow about 100-fold per epoch, so the run
     # passes poplets + N * credit = 2**63 within a few epochs; two transfers
-    # among 40 accounts write fewer than a quarter of the entries, so the mix
-    # patches the image while there is one
+    # among 40 accounts write fewer than a quarter of the entries, so the run
+    # patches its image while it has one
     config = parse_config(
         {
             "policy": {"basic_income": 1.0, "demurrage_alpha": 0.99},
@@ -535,18 +535,15 @@ def test_states_carry_an_image_only_below_int64(monkeypatch):
             "transfers": {"count_per_epoch": 2, "max_fraction": 0.5},
         }
     )
-    seen = []  # after each mix: whether the state has an image, equal to held, and the bound
-    real_mix = scenario._mix_transfers
+    seen = []  # at each read: whether the run has an image, equal to held, and the bound
+    real_read = scenario._read_balances
 
-    def recording_mix(state, rng, count, frac):
-        mixed = real_mix(state, rng, count, frac)
-        balances = mixed.balances
-        image = balances.image
+    def recording_read(balances, members, poplets, image):
         bound = sum(balances.values()) + balances.count * balances.credit
         seen.append((image is not None, image is None or image.tolist() == balances.held, bound))
-        return mixed
+        return real_read(balances, members, poplets, image)
 
-    monkeypatch.setattr(scenario, "_mix_transfers", recording_mix)
+    monkeypatch.setattr(scenario, "_read_balances", recording_read)
     final_state(scenario.run_epochs(config))
     assert seen[0][2] < 2**63 <= seen[-1][2]
     assert all(equal for _, equal, _ in seen)
@@ -607,9 +604,49 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
         moved = ids[min(before, now) : max(before, now)]
         joining, leaving = (moved, []) if now > before else ([], moved)
         state, _ = mint_epoch_poplet(state, config.policy, now, joining, leaving)
-        state = scenario._mix_transfers(state, rng, 6, Fraction(1, 2))
+        state, _ = scenario._mix_transfers(state, rng, 6, Fraction(1, 2))
     assert final == state
     assert list(final.balances) == list(state.balances)
+
+
+@pytest.mark.parametrize(
+    "population, path",
+    [
+        ({"kind": "step_shock", "N0": 3, "factor": 2.5, "at_epoch": 2}, None),
+        ({"kind": "degrowth", "N0": 8, "n": -0.2}, None),
+        ({"kind": "fixed", "N": 4}, None),
+        ({"kind": "exponential", "N0": 2, "n": 0.3}, None),
+        ({"kind": "logistic", "N0": 2, "K": 9, "rate": 0.8}, None),
+        # patched paths that shrink and grow again, re-admitting dormant holders
+        ({"kind": "fixed", "N": 5}, [5, 3, 6]),
+        ({"kind": "fixed", "N": 4}, [4, 2, 2, 5]),
+    ],
+    ids=["step_shock", "degrowth", "fixed", "exponential", "logistic", "5-3-6", "4-2-2-5"],
+)
+def test_each_mint_writes_only_the_ids_between_the_two_censuses(monkeypatch, population, path):
+    # the run patches its image after each mint at the positions
+    # min(N_{t-1}, N_t) .. max(N_{t-1}, N_t) - 1 alone, so every entry of
+    # ``held`` that the mint changes or appends must lie there
+    if path is not None:
+        monkeypatch.setattr(scenario, "census_path", lambda population, epochs: path)
+    writes = []  # per mint: the census before, after, and the positions it changed
+
+    def recording_mint(state, *args):
+        after, report = mint_epoch_poplet(state, *args)
+        before, held = state.balances.held, after.balances.held
+        changed = {i for i, entry in enumerate(held) if i >= len(before) or entry != before[i]}
+        writes.append((state.census, after.census, changed))
+        return after, report
+
+    monkeypatch.setattr(scenario, "mint_epoch_poplet", recording_mint)
+    epochs = len(path) - 1 if path else GOOD_CONFIG["epochs"]
+    config = parse_config({**GOOD_CONFIG, "population": population, "epochs": epochs})
+    final_state(scenario.run_epochs(config))
+    assert len(writes) == epochs
+    for before, now, changed in writes:
+        assert changed <= set(range(min(before, now), max(before, now))), (before, now)
+    if population["kind"] != "fixed" or path:
+        assert any(changed for _, _, changed in writes)
 
 
 PEAK = 10**6

@@ -4,7 +4,7 @@
 when it serves draws computed ahead, and
 ``scenario._mix_transfers`` must equal a fold of the pure ``ledger.transfer``
 driven by scalar ``below`` draws, as the determinism contract in the
-scenario module describes it.
+scenario module describes it, and return every position it wrote.
 """
 
 from fractions import Fraction
@@ -109,18 +109,17 @@ def ledger_states(draw):
     # balances within int64, or past it, as they are at long horizons
     top = draw(st.sampled_from([2**40, 2**80]))
     balances = {a: draw(st.integers(min_value=0, max_value=top)) for a in ids}
-    dormant = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    # a census of at least one member, as every state has
+    flags = st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))
+    dormant = draw(flags.filter(lambda off: not all(off)))
     members = frozenset(a for a, off in zip(ids, dormant) if not off)
     # members hold their balance less the common credit, late joiners less than nothing
     credit = draw(st.integers(min_value=0, max_value=top))
     held = {a: poplets - credit if a in members else poplets for a, poplets in balances.items()}
-    laid_out = Balances.from_entries(held, members, credit)
-    if top < 2**63 and draw(st.booleans()):  # the int64 image a run's read leaves
-        laid_out.int64_image(True)
     return LedgerState(
         epoch=draw(st.integers(min_value=0, max_value=10**4)),
         exchange_rate=Fraction(1, draw(st.integers(min_value=1, max_value=10**12))),
-        balances=laid_out,
+        balances=Balances.from_entries(held, members, credit),
         participants=members,
     )
 
@@ -130,19 +129,15 @@ fractions_in_unit_interval = st.integers(min_value=1, max_value=10**6).flatmap(
 )
 
 
-def funded(*ids, image=False):
-    """Every id holds 10**6 poplets, so at ``frac`` 1 these seeds draw nonzero
-    amounts; with ``image``, the balances carry their int64 image."""
-    state = LedgerState(0, Fraction(1), {a: 10**6 for a in ids}, frozenset(ids))
-    if image:
-        state.balances.int64_image(True)
-    return state
+def funded(*ids):
+    """Every id holds 10**6 poplets, so at ``frac`` 1 these seeds draw nonzero amounts."""
+    return LedgerState(0, Fraction(1), {a: 10**6 for a in ids}, frozenset(ids))
 
 
 @given(
     state=ledger_states(),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    # fewer transfers than an eighth of the accounts, which patch an image, or more
+    # fewer transfers than an eighth of the accounts, which the run patches, or more
     count=st.one_of(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=200)),
     frac=fractions_in_unit_interval,
 )
@@ -155,32 +150,29 @@ def funded(*ids, image=False):
 @example(state=funded("a", "b"), seed=5, count=2, frac=Fraction(1))
 # ids out of sorted order: seed 7 sends from the first account in the ledger, "c"
 @example(state=funded("c", "a", "b"), seed=7, count=1, frac=Fraction(1))
-# one transfer among nine accounts patches the image at its sender and recipient
-@example(state=funded(*"abcdefghi", image=True), seed=7, count=1, frac=Fraction(1))
+# one transfer among nine accounts writes its sender and recipient
+@example(state=funded(*"abcdefghi"), seed=7, count=1, frac=Fraction(1))
 def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
     held_before = dict(state.balances)
-    image_before = state.balances.image
-    image_before = None if image_before is None else image_before.copy()
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
-    mixed = _mix_transfers(state, rng, count, frac)
+    mixed, written = _mix_transfers(state, rng, count, frac)
     expected = mix_by_transfer_fold(state, oracle_rng, count, frac)
     assert mixed == expected
     assert rng._state == oracle_rng._state
     assert state.balances == held_before  # the input state is not modified
-    if image_before is not None:
-        assert state.balances.image.tolist() == image_before.tolist()
-    # the image is patched at the 2 * count positions written while they are
-    # fewer than a quarter of the accounts, else dropped
-    image = mixed.balances.image
-    patched = image_before is not None and 4 * (2 * count) < len(state.balances)
-    assert (image is not None) == patched
-    assert image is None or image.tolist() == mixed.balances.held
+    # the run patches its image at the positions returned: every entry of
+    # ``held`` that the mix changed is among them
+    before, after = state.balances.held, mixed.balances.held
+    assert len(after) == len(before)
+    assert {i for i, entry in enumerate(after) if entry != before[i]} <= set(written)
+    assert len(written) == 2 * count
 
 
 def test_mix_with_one_account_draws_nothing():
     state = LedgerState(3, Fraction(1, 100), {"solo": 500}, frozenset({"solo"}))
     rng = SplitMix64(9)
-    assert _mix_transfers(state, rng, 10, Fraction(1, 2)) is state
+    mixed, written = _mix_transfers(state, rng, 10, Fraction(1, 2))
+    assert mixed is state and not written
     assert rng._state == SplitMix64(9)._state
 
 
