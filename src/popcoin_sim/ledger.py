@@ -43,8 +43,8 @@ change it copies the list and the bytearray once and writes only the
 positions of the accounts that leave, whose balance is frozen into
 ``held``, and of those that join, new ones appended in the order given.
 ``transfer`` copies ``held`` and writes two positions. The member set,
-``participants``, is built from the flags on first access and cached, and
-the run never asks for it. The ledger keeps no other cache.
+``participants``, is read from the flags on each access; the ledger keeps
+no cache.
 
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
@@ -136,30 +136,33 @@ class Balances(Mapping):
     1 for a member, ``count`` is the number of members and ``credit`` the
     poplets every current member has received in common, so a member who
     joined late holds about ``-credit`` in ``held``. Read-only, like the
-    state, except for the member set, which is built on first read.
+    state.
     """
 
-    __slots__ = ("ids", "index", "held", "flags", "count", "credit", "_members")
+    __slots__ = ("ids", "index", "held", "flags", "count", "credit")
 
     def __init__(self, ids, index, held, flags, count, credit):
         self.ids, self.index, self.held, self.flags = ids, index, held, flags
         self.count, self.credit = count, credit
-        self._members = None
 
     @classmethod
     def from_entries(
-        cls, entries: Mapping[Account, int], members: Iterable[Account], credit: int = 0
+        cls,
+        entries: Mapping[Account, int],
+        members: Iterable[Account] | None = None,
+        credit: int = 0,
     ) -> Balances:
         """``entries[a]`` held at each account, in the mapping's order; the
-        ``members`` are the census and hold ``credit`` more. Raises
-        ``ValueError`` for an empty census or a member without an entry."""
+        ``members``, every account when None, are the census and hold
+        ``credit`` more. Raises ``ValueError`` for an empty census or a
+        member without an entry."""
         ids = tuple(entries)
-        members = frozenset(members)
+        members = frozenset(ids if members is None else members)
         if not members:
             raise ValueError("participants must not be empty")
         if not members <= entries.keys():
             raise ValueError("participants must all hold balance entries")
-        balances = cls(
+        return cls(
             ids,
             dict(zip(ids, range(len(ids)))),
             [entries[account] for account in ids],
@@ -167,20 +170,14 @@ class Balances(Mapping):
             len(members),
             credit,
         )
-        balances._members = members
-        return balances
 
     def _moved(self, held: list[int], credit: int) -> Balances:
         """These accounts and members, holding ``held`` above ``credit``."""
-        moved = Balances(self.ids, self.index, held, self.flags, self.count, credit)
-        moved._members = self._members
-        return moved
+        return Balances(self.ids, self.index, held, self.flags, self.count, credit)
 
     @property
     def members(self) -> frozenset[Account]:
-        if self._members is None:
-            self._members = frozenset(compress(self.ids, self.flags))
-        return self._members
+        return frozenset(compress(self.ids, self.flags))
 
     def is_member(self, account: Account) -> bool:
         position = self.index.get(account)
@@ -208,12 +205,12 @@ class Balances(Mapping):
 class LedgerState:
     """Immutable snapshot of the ledger; operations return fresh states.
 
-    ``participants`` is the current census, the members of ``balances``,
-    built on first access. It is always a subset of the balance keys; keys
-    outside it are dormant holders. ``balances`` may be given as any mapping
-    of account to poplets with the ``participants``, which the state copies;
-    a ``Balances`` is kept as it is when ``participants`` is omitted or
-    equals its members.
+    ``participants`` is the current census, the members of ``balances``.
+    It is always a subset of the balance keys; keys outside it are dormant
+    holders. ``balances`` may be given as any mapping of account to poplets,
+    which the state copies, with the ``participants``, every key when they
+    are omitted; a ``Balances`` is kept as it is when ``participants`` is
+    omitted or equals its members.
     """
 
     epoch: int
@@ -491,18 +488,15 @@ def state_from_json(text: str) -> LedgerState:
     for account, poplets in balances.items():
         if not _is_int(poplets) or poplets < 0:
             raise ValueError(f"balance of {account!r} must be a non-negative integer")
-    participants = doc.get("participants")
-    if participants is None:
-        member_set = frozenset(balances)
-    else:
+    participants = doc.get("participants")  # every balance key when absent
+    if participants is not None:
         if not isinstance(participants, list) or not participants or not all(
             isinstance(a, str) for a in participants
         ):
             raise ValueError("participants must be a non-empty list of account ids")
-        member_set = frozenset(participants)
-        if len(member_set) != len(participants):
+        if len(set(participants)) != len(participants):
             raise ValueError("duplicate ids in participants")
-    state = LedgerState(epoch, Fraction(num, den), balances, member_set)
+    state = LedgerState(epoch, Fraction(num, den), balances, participants)
     if not _is_int(census) or census != state.census:
         raise ValueError(f"census {census!r} does not match {state.census} participants")
     return state

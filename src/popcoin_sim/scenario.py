@@ -31,14 +31,14 @@ credit`` is below 2**63 and Python ints from there on, whose exact sum plus
 ``N_t * credit`` is the poplet check's total and whose first ``N_t`` entries
 plus ``credit`` are the members' balances: a run keeps ``held`` in id order,
 the order the accounts were opened, with the members first (see the ids below).
-The int64 array is the run's image of ``held``, which ``run_epochs`` keeps
-from epoch to epoch and ``_patched`` patches at the positions the epoch
-wrote: after the mint the ids between the two censuses, after the
-transfer mix the senders and recipients it returns. An epoch that writes a
-quarter of the entries or more drops the image instead, and the read builds
-it anew with ``np.fromiter``; past 2**63 the read drops it. An epoch thus
-copies its lists and arrays whole but writes only the positions that
-change, and the read only sums.
+The int64 array is the run's image of ``held``, and ``_read_balances``
+alone builds, patches, keeps and drops it: ``run_epochs`` passes each read
+the image the previous read returned and the positions written since, the
+ids between the two censuses and the senders and recipients the transfer
+mix returns, and the read patches a copy of the image at those positions,
+or builds it anew with ``np.fromiter`` when they are a quarter of the
+entries or more; past 2**63 it drops it. An epoch thus copies its lists
+and arrays whole but writes only the positions that change.
 
 ``run_scenario`` formats each record's cells once; every file that shows one
 of its columns writes that string. Only after the last epoch does it write
@@ -663,63 +663,48 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
     return mixed, senders + recipients
 
 
-def _patched(image, held: list[int], written):
-    """The int64 image of ``held``, given ``image``, the image of a list that
-    equals ``held`` except at the positions ``written``, appended ones among
-    them: ``image`` when nothing is written, else a copy patched at ``written``.
-
-    None when ``image`` is None, when a written entry leaves int64, or when
-    ``written`` lists a quarter of the entries or more, where patching
-    costs about as much as the ``np.fromiter`` that the next read then runs.
-    Best of 9 ``timeit`` runs, 2-core Intel Xeon, Python 3.11, numpy 2.4:
-    250 positions of 1,000 patch in 21 µs and 300 in 24 µs, against 23 µs
-    for ``np.fromiter``; 2,000 of 1,000 in 138 µs, and 2,500 of 10,000 in
-    185 µs against 230 µs. Patching a copy rather than ``image`` in place
-    keeps the benchmark's peak RSS: the in-place patch, which keeps one
-    array for the whole run, raised it by 0.4 MB on ``wide_census``.
-    """
-    if image is None or 4 * len(written) >= len(held):
-        return None
-    if not written:
-        return image
-    patched = np.concatenate((image, np.zeros(len(held) - len(image), np.int64)))
-    try:
-        patched[written] = np.array([held[i] for i in written], np.int64)
-    except OverflowError:
-        return None
-    return patched
-
-
-def _read_balances(balances: Balances, members: int, poplets: int, image):
+def _read_balances(balances: Balances, members: int, poplets: int, image, written):
     """The poplets ``balances`` hold, each member's balance, and the run's
-    image of ``held`` for the next epoch, from one read of ``held``, whose
+    image of ``held`` for the next read, from one read of ``held``, whose
     first ``members`` entries are the members'.
 
-    While ``poplets + N * credit`` is below 2**63 the read sums ``image``, the
-    int64 image of ``held`` that ``_patched`` kept, or one it builds from
-    ``held`` when ``image`` is None. The poplet check and the members' values
-    then read the image, not ``held``: they see a fault in ``held`` only at a
-    position that the run patched, its id range after the mint and the
-    positions the mix returns, and rest on those for the others. The
-    image's sum cannot wrap: in a ledger that holds the ``poplets`` issued,
-    a dormant holder's entry lies in [0, poplets] and a member's in
-    [-credit, poplets], so the entries' magnitudes sum to at most that
-    bound. Where a ledger that holds other than ``poplets`` wraps the sum,
-    the sum is off by a multiple of 2**64, so a fault goes unseen only if it
-    is itself a nonzero multiple of 2**64 poplets. Past the bound the
-    balances are a list of ints and the image is dropped, so the next epoch
-    skips patching it; should a shrinking census bring the total back under
-    the bound, the read builds it anew.
+    ``image`` is the int64 image of ``held`` that the previous read returned,
+    or None, and ``written`` the positions written since that read, appended
+    ones among them. While ``poplets + N * credit`` is below 2**63 the read
+    sums the image: a copy of ``image`` patched at ``written``, or one built
+    from ``held`` with ``np.fromiter`` when ``image`` is None or ``written``
+    lists a quarter of the entries or more, where the patch costs about as
+    much. Best of 9 ``timeit`` runs, 2-core Intel Xeon, Python 3.11, numpy
+    2.4: 250 positions of 1,000 patch in 21 µs and 300 in 24 µs, against
+    23 µs for ``np.fromiter``; 2,000 of 1,000 in 138 µs, and 2,500 of 10,000
+    in 185 µs against 230 µs. Patching a copy rather than ``image`` in place
+    keeps the benchmark's peak RSS: the in-place patch, which keeps one array
+    for the whole run, raised it by 0.4 MB on ``wide_census``.
+
+    The poplet check and the members' values then read the image, not
+    ``held``: they see a fault in ``held`` only at a position in ``written``
+    and rest on the earlier reads for the others. The image's sum cannot
+    wrap: in a ledger that holds the ``poplets`` issued, a dormant holder's
+    entry lies in [0, poplets] and a member's in [-credit, poplets], so the
+    entries' magnitudes sum to at most that bound. Where a ledger that holds
+    other than ``poplets`` wraps the sum, the sum is off by a multiple of
+    2**64, so a fault goes unseen only if it is itself a nonzero multiple of
+    2**64 poplets. Past the bound, or with an entry past int64, the balances
+    are a list of ints and the image is dropped; should a shrinking census
+    bring the total back under the bound, the next read builds it anew.
     """
     held, credit = balances.held, balances.credit
     common = members * credit
-    if poplets + common >= _INT64_LIMIT:
-        image = None
-    elif image is None:
-        try:
+    try:
+        if poplets + common >= _INT64_LIMIT:
+            image = None
+        elif image is None or 4 * len(written) >= len(held):
             image = np.fromiter(held, np.int64, len(held))
-        except OverflowError:  # an entry past int64, which only a faulty ledger holds
-            pass
+        elif written:
+            image = np.concatenate((image, np.zeros(len(held) - len(image), np.int64)))
+            image[written] = np.array([held[i] for i in written], np.int64)
+    except OverflowError:  # an entry past int64, which only a faulty ledger holds
+        image = None
     if image is not None:
         return int(image.sum()) + common, image[:members] + credit, image
     return sum(held) + common, [entry + credit for entry in held[:members]], None
@@ -762,7 +747,7 @@ def run_epochs(config: ScenarioConfig):
     rng = SplitMix64(normalized["seed"]) if transfer_count else None
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
-    image = None  # the int64 image of ``held``, or None; see the module docstring
+    image = None  # the int64 image of ``held`` the last read returned; see _read_balances
     for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
         t, n_now, before = macro_state.epoch, macro_state.census, state.census
         # The ids between the two censuses join (a dormant holder in its place
@@ -772,17 +757,17 @@ def run_epochs(config: ScenarioConfig):
         ids = map(_account_id, moved)
         joining, leaving = (ids, ()) if n_now > before else ((), ids)
         state, report = mint_epoch_poplet(state, params, n_now, joining, leaving)
-        image = _patched(image, state.balances.held, moved)
         poplets += n_now * report.issued_per_participant
         if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
             raise InvariantViolation(
                 f"epoch {t}: issuance rounding residue of {report.rounding_residue_poplets} "
                 f"poplets exceeds half a poplet for each of {n_now} participants"
             )
+        written = moved  # the positions written since the last read
         if rng is not None:
-            state, written = _mix_transfers(state, rng, transfer_count, frac)
-            image = _patched(image, state.balances.held, written)
-        held, balances, image = _read_balances(state.balances, n_now, poplets, image)
+            state, mixed = _mix_transfers(state, rng, transfer_count, frac)
+            written = [*moved, *mixed] if moved else mixed
+        held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
         if held != poplets:
             raise InvariantViolation(
                 f"epoch {t}: the ledger holds {Decimal(held)} poplets, "

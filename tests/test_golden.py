@@ -337,9 +337,9 @@ def test_golden_output_bytes(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-# Shapes wide enough that the mint and the mix patch the run's image: each
-# epoch moves fewer accounts in and out of the census than a quarter of them
-# and makes fewer transfers than an eighth. The cases above mostly drop it.
+# Shapes wide enough that the read patches the run's image: the accounts each
+# epoch moves in and out of the census and the two per transfer are fewer than
+# a quarter of them. The cases above mostly build it anew.
 PATCHING = {
     "wide_degrowth": {
         "policy": POLICY,
@@ -361,25 +361,33 @@ PATCHING = {
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(PATCHING))
 def test_every_read_sees_an_image_equal_to_held(name, monkeypatch):
     # the poplet check and the member values read the run's int64 image of
-    # ``held``, not ``held``, so each epoch's image, as the mint's and the
-    # mix's patches left it and as the read leaves it, must equal ``held``
+    # ``held``, not ``held``: the run passes each read the image the last
+    # read returned, which equals that read's ``held``, and every position
+    # written since, and the image the read returns must equal ``held``
     real_read = scenario._read_balances
-    carried = []  # per epoch: whether the run came to the read with an image
+    patched = []  # per epoch: whether the read came with an image and few positions to patch
+    previous = None  # the ``held`` of the last read
 
-    def checked_read(balances, members, poplets, image):
-        carried.append(image is not None)
-        assert image is None or image.tolist() == balances.held
-        total, values, image = real_read(balances, members, poplets, image)
-        assert image is None or image.tolist() == balances.held
+    def checked_read(balances, members, poplets, image, written):
+        nonlocal previous
+        held = balances.held
+        patched.append(image is not None and 4 * len(written) < len(held))
+        if previous is not None:
+            assert image is None or image.tolist() == previous
+            changed = {i for i, entry in enumerate(held) if previous[i:i + 1] != [entry]}
+            assert changed <= set(written)
+        total, values, image = real_read(balances, members, poplets, image, written)
+        assert image is None or image.tolist() == held
+        previous = held
         return total, values, image
 
     monkeypatch.setattr(scenario, "_read_balances", checked_read)
     config = parse_config(PATCHING[name] if name in PATCHING else CASES[name][0])
     for _ in scenario.run_epochs(config):
         pass
-    assert len(carried) == config.normalized["epochs"]
-    if name in PATCHING:  # after the first read, every epoch comes with a patched image
-        assert carried == [False] + [True] * (len(carried) - 1)
+    assert len(patched) == config.normalized["epochs"]
+    if name in PATCHING:  # after the first read, every read patches
+        assert patched == [False] + [True] * (len(patched) - 1)
 
 
 if __name__ == "__main__":

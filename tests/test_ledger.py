@@ -185,12 +185,12 @@ def test_mint_added_account_receives_income_removed_keeps_balance():
 
 
 def test_mint_without_census_deltas_keeps_the_participant_set():
-    # a fixed-census epoch copies no frozenset and no balances: it shares the
-    # id table, the entries and the member flags, and adds the issuance to
-    # the common credit alone
+    # a fixed-census epoch copies no balances: it shares the id table, the
+    # entries and the member flags, and adds the issuance to the common
+    # credit alone
     state = make_ledger(3)
     after, report = mint_epoch_poplet(state, DEFAULT, 3)
-    assert after.participants is state.participants
+    assert after.participants == state.participants
     for part in ("ids", "index", "held", "flags"):
         assert getattr(after.balances, part) is getattr(state.balances, part)
     assert after.balances.credit == state.balances.credit + report.issued_per_participant
@@ -226,6 +226,15 @@ def test_a_state_rejects_an_empty_census():
     # the next mint would divide by it
     with pytest.raises(ValueError, match="participants must not be empty"):
         LedgerState(0, Fraction(1, 100), {"a": 0}, frozenset())
+
+
+def test_a_state_from_a_plain_mapping_counts_every_key():
+    # with no participants every holder is a member, as in a snapshot
+    # without a "participants" key
+    state = LedgerState(0, Fraction(1, 100), {"a": 5, "b": 7})
+    assert state.participants == {"a", "b"} and state.census == 2
+    assert dict(state.balances) == {"a": 5, "b": 7}
+    assert state_from_json(state_to_json(state)) == state
 
 
 def test_mint_census_mismatch_errors():

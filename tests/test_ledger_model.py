@@ -9,9 +9,10 @@ issuance residue is at most half a poplet per participant, the census is a
 non-empty subset of the holders, each account stays within half a poplet per
 credited epoch of the rebasing oracle, a rejected call changes nothing, and
 every state kept from earlier still reads the balances and members it had.
-The model also carries the run's int64 image of ``held`` as a run does,
-patched at the positions each mint, transfer and mix writes and kept by each
-read, and checks that it is absent or equal to ``held``.
+The model also carries the run's int64 image of ``held`` as a run does: it
+collects the positions each mint, transfer and mix writes, passes them to
+the next read with the image the last read returned, and checks that the
+image each read returns is absent or equal to that read's ``held``.
 """
 
 import json
@@ -38,7 +39,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
-from popcoin_sim.scenario import _mix_transfers, _patched, _read_balances
+from popcoin_sim.scenario import _mix_transfers, _read_balances
 
 
 class LedgerModel(RuleBasedStateMachine):
@@ -58,7 +59,9 @@ class LedgerModel(RuleBasedStateMachine):
         self.residue = 0  # the last mint's rounding residue
         self.credited = dict.fromkeys(accounts, 0)  # epochs that paid each account
         self.kept = []  # earlier states, each with the balances and members it had
-        self.image = None  # the run's image of the current state's ``held``
+        self.image = None  # the image the last read returned
+        self.image_of = None  # the ``held`` that read saw
+        self.written = []  # the positions written since that read
         self._keep()
 
     def _keep(self):
@@ -76,8 +79,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
         self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
         self.issued += census * report.issued_per_participant
-        written = [self.state.balances.index[account] for account in [*added, *removed]]
-        self.image = _patched(self.image, self.state.balances.held, written)
+        self.written += [self.state.balances.index[account] for account in [*added, *removed]]
         self.residue = report.rounding_residue_poplets
         for account in self.state.participants:
             self.credited[account] = self.credited.get(account, 0) + 1
@@ -120,8 +122,7 @@ class LedgerModel(RuleBasedStateMachine):
         amount = data.draw(st.integers(min_value=0, max_value=max(most, 0)))
         self.state = transfer(self.state, sender, recipient, amount)
         balances = self.state.balances
-        written = [balances.index[sender], balances.index[recipient]]
-        self.image = _patched(self.image, balances.held, written)
+        self.written += [balances.index[sender], balances.index[recipient]]
         if amount:
             self.mirror = direct_transfer(self.mirror, sender, recipient, amount * rate)
         self._keep()
@@ -140,15 +141,15 @@ class LedgerModel(RuleBasedStateMachine):
         frac=st.sampled_from([Fraction(1, 4), Fraction(1)]),
     )
     def mix(self, seed, patch, frac):
-        # the run's transfer mix after its read, as in a run: one transfer
-        # among nine or more accounts patches the image at the positions it
-        # returns, as many transfers as accounts drop it
+        # the run's transfer mix after its read, as in a run: the next read
+        # patches the image at the positions one transfer among nine or more
+        # accounts returns, and builds it anew after as many transfers as accounts
         self.read()
         accounts = len(self.state.balances)
         count = 1 if patch else accounts
         before = dict(self.state.balances)
         self.state, written = _mix_transfers(self.state, SplitMix64(seed), count, frac)
-        self.image = _patched(self.image, self.state.balances.held, written)
+        self.written += written
         rate = self.state.exchange_rate
         moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}
         mirror = {a: b + moved[a] for a, b in self.mirror.balances.items()}
@@ -160,7 +161,10 @@ class LedgerModel(RuleBasedStateMachine):
         # the run's one read of the balances, which keeps an image below
         # poplets + N * credit = 2**63 and none past it
         balances = self.state.balances
-        total, _, self.image = _read_balances(balances, self.state.census, self.issued, self.image)
+        total, _, self.image = _read_balances(
+            balances, self.state.census, self.issued, self.image, self.written
+        )
+        self.image_of, self.written = balances.held, []
         assert total == self.issued
         bound = self.issued + self.state.census * balances.credit
         assert (self.image is not None) == (bound < 2**63)
@@ -172,7 +176,8 @@ class LedgerModel(RuleBasedStateMachine):
         assert again == self.state
         assert state_to_json(again) == text
         self.state = again
-        self.image = None  # the snapshot's accounts are in sorted order, not the state's
+        # the snapshot's accounts are in sorted order, not the state's
+        self.image, self.written = None, []
         self._keep()
 
     @rule()
@@ -200,8 +205,8 @@ class LedgerModel(RuleBasedStateMachine):
 
     @invariant()
     def the_run_image_is_none_or_held(self):
-        image, held = self.image, self.state.balances.held
-        assert image is None or (image.dtype == np.int64 and image.tolist() == held)
+        image = self.image
+        assert image is None or (image.dtype == np.int64 and image.tolist() == self.image_of)
 
     @invariant()
     def kept_states_read_what_they_held(self):

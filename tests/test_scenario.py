@@ -443,7 +443,7 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     rate = Fraction(num, den)
     total = sum(balances.values())
     read = Balances.from_entries(balances, members)
-    _, member_balances, _ = scenario._read_balances(read, len(held), total, None)
+    _, member_balances, _ = scenario._read_balances(read, len(held), total, None, ())
     values = scenario._member_values(member_balances, total, rate, num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
@@ -491,17 +491,18 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
     balances, count, every = ledger
     members = every[:count]
     poplets = sum(every)
-    total, member_balances, image = scenario._read_balances(balances, count, poplets, None)
+    total, member_balances, image = scenario._read_balances(balances, count, poplets, None, ())
     assert total == poplets
     assert isinstance(member_balances, np.ndarray) == (
         poplets + len(members) * balances.credit < 2**63
     )
     assert list(map(int, member_balances)) == members
     # the read returns the int64 image it summed, or none past the bound, and
-    # a second read from that image gives the same total and members
+    # a second read from that image, with nothing written since, gives the
+    # same total and members
     assert (image is not None) == isinstance(member_balances, np.ndarray)
     assert image is None or image.tolist() == balances.held
-    again, again_members, _ = scenario._read_balances(balances, count, poplets, image)
+    again, again_members, _ = scenario._read_balances(balances, count, poplets, image, ())
     assert again == poplets and list(map(int, again_members)) == members
     for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
         values = scenario._member_values(member_balances, poplets, Fraction(num, den), num / den)
@@ -515,10 +516,31 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
 def test_one_read_of_the_balances_counts_an_entry_past_int64():
     # only a broken ledger holds one; the poplet check must still see its total
     balances = Balances.from_entries({"p00000000": 2**63, "p00000001": 0}, ["p00000000"])
-    total, member_balances, image = scenario._read_balances(balances, 1, 5, None)
+    total, member_balances, image = scenario._read_balances(balances, 1, 5, None, ())
     assert total == 2**63
     assert member_balances == [2**63]
     assert image is None
+
+
+def test_the_read_patches_a_copy_of_the_image_at_the_positions_written():
+    # the image of 19 entries, then 20 entries that differ at three positions,
+    # one appended: under a quarter of them, so the read patches a copy; a
+    # quarter or more, and it builds the image anew; past int64, it drops it
+    ids = [f"p{i:08d}" for i in range(20)]
+    earlier = Balances.from_entries(dict(zip(ids, range(19))), ids[:10])
+    _, _, image = scenario._read_balances(earlier, 10, sum(range(19)), None, ())
+    held = list(range(19)) + [7]
+    held[3], held[12] = 0, 18
+    later = Balances.from_entries(dict(zip(ids, held)), ids[:10])
+    for written in ([3, 12, 19], [3, 12, 19, 0, 1]):
+        total, members, patched = scenario._read_balances(later, 10, sum(held), image, written)
+        assert total == sum(held) and members.tolist() == held[:10]
+        assert patched.tolist() == held
+    assert image.tolist() == list(range(19))
+    held[12] = 2**63
+    past = Balances.from_entries(dict(zip(ids, held)), ids[:10])
+    total, _, dropped = scenario._read_balances(past, 10, 5, image, [3, 12, 19])
+    assert total == sum(held) and dropped is None
 
 
 def test_states_carry_an_image_only_below_int64(monkeypatch):
@@ -535,13 +557,17 @@ def test_states_carry_an_image_only_below_int64(monkeypatch):
             "transfers": {"count_per_epoch": 2, "max_fraction": 0.5},
         }
     )
-    seen = []  # at each read: whether the run has an image, equal to held, and the bound
+    # at each read: whether the run comes with an image, whether the one the
+    # read returns is None or equal to held, and the bound
+    seen = []
     real_read = scenario._read_balances
 
-    def recording_read(balances, members, poplets, image):
+    def recording_read(balances, members, poplets, image, written):
+        carried = image is not None
+        total, values, image = real_read(balances, members, poplets, image, written)
         bound = sum(balances.values()) + balances.count * balances.credit
-        seen.append((image is not None, image is None or image.tolist() == balances.held, bound))
-        return real_read(balances, members, poplets, image)
+        seen.append((carried, image is None or image.tolist() == balances.held, bound))
+        return total, values, image
 
     monkeypatch.setattr(scenario, "_read_balances", recording_read)
     final_state(scenario.run_epochs(config))
