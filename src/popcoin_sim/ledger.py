@@ -14,16 +14,30 @@ audits reduce to integer bookkeeping; the only rounding in the whole system
 is the half-even rounding of ``B / E'`` once per epoch, an error of at most
 half a poplet per participant per epoch.
 
-``exchange_rate`` is kept as an exact ``fractions.Fraction``. Floats are
-unusable here: the rate shrinks geometrically and relative drift would
-accumulate across epochs, while exactness makes determinism and the supply
-cap checkable by integer comparison.
+``exchange_rate`` is an exact ``fractions.Fraction``. Floats are unusable
+here: the rate shrinks geometrically and relative drift would accumulate
+across epochs, while exactness makes determinism and the supply cap
+checkable by integer comparison.
 
-The rate's numerator and denominator grow by O(1) digits per epoch, so each
-epoch does the least big-integer work it can: E' is one ``Fraction``
-multiply by the small step factor ``(1 - alpha) * N_new / N_old``, and
-``issued`` and the rounding residue come from integer ``divmod`` of the
-unreduced ratio ``B.num * E'.den / (B.den * E'.num)``, rounded half to even.
+The exact rate gains O(1) digits per epoch (about 11 bits at alpha = 0.02),
+so a state carries it as a ``Rate``: the closed form
+``E = E_b * ((q - p)/q)**k * N_t / N_b`` from a base rate ``E_b`` and census
+``N_b``, with ``alpha = p/q`` and k mints since the base (a mint with another
+alpha re-bases it on the exact value), plus a dyadic bracket of ``1/E``,
+the poplets per currency unit, whose mantissa follows the bits of
+``issued`` with ``GUARD_BITS`` to spare, not the rate's digits. A mint
+multiplies the bracket by the small factor ``q * N_old / ((q - p) * N_new)``,
+rounding its low end down and its high end up. ``issued`` and the residue
+are then decided from ``B`` times the bracket, and ``float(E)`` and
+``float(n * E)`` from its two ends: rounding is monotone, so where no
+half-integer (no float midpoint) lies in the bracket, every value in it
+rounds alike. Only where one does is the exact ratio built, unreduced from
+the closed form, and rounded by ``_round_half_even`` or integer true
+division; the rate counts those. When the bracket grows too wide
+for the bits a decision needs, it is rebuilt from the closed form at twice
+that width, so it is rebuilt O(log t) times in t epochs. The reduced
+``Fraction`` is built from the closed form on the first read of
+``exchange_rate`` and kept.
 ``MintReport`` carries only the issuance and its rounding residue; the epoch,
 census and rate are the returned state's.
 
@@ -63,8 +77,10 @@ further basic income.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
@@ -201,6 +217,131 @@ class Balances(Mapping):
         return f"Balances({dict(self)!r})"
 
 
+# --- the exchange rate ------------------------------------------------------
+#
+# See the module docstring. Every decision reads the bracket first and takes
+# the exact closed form only where the bracket holds a rounding boundary.
+
+GUARD_BITS = 64
+_START_BITS = 2 * GUARD_BITS
+
+
+def _bracket(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """``(lo, hi, shift)`` with ``lo * 2**-shift <= num/den <= hi * 2**-shift``,
+    ``hi - lo <= 1`` and ``lo`` of ``bits - 1`` or ``bits`` bits."""
+    shift = bits - num.bit_length() + den.bit_length() - 1
+    lo, rest = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    return lo, lo + (rest > 0), shift
+
+
+class Rate:
+    """The exchange rate ``E``, immutable: its exact closed form and a bracket.
+
+    ``E = base * (keep/whole)**steps * census/base_census``, where ``base``
+    is the rate at the last re-base, ``keep/whole`` the step factor
+    ``1 - alpha`` with ``whole`` alpha's denominator, ``steps`` the mints
+    since the base, and ``base_census`` and ``census`` the census then and
+    now. The bracket holds the poplets per currency unit, ``1/E``:
+    ``lo * 2**-shift <= 1/E <= hi * 2**-shift``, with ``lo`` of about
+    ``bits`` bits. ``value``, the reduced ``Fraction``, is built on first
+    read and kept. ``fallbacks`` counts, by decision, those that needed the
+    exact ratio, on this rate and on every rate stepped from it: a run's
+    count is its final rate's.
+    """
+
+    __slots__ = ("base", "keep", "whole", "steps", "base_census", "census",
+                 "lo", "hi", "shift", "bits", "fallbacks", "_value")
+
+    def __init__(self, base, keep, whole, steps, base_census, census, lo, hi, shift, bits,
+                 fallbacks):
+        self.base, self.keep, self.whole, self.steps = base, keep, whole, steps
+        self.base_census, self.census = base_census, census
+        self.lo, self.hi, self.shift, self.bits = lo, hi, shift, bits
+        self.fallbacks = fallbacks
+        self._value = None
+
+    @classmethod
+    def of(cls, value, census: int, bits: int = _START_BITS) -> Rate:
+        """The rate ``value`` at ``census`` members, with a ``bits``-bit bracket."""
+        value = Fraction(value)
+        bracket = _bracket(value.denominator, value.numerator, bits)
+        return cls(value, 1, 1, 0, census, census, *bracket, bits, Counter())
+
+    def ratio(self) -> tuple[int, int]:
+        """``E`` as an unreduced integer ratio ``(num, den)``."""
+        base, steps = self.base, self.steps
+        return (
+            base.numerator * self.keep**steps * self.census,
+            base.denominator * self.whole**steps * self.base_census,
+        )
+
+    @property
+    def value(self) -> Fraction:
+        if self._value is None:
+            same = not self.steps and self.census == self.base_census
+            self._value = self.base if same else Fraction(*self.ratio())
+        return self._value
+
+    def step(self, alpha: Fraction, census: int, new_census: int) -> Rate:
+        """``E * (1 - alpha) * new_census / census``.
+
+        The closed form gains a step; a rate whose step factor or census
+        differs from these is first re-based on its exact value. The bracket
+        of ``1/E`` is multiplied by the small factor's inverse, ``lo``
+        rounded down and ``hi`` up, and shifted back to ``bits`` bits.
+        """
+        keep, whole = alpha.denominator - alpha.numerator, alpha.denominator
+        rate = self
+        if census != rate.census or rate.steps and (keep, whole) != (rate.keep, rate.whole):
+            rate = Rate(self.value, keep, whole, 0, census, census,
+                        self.lo, self.hi, self.shift, self.bits, self.fallbacks)
+        factor, divisor = whole * census, keep * new_census
+        lo, hi = rate.lo * factor, rate.hi * factor
+        shift = rate.bits - lo.bit_length() + divisor.bit_length()
+        if shift >= 0:
+            lo, hi = (lo << shift) // divisor, -(-(hi << shift) // divisor)
+        else:
+            divisor <<= -shift
+            lo, hi = lo // divisor, -(-hi // divisor)
+        return Rate(rate.base, keep, whole, rate.steps + 1, rate.base_census, new_census,
+                    lo, hi, rate.shift + shift, rate.bits, self.fallbacks)
+
+    def within(self, bits: int) -> Rate:
+        """This rate if its bracket's relative width is at most ``2**-bits``;
+        otherwise the same rate with the bracket rebuilt from the closed form
+        at twice ``bits``, so that it stays narrow enough for many steps."""
+        if (self.hi - self.lo) << bits <= self.lo:
+            return self
+        num, den = self.ratio()
+        rate = Rate(self.base, self.keep, self.whole, self.steps, self.base_census, self.census,
+                    *_bracket(den, num, 2 * bits), 2 * bits, self.fallbacks)
+        rate._value = self._value
+        return rate
+
+    def float_times(self, count: int = 1) -> float:
+        """``float(count * E)`` for an int ``count >= 0``, correctly rounded.
+
+        Rounding is monotone, so when both ends of the bracket round to one
+        float every value between them does. Otherwise, or where an end
+        overflows, the exact ratio decides, and raises ``OverflowError``
+        exactly where ``float(count * E)`` does.
+        """
+        shift = self.shift
+        try:  # integer true division rounds correctly
+            if shift >= 0:
+                scaled = count << shift
+                low, high = scaled / self.hi, scaled / self.lo
+            else:
+                low, high = count / (self.hi << -shift), count / (self.lo << -shift)
+            if low == high:
+                return low
+        except OverflowError:
+            pass
+        self.fallbacks["float"] += 1
+        num, den = self.ratio()
+        return count * num / den
+
+
 @dataclass(frozen=True, init=False)
 class LedgerState:
     """Immutable snapshot of the ledger; operations return fresh states.
@@ -211,22 +352,33 @@ class LedgerState:
     which the state copies, with the ``participants``, every key when they
     are omitted; a ``Balances`` is kept as it is when ``participants`` is
     omitted or equals its members.
+
+    ``rate`` is the exchange rate as a ``Rate``; ``exchange_rate``, the
+    reduced ``Fraction``, is built from it on first read. The constructor
+    takes either: a ``Rate`` is kept, any other number starts one.
     """
 
     epoch: int
     exchange_rate: Fraction
     balances: Balances
     participants: frozenset[Account]
+    rate: Rate = field(init=False, repr=False, compare=False)
 
-    def __init__(self, epoch: int, exchange_rate: Fraction, balances, participants=None):
+    def __init__(self, epoch: int, exchange_rate: Rate | Fraction, balances, participants=None):
         if not (
             isinstance(balances, Balances)
             and (participants is None or participants == balances.members)
         ):
             balances = Balances.from_entries(balances, participants)
+        if not isinstance(exchange_rate, Rate):
+            exchange_rate = Rate.of(exchange_rate, balances.count)
         object.__setattr__(self, "epoch", epoch)
-        object.__setattr__(self, "exchange_rate", exchange_rate)
+        object.__setattr__(self, "rate", exchange_rate)
         object.__setattr__(self, "balances", balances)
+
+    @property
+    def exchange_rate(self) -> Fraction:
+        return self.rate.value
 
     @property
     def participants(self) -> frozenset[Account]:
@@ -345,6 +497,57 @@ def _round_half_even(num: int, den: int) -> tuple[int, int]:
     return floor, -remainder
 
 
+def _round_between(lo_num: int, hi_num: int, den: int, shift: int) -> int | None:
+    """``round_half_even(x)``, one value for every ``x`` from ``lo_num`` to
+    ``hi_num`` over ``den * 2**shift`` (``den > 0``, ``shift >= 0``), or None
+    when a half-integer lies in that range. An integer inside it is no tie.
+
+    ``den`` is small, so each end costs one short division and a shift."""
+    if den == 1:
+        twice, rest, high = 2 * lo_num, 0, 2 * hi_num
+    else:
+        (twice, rest), high = divmod(2 * lo_num, den), 2 * hi_num // den
+    low, high = twice >> shift, high >> shift  # floor(2x) at each end
+    # 2x reaches no integer but ``low``, if it starts on it, and an even ``high``
+    if high == low or high == low + 1 and low % 2:
+        if not low % 2 or rest or low << shift != twice:
+            return (low + 1) // 2
+    return None
+
+
+def _issue(rate: Rate, income: Fraction, census: int) -> tuple[Rate, int, int]:
+    """``issued = round_half_even(B/E')`` and the residue ``census * issued -
+    census * B/E'`` rounded half to even, for ``rate`` E'; and E' with the
+    bracket that decided them.
+
+    ``B/E'`` is ``B`` times the bracket of ``1/E'``, a product, after the
+    bracket is made narrow enough: its relative width at most
+    ``2**-GUARD_BITS`` over the bits of ``census * B/E'``. Each value comes
+    from the bracket unless a half-integer lies in its range, and then from
+    the exact ratio by ``_round_half_even``.
+    """
+    bn, bd = income.numerator, income.denominator
+    bits = max(bn.bit_length() - bd.bit_length() + rate.hi.bit_length() - rate.shift + 1, 0)
+    rate = rate.within(bits + census.bit_length() + GUARD_BITS)  # B/E' < 2**bits
+    lo, hi, shift = bn * rate.lo, bn * rate.hi, rate.shift
+    if shift < 0:
+        lo, hi, shift = lo << -shift, hi << -shift, 0
+    issued = _round_between(lo, hi, bd, shift)  # B/E' lies from lo to hi over bd * 2**shift
+    if issued is None:
+        rate.fallbacks["issued"] += 1
+        rate_num, rate_den = rate.ratio()
+        issued, excess = _round_half_even(bn * rate_den, bd * rate_num)
+        return rate, issued, _round_half_even(census * excess, bd * rate_num)[0]
+    whole = issued * bd << shift  # census * (issued - B/E') lies between these, over the same
+    residue = _round_between(census * (whole - hi), census * (whole - lo), bd, shift)
+    if residue is None:
+        rate.fallbacks["residue"] += 1
+        rate_num, rate_den = rate.ratio()
+        den = bd * rate_num
+        residue = _round_half_even(census * (den * issued - bn * rate_den), den)[0]
+    return rate, issued, residue
+
+
 def mint_epoch_poplet(
     state: LedgerState,
     params: PolicyParams,
@@ -368,21 +571,14 @@ def mint_epoch_poplet(
     new, removed = list(new_accounts), list(removed_accounts)
     balances = state.balances
     _check_census(balances.count, balances.is_member, new_census, new, removed)
-    # (1 - alpha) * N_new / N_old as one Fraction, with alpha = p/q
-    p, q = params.demurrage_alpha.numerator, params.demurrage_alpha.denominator
-    step = Fraction((q - p) * new_census, q * balances.count)
-    rate = state.exchange_rate * step
-    # B / E' as one unreduced integer ratio; ``excess`` is den * (issued - B/E').
-    income = params.basic_income
-    den = income.denominator * rate.numerator
-    issued, excess = _round_half_even(income.numerator * rate.denominator, den)
+    rate = state.rate.step(params.demurrage_alpha, balances.count, new_census)
+    rate, issued, residue = _issue(rate, params.basic_income, new_census)
     credit = balances.credit + issued
     if new or removed:
         balances = _census_change(balances, new, removed, issued, credit)
     else:
         balances = balances._moved(balances.held, credit)
-    report = MintReport(issued, _round_half_even(new_census * excess, den)[0])
-    return LedgerState(state.epoch + 1, rate, balances), report
+    return LedgerState(state.epoch + 1, rate, balances), MintReport(issued, residue)
 
 
 def transfer(state: LedgerState, sender: Account, recipient: Account, amount: int) -> LedgerState:
@@ -405,7 +601,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     held = balances.held.copy()
     held[balances.index[sender]] -= amount
     held[balances.index[recipient]] += amount
-    return LedgerState(state.epoch, state.exchange_rate, balances._moved(held, balances.credit))
+    return LedgerState(state.epoch, state.rate, balances._moved(held, balances.credit))
 
 
 def balance_popcoin_exact(state: LedgerState, account: Account) -> Fraction:
@@ -439,25 +635,40 @@ def total_supply_popcoin(state: LedgerState) -> float:
 # balance key is a participant and the census alone carries the information.
 #
 # The rate's numerator and denominator pass the interpreter's 4300-digit
-# int-to-str limit after about 2,500 epochs at alpha = 0.02, so they are
+# int-to-str limit after about 2,500 epochs at alpha = 0.02, and balances
+# pass it too (after about 2,150 epochs at alpha = 0.99). Ints past it are
 # written through ``decimal``, which has no such limit and writes the same
-# digits, and every int is read back through it. Balances pass it too (after
-# about 2,150 epochs at alpha = 0.99), so they are written the same way.
+# digits, and every int is read back through it. ``str`` is faster, so it
+# writes the balances while their poplet total, which no balance exceeds,
+# is within the limit, and the rate while its numerator and denominator are.
 # Each account id goes through ``encode_basestring_ascii``, the encoder that
 # ``json.dumps`` calls for a string, without its per-call set-up.
+
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
+
+
+def _int_writer(largest: int):
+    """``str`` if it can write every int up to ``largest``, else ``Decimal``."""
+    limit = _int_max_str_digits() if _int_max_str_digits else 0  # 0: no limit
+    # below 2**(3 * limit) < 10**limit, an int has at most ``limit`` digits
+    return Decimal if limit and largest.bit_length() > 3 * limit else str
 
 
 def state_to_json(state: LedgerState) -> str:
     rate, balances = state.exchange_rate, state.balances
     ids, flags, credit = balances.ids, balances.flags, balances.credit
+    write = _int_writer(sum(balances.held) + balances.count * credit)
+    write_rate = _int_writer(max(rate.numerator, rate.denominator))
     fields = {  # in sorted key order
         "balances": "{" + ",".join(
-            f"{encode_basestring_ascii(key)}:{Decimal(poplets + credit if member else poplets)}"
+            f"{encode_basestring_ascii(key)}:{write(poplets + credit if member else poplets)}"
             for key, poplets, member in sorted(zip(ids, balances.held, flags))
         ) + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
-        "exchange_rate": f'{{"den":{Decimal(rate.denominator)},"num":{Decimal(rate.numerator)}}}',
+        "exchange_rate": (
+            f'{{"den":{write_rate(rate.denominator)},"num":{write_rate(rate.numerator)}}}'
+        ),
     }
     if balances.count != len(ids):
         members = sorted(compress(ids, flags))

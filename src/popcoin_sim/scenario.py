@@ -22,8 +22,14 @@ final ledger state. Each epoch makes three checks, any of which raises
   poplets issued so far, ``sum over epochs of N_t * issued_t``; a transfer
   that creates or destroys a poplet, or a mint that credits other than it
   reports, fails this check;
-* the ledger total ``poplets * E`` matches the recurrence's supply within
-  the declared rounding-plus-float tolerance.
+* the ledger total ``float(poplets * E)`` matches the recurrence's supply
+  within ``max(N_t) * t * float(E)``, the issuance rounding carried so far,
+  plus 1e-9 of the supply for the recurrence's float error.
+
+``float(E)`` and ``float(poplets * E)`` are correctly rounded; the ledger's
+``Rate`` decides them from its bracket and builds the exact ratio only
+where the bracket holds a float midpoint (see ``ledger``). ``run_scenario``
+logs at debug how many decisions of the run needed the exact ratio.
 
 The balances are read once per epoch, from the ledger's position-indexed
 ``held`` list (see ``ledger``): an int64 array while ``poplets + N_t *
@@ -50,8 +56,8 @@ removes each other name of ``RUN_FILES`` that an earlier run left. Inequality
 columns cover census members only; dormant holders still count toward
 M_total. A member's value is ``float(balance) * float(E)`` while ``float(E)``
 is a normal float and the poplet total is at most the largest float;
-otherwise it is ``balance * E`` correctly rounded, finite because no value
-exceeds the supply.
+otherwise it is ``balance * E`` correctly rounded, decided like ``float(E)``,
+and finite because no value exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
 minting, ``count_per_epoch`` transfers run over the list of all accounts,
@@ -121,6 +127,7 @@ from .ledger import (
     Balances,
     LedgerState,
     PolicyParams,
+    Rate,
     _is_int,
     exact,
     genesis,
@@ -659,7 +666,7 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
                 )
             held[sender] = entry - amount
             held[recipient] += amount
-    mixed = LedgerState(state.epoch, state.exchange_rate, balances._moved(held, credit))
+    mixed = LedgerState(state.epoch, state.rate, balances._moved(held, credit))
     return mixed, senders + recipients
 
 
@@ -710,7 +717,7 @@ def _read_balances(balances: Balances, members: int, poplets: int, image, writte
     return sum(held) + common, [entry + credit for entry in held[:members]], None
 
 
-def _member_values(balances, poplets: int, rate: Fraction, rate_float: float):
+def _member_values(balances, poplets: int, rate: Rate, rate_float: float):
     """Each member's value as a float array; see the module docstring.
 
     ``balances`` are the members' balances from ``_read_balances``, an int64
@@ -718,12 +725,11 @@ def _member_values(balances, poplets: int, rate: Fraction, rate_float: float):
     exact sum of every balance. Each converts to float64 half-even exactly as
     ``float(int)`` does, and up to the largest float none overflows. A normal
     ``float(E)`` keeps each nonzero value normal, so it carries a float's
-    full precision.
+    full precision. Otherwise each value is ``rate.float_times(balance)``.
     """
     if rate_float >= _MIN_NORMAL and poplets <= _MAX_FLOAT:
         return np.asarray(balances, float) * rate_float
-    num, den = rate.numerator, rate.denominator
-    return np.array([balance * num / den for balance in map(int, balances)])
+    return np.array([rate.float_times(balance) for balance in map(int, balances)])
 
 
 class EpochRecord(NamedTuple):
@@ -774,10 +780,8 @@ def run_epochs(config: ScenarioConfig):
                 f"not the {Decimal(poplets)} issued"
             )
 
-        # Integer true division is correctly rounded: these are float() of the exact values.
-        num, den = state.exchange_rate.numerator, state.exchange_rate.denominator
-        rate_float = num / den
-        total = poplets * num / den
+        rate = state.rate
+        rate_float, total = rate.float_times(), rate.float_times(poplets)
         # Issuance rounding moves each epoch's total by at most half a poplet per
         # participant, carried forward as poplets; the rest is float error in the
         # recurrence itself.
@@ -787,7 +791,7 @@ def run_epochs(config: ScenarioConfig):
                 f"epoch {t}: ledger supply {total} deviates from "
                 f"recurrence {macro_state.supply} by more than {tolerance}"
             )
-        values = _member_values(balances, poplets, state.exchange_rate, rate_float)
+        values = _member_values(balances, poplets, rate, rate_float)
         yield EpochRecord(macro_state, rate_float, total, epoch_metrics(values))
     return state
 
@@ -820,6 +824,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     for name in set(RUN_FILES) - files.keys():  # left by an earlier run
         (out / name).unlink(missing_ok=True)
     write_outputs(out, files)
+    log.debug("exact fallbacks: %d", state.rate.fallbacks.total())
     log.info("run complete: %d epochs, %d files in %s", len(cells), len(files), out)
     return {"out_dir": str(out), "files": sorted(files)}
 

@@ -633,6 +633,21 @@ def test_log_env_var_controls_verbosity(tmp_path):
     ).read_bytes()
 
 
+def test_debug_logs_the_exact_fallbacks_and_changes_no_output_byte(tmp_path):
+    doc = dict(CONFIG, epochs=50, outputs=[{"study": "supply"}, {"study": "inequality"}])
+    config = write_json(tmp_path / "cfg.json", doc)
+    runs = {}
+    for level in ("warning", "debug"):
+        out = tmp_path / level
+        done = run_child(["run", config, "--out", str(out), "--plot-data"], POPCOIN_SIM_LOG=level)
+        assert done.returncode == 0, done.stderr
+        runs[level] = ({path.name: path.read_bytes() for path in out.iterdir()}, done.stderr)
+    assert "exact fallbacks" not in runs["warning"][1]
+    assert "DEBUG popcoin_sim.scenario: exact fallbacks: 0\n" in runs["debug"][1]
+    assert len(runs["debug"][0]) == 6
+    assert runs["debug"][0] == runs["warning"][0]
+
+
 def test_missing_keys_reported_once_each_in_table_order(tmp_path):
     # the hash seeds 1 and 4 ordered a set of these keys differently
     bad = dict(CONFIG, population={"kind": "logistic"})

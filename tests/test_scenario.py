@@ -31,7 +31,7 @@ from popcoin_sim import (
     state_from_json,
     validate_config,
 )
-from popcoin_sim.ledger import Balances
+from popcoin_sim.ledger import Balances, Rate
 
 GOOD_CONFIG = {
     "policy": {"basic_income": 2922, "demurrage_alpha": 0.02},
@@ -444,7 +444,7 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     total = sum(balances.values())
     read = Balances.from_entries(balances, members)
     _, member_balances, _ = scenario._read_balances(read, len(held), total, None, ())
-    values = scenario._member_values(member_balances, total, rate, num / den)
+    values = scenario._member_values(member_balances, total, Rate.of(rate, 1), num / den)
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
     else:
@@ -505,7 +505,8 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
     again, again_members, _ = scenario._read_balances(balances, count, poplets, image, ())
     assert again == poplets and list(map(int, again_members)) == members
     for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
-        values = scenario._member_values(member_balances, poplets, Fraction(num, den), num / den)
+        rate = Rate.of(Fraction(num, den), 1)
+        values = scenario._member_values(member_balances, poplets, rate, num / den)
         if num / den >= sys.float_info.min:
             expected = [float(balance) * (num / den) for balance in members]
         else:
