@@ -27,26 +27,28 @@ alpha re-bases it on the exact value), plus a dyadic bracket of ``1/E``,
 the poplets per currency unit, whose mantissa follows the bits of
 ``issued`` with ``GUARD_BITS`` to spare, not the rate's digits. A mint
 multiplies the bracket by the small factor ``q * N_old / ((q - p) * N_new)``,
-rounding its low end down and its high end up. ``issued`` and the residue
-are then decided from ``B`` times the bracket, and ``float(E)`` and
-``float(n * E)`` from its two ends: rounding is monotone, so where no
-half-integer (no float midpoint) lies in the bracket, every value in it
-rounds alike. Only where one does is the exact ratio built, unreduced from
-the closed form, and rounded by ``_round_half_even`` or integer true
-division; the rate counts those. When the bracket grows too wide
-for the bits a decision needs, it is rebuilt from the closed form at twice
-that width, so it is rebuilt O(log t) times in t epochs. The reduced
-``Fraction`` is built from the closed form on the first read of
-``exchange_rate`` and kept.
+rounding its low end down and its high end up.
+
+One rule decides every value read off the bracket: ``issued`` and the
+residue from ``B`` times it, ``float(E)`` and ``float(n * E)`` from its
+ends. Rounding is monotone, so round both ends, by ``_round_half_even`` or
+integer true division: where they round alike, every value between them
+does. Only where they differ is the exact ratio built, unreduced from the
+closed form, and rounded the same way; the rate counts those. When the
+bracket grows too wide for the bits a decision needs, it is rebuilt from
+the closed form at twice that width, so it is rebuilt O(log t) times in t
+epochs. The reduced ``Fraction`` is built from the closed form on the first
+read of ``exchange_rate`` and kept.
 ``MintReport`` carries only the issuance and its rounding residue; the epoch,
 census and rate are the returned state's.
 
 Every member receives the same ``issued`` poplets, so a state's balances
 (``Balances``, a read-only mapping) keep that basic income as one counter,
 ``credit``: the poplets every current member has received in common. The
-balances are indexed by position. An account-id table, the ``ids`` tuple and
-its ``index`` dict, gives each account its position; states share it and
-never change it, and only a mint that opens accounts copies it. ``held``
+balances are indexed by position. One account table, the ``index`` dict,
+maps each account to its position and lists the accounts in that order;
+states share it and never change it, and only a mint that opens accounts
+copies it. ``held``
 lists each account's poplets less the common credit, a ``bytearray`` of
 ``flags`` marks the members, and ``count`` counts them, so a member's
 balance is ``held[i] + credit`` and a dormant holder's ``held[i]``.
@@ -148,17 +150,17 @@ class Balances(Mapping):
     """A state's poplet balances, by position: ``held[i] + credit`` for a
     member, ``held[i]`` for a dormant holder (see the module docstring).
 
-    ``ids`` and ``index`` map positions to accounts and back, ``flags[i]`` is
-    1 for a member, ``count`` is the number of members and ``credit`` the
-    poplets every current member has received in common, so a member who
-    joined late holds about ``-credit`` in ``held``. Read-only, like the
-    state.
+    ``index`` maps each account to its position, in position order,
+    ``flags[i]`` is 1 for a member, ``count`` is the number of members and
+    ``credit`` the poplets every current member has received in common, so a
+    member who joined late holds about ``-credit`` in ``held``. Read-only,
+    like the state.
     """
 
-    __slots__ = ("ids", "index", "held", "flags", "count", "credit")
+    __slots__ = ("index", "held", "flags", "count", "credit")
 
-    def __init__(self, ids, index, held, flags, count, credit):
-        self.ids, self.index, self.held, self.flags = ids, index, held, flags
+    def __init__(self, index, held, flags, count, credit):
+        self.index, self.held, self.flags = index, held, flags
         self.count, self.credit = count, credit
 
     @classmethod
@@ -172,28 +174,27 @@ class Balances(Mapping):
         ``members``, every account when None, are the census and hold
         ``credit`` more. Raises ``ValueError`` for an empty census or a
         member without an entry."""
-        ids = tuple(entries)
-        members = frozenset(ids if members is None else members)
-        if not members:
+        index = dict(zip(entries, range(len(entries))))
+        if members is None:
+            flags = bytearray(b"\1") * len(index)
+        else:
+            flags = bytearray(len(index))
+            for account in members:
+                if account not in index:
+                    raise ValueError("participants must all hold balance entries")
+                flags[index[account]] = 1
+        count = flags.count(1)
+        if not count:
             raise ValueError("participants must not be empty")
-        if not members <= entries.keys():
-            raise ValueError("participants must all hold balance entries")
-        return cls(
-            ids,
-            dict(zip(ids, range(len(ids)))),
-            [entries[account] for account in ids],
-            bytearray(account in members for account in ids),
-            len(members),
-            credit,
-        )
+        return cls(index, list(entries.values()), flags, count, credit)
 
     def _moved(self, held: list[int], credit: int) -> Balances:
         """These accounts and members, holding ``held`` above ``credit``."""
-        return Balances(self.ids, self.index, held, self.flags, self.count, credit)
+        return Balances(self.index, held, self.flags, self.count, credit)
 
     @property
     def members(self) -> frozenset[Account]:
-        return frozenset(compress(self.ids, self.flags))
+        return frozenset(compress(self.index, self.flags))
 
     def is_member(self, account: Account) -> bool:
         position = self.index.get(account)
@@ -208,10 +209,10 @@ class Balances(Mapping):
         return account in self.index
 
     def __iter__(self):
-        return iter(self.ids)
+        return iter(self.index)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.index)
 
     def __repr__(self) -> str:
         return f"Balances({dict(self)!r})"
@@ -219,8 +220,8 @@ class Balances(Mapping):
 
 # --- the exchange rate ------------------------------------------------------
 #
-# See the module docstring. Every decision reads the bracket first and takes
-# the exact closed form only where the bracket holds a rounding boundary.
+# See the module docstring. Every decision rounds the bracket's two ends and
+# takes the exact closed form only where they round apart.
 
 GUARD_BITS = 64
 _START_BITS = 2 * GUARD_BITS
@@ -245,8 +246,8 @@ class Rate:
     ``lo * 2**-shift <= 1/E <= hi * 2**-shift``, with ``lo`` of about
     ``bits`` bits. ``value``, the reduced ``Fraction``, is built on first
     read and kept. ``fallbacks`` counts, by decision, those that needed the
-    exact ratio, on this rate and on every rate stepped from it: a run's
-    count is its final rate's.
+    exact ratio because the bracket's ends rounded apart, on this rate and
+    on every rate stepped from it: a run's count is its final rate's.
     """
 
     __slots__ = ("base", "keep", "whole", "steps", "base_census", "census",
@@ -262,8 +263,11 @@ class Rate:
 
     @classmethod
     def of(cls, value, census: int, bits: int = _START_BITS) -> Rate:
-        """The rate ``value`` at ``census`` members, with a ``bits``-bit bracket."""
-        value = Fraction(value)
+        """The rate ``value``, read by ``exact``, at ``census`` members, with a
+        ``bits``-bit bracket. Raises ``ValueError`` unless ``value > 0``."""
+        value = exact(value)
+        if value <= 0:
+            raise ValueError(f"exchange_rate must be positive, got {value}")
         bracket = _bracket(value.denominator, value.numerator, bits)
         return cls(value, 1, 1, 0, census, census, *bracket, bits, Counter())
 
@@ -355,7 +359,8 @@ class LedgerState:
 
     ``rate`` is the exchange rate as a ``Rate``; ``exchange_rate``, the
     reduced ``Fraction``, is built from it on first read. The constructor
-    takes either: a ``Rate`` is kept, any other number starts one.
+    takes either: a ``Rate`` is kept, any other number starts one by
+    ``Rate.of``, which reads it by ``exact`` and rejects it unless positive.
     """
 
     epoch: int
@@ -402,13 +407,15 @@ class MintReport:
     rounding_residue_poplets: int
 
 
-def _genesis_accounts(initial_accounts: Iterable[Account]) -> list[Account]:
+def _genesis_balances(initial_accounts: Iterable[Account], zero) -> dict:
+    """``zero`` held at each of the ``initial_accounts``, in their order."""
     accounts = list(initial_accounts)
     if not accounts:
         raise InvalidGenesisError("at least one initial account is required")
-    if len(set(accounts)) != len(accounts):
+    balances = dict.fromkeys(accounts, zero)
+    if len(balances) != len(accounts):
         raise InvalidGenesisError("duplicate account ids in genesis")
-    return accounts
+    return balances
 
 
 def genesis(
@@ -421,17 +428,12 @@ def genesis(
     ``poplet_scale`` fixes the initial rate at 1/poplet_scale currency units
     per poplet; larger scales make the atomic unit finer.
     """
-    accounts = _genesis_accounts(initial_accounts)
+    balances = _genesis_balances(initial_accounts, 0)
     if not _is_int(poplet_scale) or poplet_scale < 1:
         raise InvalidGenesisError(
             f"poplet_scale must be a positive integer, got {poplet_scale!r}"
         )
-    return LedgerState(
-        epoch=0,
-        exchange_rate=Fraction(1, poplet_scale),
-        balances={a: 0 for a in accounts},
-        participants=frozenset(accounts),
-    )
+    return LedgerState(0, Fraction(1, poplet_scale), balances)
 
 
 def _check_census(census: int, is_member, new_census, new: list, removed: list) -> None:
@@ -469,12 +471,11 @@ def _census_change(
 ) -> Balances:
     """``balances`` after ``removed`` leave and ``new`` join at a mint that
     issues ``issued`` and raises the common credit to ``credit``."""
-    ids, index = balances.ids, balances.index
+    index = balances.index
     opened = [account for account in new if account not in index]
     if opened:
-        ids += tuple(opened)
         index = dict(index)
-        index.update(zip(opened, range(len(balances.ids), len(ids))))
+        index.update(zip(opened, range(len(index), len(index) + len(opened))))
     held = balances.held + [0] * len(opened)
     flags = balances.flags + bytes(len(opened))
     for account in removed:
@@ -486,33 +487,28 @@ def _census_change(
         held[position] += issued - credit
         flags[position] = 1
     count = balances.count + len(new) - len(removed)
-    return Balances(ids, index, held, flags, count, credit)
+    return Balances(index, held, flags, count, credit)
 
 
-def _round_half_even(num: int, den: int) -> tuple[int, int]:
-    """``q = round_half_even(num / den)`` for ``den > 0``, and ``q*den - num``."""
-    floor, remainder = divmod(num, den)
-    if 2 * remainder > den or (2 * remainder == den and floor % 2):
-        return floor + 1, den - remainder
-    return floor, -remainder
+def _round_half_even(num: int, den: int, shift: int = 0) -> tuple[int, int]:
+    """``q = round_half_even(num / (den << shift))`` for ``den > 0`` and
+    ``shift >= 0``, and ``(q * den << shift) - num``. Dividing by ``den``
+    first and shifting after keeps a long ``num`` at one short division."""
+    q = num // den >> shift
+    rest, whole = num - (q * den << shift), den << shift
+    if 2 * rest > whole or 2 * rest == whole and q % 2:
+        return q + 1, whole - rest
+    return q, -rest
 
 
-def _round_between(lo_num: int, hi_num: int, den: int, shift: int) -> int | None:
-    """``round_half_even(x)``, one value for every ``x`` from ``lo_num`` to
-    ``hi_num`` over ``den * 2**shift`` (``den > 0``, ``shift >= 0``), or None
-    when a half-integer lies in that range. An integer inside it is no tie.
-
-    ``den`` is small, so each end costs one short division and a shift."""
-    if den == 1:
-        twice, rest, high = 2 * lo_num, 0, 2 * hi_num
-    else:
-        (twice, rest), high = divmod(2 * lo_num, den), 2 * hi_num // den
-    low, high = twice >> shift, high >> shift  # floor(2x) at each end
-    # 2x reaches no integer but ``low``, if it starts on it, and an even ``high``
-    if high == low or high == low + 1 and low % 2:
-        if not low % 2 or rest or low << shift != twice:
-            return (low + 1) // 2
-    return None
+def _round_over(low: int, span: int, den: int, shift: int) -> int | None:
+    """``round_half_even(x)``, one value for every ``x`` from ``low`` to
+    ``low + span`` over ``den << shift`` (``span >= 0``), or None where the
+    two ends round apart: where the high end, ``span - excess`` past the low
+    end's ``q``, passes ``q + 1/2``, or reaches it with ``q`` odd."""
+    q, excess = _round_half_even(low, den, shift)
+    reach = 2 * (span - excess) - (den << shift)  # twice the high end's distance past q + 1/2
+    return q if reach < 0 or reach == 0 and not q % 2 else None
 
 
 def _issue(rate: Rate, income: Fraction, census: int) -> tuple[Rate, int, int]:
@@ -520,32 +516,29 @@ def _issue(rate: Rate, income: Fraction, census: int) -> tuple[Rate, int, int]:
     census * B/E'`` rounded half to even, for ``rate`` E'; and E' with the
     bracket that decided them.
 
-    ``B/E'`` is ``B`` times the bracket of ``1/E'``, a product, after the
-    bracket is made narrow enough: its relative width at most
-    ``2**-GUARD_BITS`` over the bits of ``census * B/E'``. Each value comes
-    from the bracket unless a half-integer lies in its range, and then from
-    the exact ratio by ``_round_half_even``.
+    ``B/E'`` is ``B`` times the bracket of ``1/E'``, after the bracket is
+    made narrow enough: its relative width at most ``2**-GUARD_BITS`` over
+    the bits of ``census * B/E'``. Each value comes from ``_round_over`` on
+    the bracket's two ends, and where they round apart, both from the exact
+    ratio by ``_round_half_even``.
     """
     bn, bd = income.numerator, income.denominator
     bits = max(bn.bit_length() - bd.bit_length() + rate.hi.bit_length() - rate.shift + 1, 0)
     rate = rate.within(bits + census.bit_length() + GUARD_BITS)  # B/E' < 2**bits
-    lo, hi, shift = bn * rate.lo, bn * rate.hi, rate.shift
+    lo, span, shift = bn * rate.lo, bn * (rate.hi - rate.lo), rate.shift
     if shift < 0:
-        lo, hi, shift = lo << -shift, hi << -shift, 0
-    issued = _round_between(lo, hi, bd, shift)  # B/E' lies from lo to hi over bd * 2**shift
-    if issued is None:
-        rate.fallbacks["issued"] += 1
-        rate_num, rate_den = rate.ratio()
-        issued, excess = _round_half_even(bn * rate_den, bd * rate_num)
-        return rate, issued, _round_half_even(census * excess, bd * rate_num)[0]
-    whole = issued * bd << shift  # census * (issued - B/E') lies between these, over the same
-    residue = _round_between(census * (whole - hi), census * (whole - lo), bd, shift)
-    if residue is None:
-        rate.fallbacks["residue"] += 1
-        rate_num, rate_den = rate.ratio()
-        den = bd * rate_num
-        residue = _round_half_even(census * (den * issued - bn * rate_den), den)[0]
-    return rate, issued, residue
+        lo, span, shift = lo << -shift, span << -shift, 0
+    # B/E' lies from lo to lo + span over bd << shift
+    issued = _round_over(lo, span, bd, shift)
+    if issued is not None:  # census * (issued - B/E') lies from low to low + span, over the same
+        low = census * ((issued * bd << shift) - lo - span)
+        residue = _round_over(low, census * span, bd, shift)
+        if residue is not None:
+            return rate, issued, residue
+    rate.fallbacks["issued" if issued is None else "residue"] += 1
+    rate_num, rate_den = rate.ratio()
+    issued, excess = _round_half_even(bn * rate_den, bd * rate_num)
+    return rate, issued, _round_half_even(census * excess, bd * rate_num)[0]
 
 
 def mint_epoch_poplet(
@@ -656,13 +649,13 @@ def _int_writer(largest: int):
 
 def state_to_json(state: LedgerState) -> str:
     rate, balances = state.exchange_rate, state.balances
-    ids, flags, credit = balances.ids, balances.flags, balances.credit
+    index, flags, credit = balances.index, balances.flags, balances.credit
     write = _int_writer(sum(balances.held) + balances.count * credit)
     write_rate = _int_writer(max(rate.numerator, rate.denominator))
     fields = {  # in sorted key order
         "balances": "{" + ",".join(
             f"{encode_basestring_ascii(key)}:{write(poplets + credit if member else poplets)}"
-            for key, poplets, member in sorted(zip(ids, balances.held, flags))
+            for key, poplets, member in sorted(zip(index, balances.held, flags))
         ) + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
@@ -670,8 +663,8 @@ def state_to_json(state: LedgerState) -> str:
             f'{{"den":{write_rate(rate.denominator)},"num":{write_rate(rate.numerator)}}}'
         ),
     }
-    if balances.count != len(ids):
-        members = sorted(compress(ids, flags))
+    if balances.count != len(index):
+        members = sorted(compress(index, flags))
         fields["participants"] = json.dumps(members, separators=(",", ":"))
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 
@@ -735,12 +728,8 @@ class DirectLedgerState:
 
 
 def direct_genesis(initial_accounts: Iterable[Account]) -> DirectLedgerState:
-    accounts = _genesis_accounts(initial_accounts)
-    return DirectLedgerState(
-        epoch=0,
-        balances={a: Fraction(0) for a in accounts},
-        participants=frozenset(accounts),
-    )
+    balances = _genesis_balances(initial_accounts, Fraction(0))
+    return DirectLedgerState(epoch=0, balances=balances, participants=frozenset(balances))
 
 
 def mint_epoch_direct(

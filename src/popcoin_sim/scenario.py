@@ -661,8 +661,8 @@ def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
         if amount > 0:
             if amount > poplets:
                 raise InvariantViolation(
-                    f"transfer mix drew {Decimal(amount)} poplets from {balances.ids[sender]!r}, "
-                    f"which holds {Decimal(poplets)}"
+                    f"transfer mix drew {Decimal(amount)} poplets from "
+                    f"{list(balances.index)[sender]!r}, which holds {Decimal(poplets)}"
                 )
             held[sender] = entry - amount
             held[recipient] += amount

@@ -370,7 +370,13 @@ def test_every_read_sees_an_image_equal_to_held(name, monkeypatch):
 
     def checked_read(balances, members, poplets, image, written):
         nonlocal previous
-        held = balances.held
+        held, flags, index = balances.held, balances.flags, balances.index
+        # the members come first and the table is in id order: the read takes
+        # ``image[:members]`` and the transfer mix draws positions in id order
+        assert balances.count == members
+        assert flags == bytes([1]) * members + bytes(len(flags) - members)
+        assert list(index) == [f"p{i:08d}" for i in range(len(held))]
+        assert list(index.values()) == list(range(len(held)))
         patched.append(image is not None and 4 * len(written) < len(held))
         if previous is not None:
             assert image is None or image.tolist() == previous

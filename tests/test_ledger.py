@@ -191,7 +191,7 @@ def test_mint_without_census_deltas_keeps_the_participant_set():
     state = make_ledger(3)
     after, report = mint_epoch_poplet(state, DEFAULT, 3)
     assert after.participants == state.participants
-    for part in ("ids", "index", "held", "flags"):
+    for part in ("index", "held", "flags"):
         assert getattr(after.balances, part) is getattr(state.balances, part)
     assert after.balances.credit == state.balances.credit + report.issued_per_participant
     grown, _ = mint_epoch_poplet(after, DEFAULT, 4, new_accounts=["new"])
@@ -202,18 +202,19 @@ def test_a_census_change_writes_copies_and_leaves_its_input_as_it_was():
     # a removal shares the id table and copies the entries and flags; a mint
     # that opens an account copies the table too
     state = make_ledger(12)
-    accounts = state.balances.ids
+    table = state.balances.index
+    accounts = list(table)
     before = dict(state.balances), state.participants
     shrunk, _ = mint_epoch_poplet(state, DEFAULT, 11, removed_accounts=["a1"])
-    assert shrunk.balances.ids is accounts
-    assert shrunk.balances.index is state.balances.index
+    assert shrunk.balances.index is table
     assert shrunk.balances.held is not state.balances.held
     assert shrunk.balances.flags is not state.balances.flags
     grown, _ = mint_epoch_poplet(shrunk, DEFAULT, 13, new_accounts=["new", "a1"])
-    assert grown.balances.ids == accounts + ("new",)
+    assert grown.balances.index is not table
+    assert list(grown.balances.index.items()) == list(zip([*accounts, "new"], range(13)))
     assert grown.participants == {*accounts, "new"}
     assert (dict(state.balances), state.participants) == before
-    assert shrunk.balances.ids == accounts and "new" not in shrunk.balances
+    assert list(table) == accounts and "new" not in shrunk.balances
 
 
 def test_a_state_rejects_participants_without_balance_entries():
@@ -226,6 +227,19 @@ def test_a_state_rejects_an_empty_census():
     # the next mint would divide by it
     with pytest.raises(ValueError, match="participants must not be empty"):
         LedgerState(0, Fraction(1, 100), {"a": 0}, frozenset())
+
+
+@pytest.mark.parametrize("rate", [Fraction(0), Fraction(-1, 2), 0, -0.5])
+def test_a_state_rejects_a_rate_that_is_not_positive(rate):
+    # a zero rate would end the next mint in a division by zero, and a
+    # negative one would issue negative basic income
+    with pytest.raises(ValueError, match="exchange_rate must be positive"):
+        LedgerState(0, rate, {"a": 5, "b": 7})
+
+
+def test_a_state_reads_a_float_rate_through_its_decimal_literal():
+    # as PolicyParams reads its floats: 0.1 is 1/10, not the nearest double
+    assert LedgerState(0, 0.1, {"a": 5}).exchange_rate == Fraction(1, 10)
 
 
 def test_a_state_from_a_plain_mapping_counts_every_key():

@@ -2,8 +2,8 @@
 
 ``ledger.Rate`` keeps the rate as its closed form plus a dyadic bracket of
 ``1/E``, and decides issuance, its residue and ``float(count * E)`` from the
-bracket, with an exact fallback where the bracket holds a rounding
-boundary. These tests aim at those boundaries: ratios on a half-integer or a
+bracket, with an exact fallback where the bracket's two ends round apart.
+These tests aim at those boundaries: ratios on a half-integer or a
 float midpoint and one part in a 10^4-bit denominator to either side, the
 overflow and subnormal edges of the float division, and brackets too wide to
 decide anything.
@@ -29,7 +29,7 @@ from popcoin_sim import (
     transfer,
 )
 from popcoin_sim import ledger, scenario
-from popcoin_sim.ledger import Rate, _issue, _round_half_even
+from popcoin_sim.ledger import Rate, _issue, _round_half_even, _round_over
 
 # a rate's numerator and denominator: small, or of 10^4 bits and more
 operands = st.one_of(
@@ -57,6 +57,29 @@ def exact_issue(rate: Fraction, income: Fraction, census: int) -> tuple[int, int
     return issued, _round_half_even(census * excess, den)[0]
 
 
+def bracket_fallbacks(rate: Rate, income: Fraction, census: int) -> Counter:
+    """The fallbacks that deciding from ``rate``'s bracket takes: one where
+    the two ends of ``B/E'`` round apart, else one where those of the residue
+    do. ``round`` of a ``Fraction`` rounds half to even. Each pair of ends
+    that round apart holds a half-integer, so the bracket falls back no more
+    often than a test for a half-integer in it would."""
+    unit = Fraction(2) ** -rate.shift
+    low, high = income * rate.lo * unit, income * rate.hi * unit  # B/E' lies between
+    issued = round(low)
+    if round(high) != issued:
+        assert holds_a_half_integer(low, high)
+        return Counter(issued=1)
+    low, high = census * (issued - high), census * (issued - low)
+    if round(high) != round(low):
+        assert holds_a_half_integer(low, high)
+        return Counter(residue=1)
+    return Counter()
+
+
+def holds_a_half_integer(low: Fraction, high: Fraction) -> bool:
+    return math.floor(high - Fraction(1, 2)) >= math.ceil(low - Fraction(1, 2))
+
+
 def exact_float(value: Fraction) -> float:
     """``float(value)`` by integer true division; raises ``OverflowError`` past the floats."""
     return value.numerator / value.denominator
@@ -72,11 +95,23 @@ def exact_float(value: Fraction) -> float:
 )
 @example(rate=Fraction(1), whole=2, nudge=Fraction(0), census=15, bits=128)  # 2.5 -> 2
 @example(rate=Fraction(1), whole=1, nudge=Fraction(0), census=3, bits=128)  # 1.5 -> 2
+# B = 1 and 1/E' = 5/2 - 2**-300: the bracket of B/E' runs from just below
+# 2.5 to exactly 2.5, an even floor, so both ends round to 2, and the
+# residue's from -1/2 to just above it round to 0: no fallback, where a
+# half-integer test falls back
+@example(
+    rate=1 / (Fraction(5, 2) - Fraction(1, 2**300)),
+    whole=2,
+    nudge=Fraction(-1, 2**300),
+    census=1,
+    bits=128,
+)
 def test_issuance_on_and_beside_a_half_integer(rate, whole, nudge, census, bits):
-    # B / E' = whole + 1/2 + nudge
+    # B / E' = whole + 1/2 + nudge; the bracket decides unless its ends round apart
     income = (whole + Fraction(1, 2) + nudge) * rate
     decided = _issue(Rate.of(rate, census, bits), income, census)
     assert decided[1:] == exact_issue(rate, income, census)
+    assert decided[0].fallbacks == bracket_fallbacks(decided[0], income, census)
 
 
 @settings(deadline=None, max_examples=150)
@@ -96,6 +131,45 @@ def test_residue_on_and_beside_a_half_integer(rate, issued, census, odd, nudge, 
     income = (issued - Fraction(2 * k + 1, 2 * census) + nudge) * rate
     decided = _issue(Rate.of(rate, census, bits), income, census)
     assert decided[1:] == exact_issue(rate, income, census)
+    assert decided[0].fallbacks == bracket_fallbacks(decided[0], income, census)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    num=st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**400), 2**400)),
+    den=st.integers(min_value=1, max_value=10**6),
+    shift=st.integers(min_value=0, max_value=300),
+)
+@example(num=5, den=2, shift=0)  # 2.5 -> 2
+@example(num=-5, den=2, shift=0)  # -2.5 -> -2
+@example(num=3, den=1, shift=1)  # 1.5 -> 2
+@example(num=-3, den=1, shift=1)  # -1.5 -> -2
+def test_round_half_even_rounds_as_a_fraction_does(num, den, shift):
+    q, excess = _round_half_even(num, den, shift)
+    assert q == round(Fraction(num, den << shift))
+    assert excess == (q * den << shift) - num
+
+
+@pytest.mark.parametrize(
+    "low, high, decided",
+    [
+        ("2.4", "2.5", 2),  # even floor, tie on the high end
+        ("2.5", "2.5", 2),
+        ("1.5", "2.5", 2),  # two ties that both round to 2
+        ("2.0", "2.4", 2),
+        ("1.4", "1.5", None),  # odd floor: the tie rounds up
+        ("2.5", "2.6", None),
+        ("1.5", "2.6", None),
+        ("-2.5", "-2.4", -2),
+        ("-2.6", "-2.5", None),
+    ],
+)
+@pytest.mark.parametrize("den, shift", [(10, 0), (10, 3), (30, 7)])
+def test_a_bracket_decides_exactly_where_its_ends_round_alike(low, high, decided, den, shift):
+    # from low to high over den << shift, both multiples of 1/10
+    scale = (den << shift) // 10
+    low, high = int(Fraction(low) * 10) * scale, int(Fraction(high) * 10) * scale
+    assert _round_over(low, high - low, den, shift) == decided
 
 
 def midpoint_after(value: float) -> Fraction:

@@ -180,5 +180,5 @@ def test_mix_rejects_an_overdrawing_amount():
     # a fraction above one can only reach the kernel by bypassing validation
     balances = {"a": 10**6, "b": 10**6}
     state = LedgerState(1, Fraction(1), balances, frozenset(balances))
-    with pytest.raises(InvariantViolation, match="holds"):
+    with pytest.raises(InvariantViolation, match=r"poplets from '[ab]', which holds"):
         _mix_transfers(state, SplitMix64(1), 50, Fraction(3))
