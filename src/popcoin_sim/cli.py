@@ -8,9 +8,11 @@ Subcommands::
     popcoin-sim exchange <scenario.json> [--out <dir>]
 
 Exit codes: 0 on success, 2 for invalid configs or inputs or an output that
-cannot be written, 3 for a model invariant violated at runtime. The only
-environment influence is POPCOIN_SIM_LOG, which sets stderr log verbosity
-(debug, info, warning, error); it never changes outputs.
+cannot be written, 3 for a model invariant violated at runtime or any other
+exception, a fault of the program itself, which prints the one line
+``internal error: <Type>: <message>`` and its traceback only at debug. The
+only environment influence is POPCOIN_SIM_LOG, which sets stderr log
+verbosity (debug, info, warning, error); it never changes outputs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .scenario import (
     write_outputs,
     write_rows,
 )
+
+log = logging.getLogger("popcoin_sim.cli")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,6 +146,11 @@ def main(argv=None) -> int:
     except PopcoinError as err:
         # model or ledger guarantee broken at runtime, distinct from bad input
         print(f"invariant violation: {err}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as err:  # any other fault is the program's, not the input's
+        detail = f"{type(err).__name__}: {err}" if str(err) else type(err).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
+        log.debug("traceback of the internal error", exc_info=True)
         return EXIT_INVARIANT
 
 

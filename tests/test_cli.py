@@ -188,6 +188,58 @@ def test_a_failing_study_writes_no_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+        (MemoryError("out of memory"), "internal error: MemoryError: out of memory"),
+        (MemoryError(), "internal error: MemoryError"),
+    ],
+)
+def test_an_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    def failing_run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(popcoin_sim.cli, "run_scenario", failing_run)
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+RAISING_CHILD = """\
+import sys
+from popcoin_sim import cli
+
+def failing_run(*args, **kwargs):
+    raise {error}
+
+cli.run_scenario = failing_run
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("error", ["RuntimeError('boom')", "MemoryError('cannot allocate')"])
+def test_the_traceback_of_an_internal_error_prints_only_at_debug(tmp_path, error):
+    config = write_json(tmp_path / "cfg.json", CONFIG)
+    src_dir = str(Path(popcoin_sim.__file__).resolve().parent.parent)
+    child = [sys.executable, "-c", RAISING_CHILD.format(error=error), "run", config, "--out",
+             str(tmp_path / "out")]
+    runs = {}
+    for level in ("warning", "debug"):
+        env = {"PATH": "", "PYTHONPATH": src_dir, "POPCOIN_SIM_LOG": level}
+        runs[level] = subprocess.run(child, capture_output=True, text=True, env=env)
+        assert runs[level].returncode == 3, runs[level].stderr
+    name, message = error.split("(")[0], error.split("'")[1]
+    assert runs["warning"].stderr == f"internal error: {name}: {message}\n"
+    debug = runs["debug"].stderr
+    assert debug.startswith(runs["warning"].stderr)
+    assert "Traceback (most recent call last):" in debug
+    assert debug.rstrip().endswith(f"{name}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_study_listed_twice_exits_2_and_writes_no_file(tmp_path, capsys):
     grids = [{"fiat_supply_shocks": [0.1]}, {"fiat_supply_shocks": [0.2, 0.3]}]
     twice = dict(CONFIG, outputs=[{"study": "exchange", "params": grid} for grid in grids])

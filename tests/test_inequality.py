@@ -29,7 +29,7 @@ from popcoin_sim import (
     variance_bound,
     worst_case_distribution,
 )
-from popcoin_sim.inequality import _as_distribution
+from popcoin_sim.inequality import _as_distribution, block_metrics
 
 balances = arrays(
     float,
@@ -302,6 +302,86 @@ def test_epoch_metrics_rejects_exactly_what_as_distribution_rejects(values):
     expected = _every_value_rule(values)
     for caller in (_as_distribution, *CALLERS.values()):
         assert _rejection(caller, values) == expected
+
+
+# --- the census block ---------------------------------------------------------------
+
+# each kind of row a block may hold: its values' range, or all zero
+ROW_KINDS = {
+    "ordinary": st.floats(min_value=0, max_value=1e9),
+    "zero": st.just(0.0),
+    "subnormal": st.floats(min_value=0, max_value=2.0**-1022),
+    "2**509": st.floats(min_value=0, max_value=2.0**509),  # n * max**2 on both sides of 2**1020
+    "1.7e308": st.floats(min_value=1e308, max_value=1.7e308),  # the row sums overflow
+}
+
+
+@st.composite
+def blocks(draw):
+    """A block of 1 to 40 rows of 1 to 60 values, each row of one kind, the
+    kinds drawn from a few that the block allows, so single-kind blocks are common."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    kinds = st.sampled_from(sorted(ROW_KINDS))
+    allowed = draw(st.lists(kinds, min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=40))
+    return np.array([draw(st.lists(ROW_KINDS[kind], min_size=n, max_size=n)) for kind in rows])
+
+
+def _mixed_block():
+    """Ordinary, all-zero, subnormal, 2**509-scale and 1.7e308 rows in one block."""
+    return np.array(
+        [
+            [3.0, 1.0, 2.0, 0.5],
+            [0.0] * 4,
+            [5e-324, 1e-310, 0.0, 2.0**-1022],
+            [2.0**509, 0.0, 0.0, 0.0],
+            [1.7e308, 1.7e308, 1e308, 1.7e308],
+            [1e9, 0.0, 7.0, 1e9],
+        ]
+    )
+
+
+@settings(deadline=None)
+@given(blocks())
+@example(_mixed_block())
+@example(np.array([[1.0, 2.0], [0.0, 0.0]]))  # two rows, one all zero: nan Gini, ratio 1
+@example(np.array([[0.0, 5e-324], [5e-324, 5e-324]]))  # subnormal rows in the vector pass
+@example(np.array([[-0.0, 1.0], [2.0, 3.0]]))  # -0.0 is not negative
+@example(np.array([[2.0**509] * 4, [1.0] * 4]))  # n * max**2 = 2**1020: row at a time
+@example(np.array([[math.nextafter(2.0**509, 0.0)] + [0.0] * 3, [1.0] * 4]))  # just below
+def test_a_block_measures_each_row_as_the_public_functions_do(block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither path raises a numpy warning
+        got = list(block_metrics(block))
+        want = [_one_metric_at_a_time(row) for row in block]
+    assert [_bits(metrics) for metrics in got] == [_bits(metrics) for metrics in want]
+    assert all(isinstance(x, float) for metrics in got for x in metrics)
+    # the identity the block pass rests on: numpy sums each row of a block, given
+    # or sorted, bit for bit as it sums that row alone
+    with np.errstate(over="ignore"):
+        ordered = np.sort(block, axis=1)
+        for i, row in enumerate(block):
+            assert block.sum(axis=1)[i] == row.sum()
+            assert ordered.sum(axis=1)[i] == np.sort(row).sum()
+
+
+@pytest.mark.parametrize(
+    "block, good",
+    [
+        ([[1.0, 2.0], [3.0, -1.0], [4.0, 5.0]], 1),
+        ([[1.0, 2.0], [2.0, 3.0], [NAN, 1.0]], 2),
+        ([[INF, 2.0], [2.0, 3.0]], 0),
+        ([[2.0**509, 1.0], [2.0, 3.0], [-INF, 1.0]], 2),
+    ],
+)
+def test_a_block_raises_a_rows_error_once_the_rows_before_it_are_read(block, good):
+    block = np.array(block)
+    metrics = block_metrics(block)
+    for row in block[:good]:
+        assert _bits(next(metrics)) == _bits(epoch_metrics(row))
+    with pytest.raises(ValueError) as raised:
+        next(metrics)
+    assert str(raised.value) == _every_value_rule(block[good])
 
 
 # --- contraction properties -----------------------------------------------------------

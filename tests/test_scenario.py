@@ -2,6 +2,7 @@
 reproducibility, and the deterministic RNG contract."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -755,6 +756,122 @@ def test_members_holding_value_have_a_finite_gini_below_the_normal_floats():
     for record in records:
         if record.total > 0:
             assert math.isfinite(record.metrics[0]), record.macro.epoch
+
+
+# --- census blocks -------------------------------------------------------------
+
+
+def _record_bits(record):
+    """Every field of an ``EpochRecord``: ints as they are, floats by ``.hex()``."""
+    fields = (*dataclasses.astuple(record.macro), record.rate, record.total, *record.metrics)
+    return [field.hex() if isinstance(field, float) else field for field in fields]
+
+
+def _blocked_run(config):
+    """The records of a run, bit by bit, the rows of each ``block_metrics``
+    pass it made, and its final state."""
+    rows = []
+    real_block_metrics = scenario.block_metrics
+
+    def recording_block_metrics(block):
+        rows.append(len(block))
+        return real_block_metrics(block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "block_metrics", recording_block_metrics)
+        records = scenario.run_epochs(config)
+        bits = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                bits.append(_record_bits(next(records)))
+    return bits, rows, done.value.value
+
+
+BLOCK_POPULATIONS = {
+    # 300 members: blocks of 13 epochs, the last one cut short by the run's end
+    "fixed": lambda epochs: {"kind": "fixed", "N": 300},
+    # 40 members, then 100 from the last epoch on: a census change at the last epoch
+    "step_shock": lambda epochs: {
+        "kind": "step_shock", "N0": 40, "factor": 2.5, "at_epoch": max(epochs, 1)
+    },
+    # growth that levels off, so blocks lengthen as the run goes
+    "logistic": lambda epochs: {"kind": "logistic", "N0": 5, "K": 60, "rate": 0.3},
+    # about one member fewer per epoch: blocks of at most 4 epochs (4 * 900 <= 4096)
+    "degrowth": lambda epochs: {"kind": "degrowth", "N0": 900, "n": -0.001},
+}
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 30])
+@pytest.mark.parametrize("kind", sorted(BLOCK_POPULATIONS))
+def test_records_do_not_depend_on_the_block_bound(monkeypatch, kind, epochs):
+    config = parse_config(
+        {
+            **GOOD_CONFIG,
+            "epochs": epochs,
+            "population": BLOCK_POPULATIONS[kind](epochs),
+            "transfers": {"count_per_epoch": 20, "max_fraction": 0.5},
+        }
+    )
+    path = census_path(config.normalized["population"], epochs)
+    blocked, rows, final = _blocked_run(config)
+    # each block is a run of epochs that share a census, at most 4096 values
+    assert sum(rows) == len(blocked) == epochs
+    start = 1
+    for count in rows:
+        assert len(set(path[start : start + count])) == 1
+        assert count == 1 or count * path[start] <= 4096
+        start += count
+    if epochs == 30 and kind != "step_shock":
+        assert max(rows) > 1
+    monkeypatch.setattr(scenario, "_BLOCK_VALUES", 1)
+    alone, rows_alone, final_alone = _blocked_run(config)
+    assert rows_alone == [1] * epochs
+    assert blocked == alone
+    assert final == final_alone
+
+
+def _failing_at_epoch(monkeypatch, where, epoch):
+    """Make the run fail at ``epoch``: a rounding residue past its bound, or
+    a negative member value, which the metrics reject."""
+    if where == "residue":
+        real_mint = scenario.mint_epoch_poplet
+
+        def mint(state, params, census, *deltas):
+            state, report = real_mint(state, params, census, *deltas)
+            if state.epoch == epoch:
+                report = dataclasses.replace(report, rounding_residue_poplets=census)
+            return state, report
+
+        monkeypatch.setattr(scenario, "mint_epoch_poplet", mint)
+    else:
+        real_values = scenario._member_values
+        epochs = itertools.count(1)
+
+        def member_values(*args):
+            values = real_values(*args)
+            if next(epochs) == epoch:
+                values[-1] = -1.0
+            return values
+
+        monkeypatch.setattr(scenario, "_member_values", member_values)
+
+
+@pytest.mark.parametrize("where", ["residue", "values"])
+@pytest.mark.parametrize("bound", [4096, 1])
+def test_a_check_fails_after_the_records_of_the_epochs_before_it(monkeypatch, where, bound):
+    # 20 members share a census for 12 epochs, so the default bound makes one
+    # block of them; the failing epoch 7 is in its middle
+    monkeypatch.setattr(scenario, "_BLOCK_VALUES", bound)
+    _failing_at_epoch(monkeypatch, where, 7)
+    config = parse_config({**GOOD_CONFIG, "epochs": 12, "population": {"kind": "fixed", "N": 20}})
+    records = scenario.run_epochs(config)
+    assert [record.macro.epoch for record in itertools.islice(records, 6)] == list(range(1, 7))
+    if where == "residue":
+        with pytest.raises(scenario.InvariantViolation, match="epoch 7: issuance rounding"):
+            next(records)
+    else:
+        with pytest.raises(ValueError, match="balances must be non-negative"):
+            next(records)
 
 
 def test_load_config_rejects_bad_json(tmp_path):
