@@ -61,13 +61,22 @@ or builds it anew with ``np.fromiter`` when they are a quarter of the
 entries or more; past 2**63 it drops it. An epoch thus copies its lists
 and arrays whole but writes only the positions that change.
 
-``run_scenario`` formats each record's cells once; every file that shows one
-of its columns writes that string. Only after the last epoch does it write
-``manifest.json``, ``epochs.csv``, ``final_state.json``, the files that
-``STUDY_FILES`` maps each requested study to (``supply.csv``,
-``inequality.csv``, ``exchange.csv`` with ``exchange_summary.json``,
-``agent.csv``), and the optional long-format ``plot_data.csv``, and it
-removes each other name of ``RUN_FILES`` that an earlier run left. Inequality
+``run_scenario`` writes each record as it arrives, and keeps none: its
+floats are formatted once, and every table line that shows one of its
+columns joins that string; the cells that depend on the census transition
+alone (``N``, ``n``, ``D``, ``R``, the supply cap and the three bounds) are
+formatted once per distinct ``(N_t, n_t)``. The epoch tables, ``epochs.csv``,
+the ``supply.csv`` and ``inequality.csv`` of those two studies, and the
+optional long-format ``plot_data.csv``, are written into a staging directory
+that ``tempfile.mkdtemp`` makes inside the output directory. After the last
+epoch the run builds ``manifest.json``, ``final_state.json`` and the files
+that ``STUDY_FILES`` maps the exchange and agent studies to
+(``exchange.csv`` with ``exchange_summary.json``, ``agent.csv``). Only then
+does it move the staged tables into the output directory with
+``os.replace``, write the rest, remove each other name of ``RUN_FILES`` that
+an earlier run left, and remove the staging directory. A run that raises
+removes the staging directory and leaves the output directory as it was; a
+killed process can leave one behind, hidden as ``.popcoin-sim-*``. Inequality
 columns cover census members only; dormant holders still count toward
 M_total. A member's value is ``float(balance) * float(E)`` while ``float(E)``
 is a normal float and the poplet total is at most the largest float;
@@ -113,7 +122,11 @@ import copy
 import json
 import logging
 import math
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -834,80 +847,138 @@ def _census_block(block: list):
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
-    """Run ``config`` through ``run_epochs``; once the last epoch has passed its
-    checks, write every output file into ``out_dir``."""
+    """Run ``config`` through ``run_epochs``, writing each record's table lines
+    into a staging directory inside ``out_dir`` as it arrives; once the last
+    epoch and every study have passed their checks, publish every output file
+    into ``out_dir``. On any exception ``out_dir`` is left as it was."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_epochs(config)
-    macros, cells = [], []  # each epoch's MacroState, and its EPOCH_COLUMNS formatted once
+    studies = [entry["study"] for entry in config.normalized["outputs"]]
+    streamed = {
+        name: header
+        for name, header, wanted in (
+            ("epochs.csv", EPOCH_COLUMNS, True),
+            ("supply.csv", SUPPLY_COLUMNS, "supply" in studies),
+            ("inequality.csv", INEQUALITY_COLUMNS, "inequality" in studies),
+            ("plot_data.csv", PLOT_COLUMNS, include_plot_data),
+        )
+        if wanted
+    }
+    staging = Path(tempfile.mkdtemp(prefix=".popcoin-sim-", dir=out))
+    try:
+        with ExitStack() as stack:
+            tables = {}
+            for name, header in streamed.items():
+                path = staging / name
+                handle = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                handle.write(",".join(header) + "\n")
+                tables[name] = handle.write
+            state = _write_records(run_epochs(config), config.policy, tables)
+        files = {
+            "manifest.json": {"format_version": 1, "config": config.normalized},
+            "final_state.json": state_to_json(state) + "\n",
+        }
+        for entry in config.normalized["outputs"]:
+            if entry["study"] in STUDY_FILES:
+                files.update(STUDY_FILES[entry["study"]](entry["params"]))
+        for name in streamed:
+            os.replace(staging / name, out / name)
+        write_outputs(out, files)
+        written = [*streamed, *files]
+        for name in set(RUN_FILES).difference(written):  # left by an earlier run
+            (out / name).unlink(missing_ok=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    log.debug("exact fallbacks: %d", state.rate.fallbacks.total())
+    log.info("run complete: %d epochs, %d files in %s", state.epoch, len(written), out)
+    return {"out_dir": str(out), "files": sorted(written)}
+
+
+def _write_records(records, policy: PolicyParams, tables: dict) -> LedgerState:
+    """Write each ``EpochRecord`` of ``records`` as the lines of every table in
+    ``tables``, a file name and its handle's ``write``, as the record arrives;
+    return the final ledger state.
+
+    A record's floats are formatted once, as ``_format_cell`` does, and its
+    epoch by ``str``; every line that shows a column joins that string. The
+    cells of a census transition ``(N_t, n_t)``, ``N``, ``n``, ``D``, ``R``,
+    the supply cap and the three bounds, are formatted once per distinct
+    transition, keyed by the growth as well: a degrowth path can reach one
+    census twice, shrinking and then flat.
+    """
+    epochs = tables["epochs.csv"]
+    supply, inequality, plot = map(tables.get, ("supply.csv", "inequality.csv", "plot_data.csv"))
+    income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
+    transitions = {}  # (N_t, n_t) -> the cells of _census_cells
     while True:
         try:
-            m, rate, total, metrics = next(records)
+            m, rate, total, (gini_value, variance_value, ratio) = next(records)
         except StopIteration as done:  # run_epochs returns the final ledger state
-            state = done.value
-            break
-        macros.append(m)
-        row = (m.epoch, m.census, m.census_growth, rate, total, m.demurrage, m.interest, *metrics)
-        cells.append(list(map(_format_cell, row)))
-    files = {
-        "manifest.json": {"format_version": 1, "config": config.normalized},
-        "epochs.csv": (EPOCH_COLUMNS, cells),
-        "final_state.json": state_to_json(state) + "\n",
-    }
-    for entry in config.normalized["outputs"]:
-        files.update(STUDY_FILES[entry["study"]](entry["params"], config.policy, macros, cells))
-    if include_plot_data:
-        files["plot_data.csv"] = (PLOT_COLUMNS, _long_rows(cells))
-    for name in set(RUN_FILES) - files.keys():  # left by an earlier run
-        (out / name).unlink(missing_ok=True)
-    write_outputs(out, files)
-    log.debug("exact fallbacks: %d", state.rate.fallbacks.total())
-    log.info("run complete: %d epochs, %d files in %s", len(cells), len(files), out)
-    return {"out_dir": str(out), "files": sorted(files)}
+            return done.value
+        key = (m.census, m.census_growth)
+        cells = transitions.get(key)
+        if cells is None:
+            cells = transitions[key] = _census_cells(
+                m, income, alpha, supply is not None, inequality is not None
+            )
+        census, minted, cap, bounds, plot_n, plot_growth, plot_d, plot_r = cells
+        t, e, m_total = str(m.epoch), repr(rate + 0.0), repr(total + 0.0)
+        g, v, r = repr(gini_value + 0.0), repr(variance_value + 0.0), repr(ratio + 0.0)
+        epochs(f"{t},{census},{e},{m_total},{minted},{g},{v},{r}\n")
+        if supply:
+            supply(f"{t},{m_total},{repr(m.supply + 0.0)},{cap}\n")
+        if inequality:
+            inequality(f"{t},{g},{v},{r},{bounds}\n")
+        if plot:
+            plot(
+                f"{t}{plot_n}{t}{plot_growth}{t},E,{e}\n{t},M_total,{m_total}\n{t}{plot_d}"
+                f"{t}{plot_r}{t},gini,{g}\n{t},variance,{v}\n{t},max_ratio,{r}\n"
+            )
 
 
-def _long_rows(rows):
-    """``(t, series, value)`` for each non-time cell of rows in EPOCH_COLUMNS order."""
-    for row in rows:
-        t = row[0]
-        for column, value in zip(EPOCH_COLUMNS[1:], row[1:]):
-            yield [t, column, value]
+def _census_cells(
+    m: MacroState, income: float, alpha: float, supply: bool, inequality: bool
+) -> tuple:
+    """The cells of ``m``'s census transition as ``_write_records`` joins them:
+    ``N,n`` and ``D,R`` of the epoch line, the supply cap and the joined
+    bounds when their study runs, and the four ``plot_data`` line ends."""
+    census = m.census
+    n, growth, minted, interest = map(
+        _format_cell, (census, m.census_growth, m.demurrage, m.interest)
+    )
+    cap = bounds = None
+    if supply:
+        cap = _format_cell(steady_state_supply(income, alpha, census) if alpha else math.inf)
+    if inequality:
+        values = (
+            gini_bound(alpha, census),
+            variance_bound(alpha, income, census),
+            ratio_bound(alpha, census),
+        )
+        bounds = ",".join(map(_format_cell, values))
+    return (
+        f"{n},{growth}",
+        f"{minted},{interest}",
+        cap,
+        bounds,
+        f",N,{n}\n",
+        f",n,{growth}\n",
+        f",D,{minted}\n",
+        f",R,{interest}\n",
+    )
 
 
 # --- the study table ---------------------------------------------------------
-# The supply and inequality tables reuse the epoch cells t and M_total
-# (row[4]), and gini, variance and max_ratio (row[7:]); they format only
-# their own columns. The cap and the bounds depend on alpha, B and N_t alone,
-# so each is computed and formatted once per distinct census.
+# The supply and inequality studies are tables of the epoch records, which
+# ``run_scenario`` writes as the records arrive (see ``_write_records``): they
+# reuse the epoch cells t, M_total, gini, variance and max_ratio as formatted
+# once, and their cap and bounds, which depend on alpha, B and N_t alone, are
+# formatted once per census transition. The exchange and agent studies read
+# only their params; ``STUDY_FILES`` maps each to its files, which the
+# ``exchange`` and ``agent`` subcommands also write.
 
 
-def _supply_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
-    income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
-    caps = {
-        n: _format_cell(steady_state_supply(income, alpha, n) if alpha else math.inf)
-        for n in {m.census for m in macros}
-    }
-    rows = (
-        [row[0], row[4], _format_cell(m.supply), caps[m.census]] for row, m in zip(cells, macros)
-    )
-    return {"supply.csv": (SUPPLY_COLUMNS, rows)}
-
-
-def _inequality_files(params: dict, policy: PolicyParams, macros: list, cells: list) -> dict:
-    income, alpha = float(policy.basic_income), float(policy.demurrage_alpha)
-    bounds = {
-        n: [
-            _format_cell(gini_bound(alpha, n)),
-            _format_cell(variance_bound(alpha, income, n)),
-            _format_cell(ratio_bound(alpha, n)),
-        ]
-        for n in {m.census for m in macros}
-    }
-    rows = ([row[0], *row[7:], *bounds[m.census]] for row, m in zip(cells, macros))
-    return {"inequality.csv": (INEQUALITY_COLUMNS, rows)}
-
-
-def _exchange_files(params: dict, *run) -> dict:
+def _exchange_files(params: dict) -> dict:
     """The overshooting experiment over the shock x elasticity grid, and its summary."""
     # int levels enter as floats, so a product past the floats is inf, which the rate checks catch
     base = ExchangeScenario(**{name: float(value) for name, value in params["scenario"].items()})
@@ -930,7 +1001,7 @@ def _exchange_files(params: dict, *run) -> dict:
     return {"exchange.csv": (EXCHANGE_COLUMNS, rows), "exchange_summary.json": summary}
 
 
-def _agent_files(params: dict, *run) -> dict:
+def _agent_files(params: dict) -> dict:
     """Each problem's (in1, out1, savings, tax_rate) under the params' demurrage rate."""
     rows = []
     for doc in params["problems"]:
@@ -944,14 +1015,10 @@ def _agent_files(params: dict, *run) -> dict:
     return {"agent.csv": (AGENT_COLUMNS, rows)}
 
 
-# study -> (params[, policy, macros, cells]) -> {file name: (header, rows) or JSON document}
-STUDY_FILES = {
-    "supply": _supply_files,
-    "inequality": _inequality_files,
-    "exchange": _exchange_files,
-    "agent": _agent_files,
-}
-STUDIES = tuple(STUDY_FILES)
+# study -> params -> {file name: (header, rows) or JSON document}
+STUDY_FILES = {"exchange": _exchange_files, "agent": _agent_files}
+# every study, in the order the diagnostics name them
+STUDIES = ("supply", "inequality", *STUDY_FILES)
 # Every file a run can write; ``run_scenario`` removes those it does not write.
 RUN_FILES = ("manifest.json", "epochs.csv", "final_state.json", "supply.csv", "inequality.csv",
              "exchange.csv", "exchange_summary.json", "agent.csv", "plot_data.csv")

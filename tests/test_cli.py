@@ -188,6 +188,58 @@ def test_a_failing_study_writes_no_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def _all_studies(epochs: int) -> dict:
+    problems = [{"basic_income": 10.0, "earned_income": 5.0}]
+    return dict(
+        CONFIG,
+        epochs=epochs,
+        outputs=[
+            {"study": "supply"},
+            {"study": "inequality"},
+            {"study": "exchange"},
+            {"study": "agent", "params": {"problems": problems}},
+        ],
+    )
+
+
+@pytest.mark.parametrize("failure", ["check at epoch 7", "exchange study"])
+def test_a_failed_run_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkeypatch, failure):
+    # an earlier run's nine files and a file of the user's; the tables are
+    # staged inside out, and only a run that passes publishes them
+    out = tmp_path / "out"
+    earlier = write_json(tmp_path / "earlier.json", dict(_all_studies(4), seed=2))
+    assert main(["run", earlier, "--out", str(out), "--plot-data"]) == 0
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == sorted([*scenario.RUN_FILES, "notes.txt"])
+
+    doc = _all_studies(12)
+    if failure == "exchange study":  # fails after the last epoch, as above
+        doc["outputs"][2]["params"] = {
+            "scenario": {"money_supply_pop": 1.1},
+            "fiat_supply_shocks": [0.01],
+            "elasticities": [1.0],
+        }
+    else:
+        real_mix = scenario._mix_transfers
+
+        def mix_dropping_at_epoch_7(state, rng, count, frac):
+            state, written = real_mix(state, rng, count, frac)
+            if state.epoch != 7:
+                return state, written
+            balances = dict(state.balances)
+            balances[max(balances, key=balances.get)] -= 1
+            return dataclasses.replace(state, balances=balances), written
+
+        monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping_at_epoch_7)
+    config = write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", config, "--out", str(out), "--plot-data"]) == 3
+    err = capsys.readouterr().err
+    assert ("epoch 7: the ledger holds" in err) == (failure == "check at epoch 7")
+    after = {path.name: path.read_bytes() if path.is_file() else None for path in out.iterdir()}
+    assert after == before
+
+
 @pytest.mark.parametrize(
     "error, line",
     [

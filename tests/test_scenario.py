@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -363,6 +364,123 @@ def test_plot_data_is_emit_plot_data_of_the_epoch_rows(tmp_path):
     assert len(long_rows) == 12 * 9
     expected = "".join(",".join(row) + "\n" for row in [["t", "series", "value"], *long_rows])
     assert (tmp_path / "plot_data.csv").read_bytes() == expected.encode("utf-8")
+
+
+POPULATIONS = {
+    "fixed": st.fixed_dictionaries({"N": st.integers(1, 12)}),
+    "exponential": st.fixed_dictionaries(
+        {"N0": st.integers(1, 12), "n": st.sampled_from([-0.5, -0.25, 0.0, 0.1, 0.5])}
+    ),
+    "logistic": st.fixed_dictionaries(
+        {"N0": st.integers(1, 12), "K": st.integers(1, 30), "rate": st.sampled_from([0.3, 1.0])}
+    ),
+    "step_shock": st.fixed_dictionaries(
+        {
+            "N0": st.integers(1, 12),
+            "factor": st.sampled_from([0.25, 0.5, 2.0]),
+            "at_epoch": st.integers(1, 12),
+        }
+    ),
+    "degrowth": st.fixed_dictionaries(
+        {"N0": st.integers(1, 12), "n": st.sampled_from([-0.5, -0.25, -0.1])}
+    ),
+}
+
+
+def _oracle_tables(config, include_plot_data: bool) -> dict:
+    """The epoch tables of ``config`` built as whole tables from its records:
+    each record's row of ``_format_cell`` strings, and each table's rows
+    written by ``write_rows``."""
+    records = list(scenario.run_epochs(config))
+    income = float(config.policy.basic_income)
+    alpha = float(config.policy.demurrage_alpha)
+    rows = []
+    for m, rate, total, metrics in records:
+        row = (m.epoch, m.census, m.census_growth, rate, total, m.demurrage, m.interest, *metrics)
+        rows.append(list(map(scenario._format_cell, row)))
+    tables = {"epochs.csv": (scenario.EPOCH_COLUMNS, rows)}
+    studies = [entry["study"] for entry in config.normalized["outputs"]]
+    if "supply" in studies:
+        cap = lambda n: scenario.steady_state_supply(income, alpha, n) if alpha else math.inf
+        tables["supply.csv"] = (
+            scenario.SUPPLY_COLUMNS,
+            [
+                [row[0], row[4], *map(scenario._format_cell, (m.supply, cap(m.census)))]
+                for row, (m, *_) in zip(rows, records)
+            ],
+        )
+    if "inequality" in studies:
+        bounds = lambda n: (
+            scenario.gini_bound(alpha, n),
+            scenario.variance_bound(alpha, income, n),
+            scenario.ratio_bound(alpha, n),
+        )
+        tables["inequality.csv"] = (
+            scenario.INEQUALITY_COLUMNS,
+            [
+                [row[0], *row[7:], *map(scenario._format_cell, bounds(m.census))]
+                for row, (m, *_) in zip(rows, records)
+            ],
+        )
+    if include_plot_data:
+        tables["plot_data.csv"] = (
+            scenario.PLOT_COLUMNS,
+            [
+                [row[0], column, cell]
+                for row in rows
+                for column, cell in zip(scenario.EPOCH_COLUMNS[1:], row[1:])
+            ],
+        )
+    written = {}
+    for name, (header, table) in tables.items():
+        handle = io.StringIO()
+        scenario.write_rows(handle, header, table)
+        written[name] = handle.getvalue().encode("utf-8")
+    return written
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    population=st.sampled_from(sorted(POPULATIONS)).flatmap(
+        lambda kind: POPULATIONS[kind].map(lambda block: {"kind": kind, **block})
+    ),
+    epochs=st.integers(0, 12),
+    alpha=st.sampled_from([0.0, 0.02, 0.5]),
+    transfers=st.integers(0, 4),
+    studies=st.sets(st.sampled_from(["supply", "inequality"])),
+    include_plot_data=st.booleans(),
+)
+@example(
+    # the census reaches 3 twice, at growth -0.25 and then 0.0: a cache of the
+    # census cells keyed by N_t alone writes the first growth at both
+    population={"kind": "degrowth", "N0": 6, "n": -0.25},
+    epochs=6,
+    alpha=0.02,
+    transfers=2,
+    studies={"supply", "inequality"},
+    include_plot_data=True,
+)
+def test_the_streamed_tables_are_the_tables_of_the_records(
+    population, epochs, alpha, transfers, studies, include_plot_data
+):
+    config = parse_config(
+        {
+            **GOOD_CONFIG,
+            "policy": {"basic_income": 2922, "demurrage_alpha": alpha},
+            "epochs": epochs,
+            "population": population,
+            "transfers": {"count_per_epoch": transfers, "max_fraction": 0.5},
+            "outputs": [{"study": study} for study in sorted(studies)],
+        }
+    )
+    expected = _oracle_tables(config, include_plot_data)
+    with tempfile.TemporaryDirectory() as out:
+        summary = run_scenario(config, out, include_plot_data=include_plot_data)
+        written = {
+            path.name: path.read_bytes() for path in Path(out).iterdir() if path.suffix == ".csv"
+        }
+        assert sorted(path.name for path in Path(out).iterdir()) == summary["files"]
+    assert written == expected
 
 
 def test_format_cell_passes_strings_through():
