@@ -669,6 +669,14 @@ def state_to_json(state: LedgerState) -> str:
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 
 
+def _must_be_object(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` and its JSON type unless ``value`` is an object."""
+    if not isinstance(value, dict):
+        kinds = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        kind = kinds.get(type(value), "a number")
+        raise ValueError(f"malformed ledger snapshot: {name} is {kind}, not an object")
+
+
 def state_from_json(text: str) -> LedgerState:
     """Read a snapshot back; any text that is not one raises ``ValueError``."""
     try:
@@ -676,12 +684,14 @@ def state_from_json(text: str) -> LedgerState:
     except RecursionError:
         raise ValueError("malformed ledger snapshot: nested too deeply") from None
     try:
+        _must_be_object(doc, "the document")
         epoch = doc["epoch"]
         census = doc["census"]
+        _must_be_object(doc["exchange_rate"], "exchange_rate")
         num = doc["exchange_rate"]["num"]
         den = doc["exchange_rate"]["den"]
         balances = doc["balances"]
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise ValueError(f"malformed ledger snapshot: missing {err}") from None
     if not _is_int(epoch) or epoch < 0:
         raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")

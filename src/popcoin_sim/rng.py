@@ -22,13 +22,6 @@ Stream contract (documented for independent reimplementation):
   make the number of raw draws data-dependent. Up to a bound of 2**64 the
   modulo bias is at most ``bound/2**64``. Past it the draw is far from
   uniform: it is ``raw`` itself, below 2**64 however large the bound.
-
-Blocks are computed ahead: a request for fewer than ``LOOKAHEAD`` draws
-computes the largest whole multiple of the request that fits, and the
-following requests are served from that array for as long as the state is
-still the one the array continues from. A scalar draw moves the state off
-it, and the next block computes afresh. Computing ahead is unobservable:
-every output and every state is the one the single steps give.
 """
 
 from __future__ import annotations
@@ -47,37 +40,13 @@ _U_MIX2 = np.uint64(_MIX2)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-# Requests for fewer draws than this are computed in whole multiples of the
-# request, so short blocks drawn every epoch pay numpy's call overhead once
-# per multiple; 4096 draws are 32 KB.
-LOOKAHEAD = 4096
-
-
-def _outputs(state: int, count: int) -> np.ndarray:
-    """Outputs 1 to ``count`` of a generator in ``state``, as a uint64 array."""
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= _U_GAMMA
-    z += np.uint64(state)
-    z ^= z >> _U30
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
-    return z
-
-
 class SplitMix64:
     """splitmix64 generator producing a reproducible uint64 stream."""
 
-    __slots__ = ("_state", "_ahead", "_ahead_pos", "_ahead_state")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        # outputs computed ahead; _ahead[_ahead_pos] is the next one while the
-        # state is still _ahead_state
-        self._ahead = np.empty(0, dtype=np.uint64)
-        self._ahead_pos = 0
-        self._ahead_state = None
 
     def next_uint64(self) -> int:
         """Advance one step and return the next 64-bit output."""
@@ -90,22 +59,24 @@ class SplitMix64:
     def draws(self, count: int) -> np.ndarray:
         """Return the next ``count`` outputs as a uint64 array, as ``next_uint64`` would.
 
-        The stream is counter-based: output i (from 1) of a generator in
-        state s mixes ``s + i*GAMMA mod 2**64``, so a run of outputs is one
-        vectorised pass over those states, computed ahead as the module
-        docstring describes. The state then advances by ``count`` steps.
+        ``count`` must be non-negative. The stream is counter-based: output i
+        (from 1) of a generator in state s mixes ``s + i*GAMMA mod 2**64``,
+        so the run of outputs is one vectorised pass over those states. The
+        state then advances by ``count`` steps.
         """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
         state = self._state
-        start = self._ahead_pos
-        end = start + count
-        if state != self._ahead_state or end > len(self._ahead):
-            self._ahead = None  # free the spent array before computing the next
-            ahead = count * (LOOKAHEAD // count) if 0 < count < LOOKAHEAD else count
-            self._ahead = _outputs(state, ahead)
-            start, end = 0, count
-        self._ahead_pos = end
-        self._state = self._ahead_state = (state + count * _GAMMA) & _MASK64
-        return self._ahead[start:end]
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(state)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        self._state = (state + count * _GAMMA) & _MASK64
+        return z
 
     def below(self, bound: int) -> int:
         """Return an integer in [0, bound) via one modulo-reduced draw.

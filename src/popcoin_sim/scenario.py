@@ -31,7 +31,10 @@ consecutive epochs with the same census N, cut so that it holds at most
 ``_BLOCK_VALUES`` (4,096) member values: 40 epochs at N = 100, 4 at
 N = 1,000, and one epoch once N passes 2,048, where a second row no longer
 fits. It closes in the epoch after which the census changes, in the last
-epoch, or when it is full. Its epochs' member values are measured by one
+epoch, or when it is full, so its length is known from the census path when
+it opens (``_block_epochs``): each of its epochs writes its member values
+into its own row of one float array allocated then, which is freed once the
+block's records are yielded. The rows are measured by one
 ``inequality.block_metrics`` pass, and its records are then yielded in epoch
 order; ``epoch_metrics`` is the one-row block, and every record is bit for
 bit the one a run measuring each epoch alone yields. Each check still
@@ -96,10 +99,14 @@ Transfers apply in order, each seeing the balances the previous ones left.
 
 An epoch's ``3 * count_per_epoch`` raw draws are one contiguous block of
 the stream: if the generator enters the epoch in state ``s``, draw i (from
-1) mixes the counter ``s + i*GAMMA mod 2**64`` (see ``rng``). The runner
-takes the block as one array, which the generator may have computed epochs
-ahead, and reduces the account indices in uint64; the order and meaning of
-the draws are the ones above.
+1) mixes the counter ``s + i*GAMMA mod 2**64`` (see ``rng``). The account
+count of epoch t is fixed in advance, ``A_t = max(N_0 .. N_t)``, so the run
+reduces a chunk of epochs ahead (``_transfer_draws``): ``max(1, 4096 //
+(3 * count_per_epoch))`` epochs, at most ``_CHUNK_DRAWS`` (4,096) draws
+unless one epoch takes more, come from one ``rng.draws`` array, and one
+uint64 pass reduces every sender and recipient index in it against its
+epoch's ``A_t``; each epoch then hands its own draws to the mix. The order
+and meaning of the draws are the ones above.
 
 Account ids are ``p%08d``, and the census at epoch t is the accounts
 ``p00000000`` .. ``p(N_t - 1)``: a shrinking census makes its highest-numbered
@@ -130,7 +137,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -191,7 +198,8 @@ PLOT_COLUMNS = ["t", "series", "value"]
 # this many accounts their string order is their numeric order.
 MAX_ACCOUNTS = 10**8
 # Validation builds the census path, one entry per epoch, and the transfer mix
-# draws its 3 * count_per_epoch numbers at once; these limits bound both.
+# draws at most max(3 * count_per_epoch, _CHUNK_DRAWS) numbers at once; these
+# limits bound both.
 MAX_EPOCHS = 10**5
 MAX_TRANSFERS_PER_EPOCH = 10**6
 # The member view's float path: int64 below a poplet total of 2**63, float64
@@ -200,6 +208,9 @@ _INT64_LIMIT, _MAX_FLOAT, _MIN_NORMAL = 2**63, int(sys.float_info.max), sys.floa
 # A census block, the epochs whose member values one ``block_metrics`` pass
 # measures, holds at most this many values, and at least one epoch.
 _BLOCK_VALUES = 4096
+# A chunk of transfer draws, the epochs whose draws one ``rng.draws`` array
+# holds, takes at most this many draws, 32 KB, and at least one epoch.
+_CHUNK_DRAWS = 4096
 
 
 def census_path(population: dict, epochs: int) -> list[int]:
@@ -659,33 +670,62 @@ def _account_id(index: int) -> str:
     return f"p{index:08d}"
 
 
-def _mix_transfers(state, rng: SplitMix64, count: int, frac: Fraction):
+def _transfer_draws(rng: SplitMix64, accounts, count: int):
+    """Yield each epoch's transfer draws, ``(A, senders, recipients, amounts)``,
+    for the account counts ``A`` that ``accounts`` gives, one per epoch.
+
+    Each transfer's three draws are the ones the module docstring names, with
+    the sender and recipient indices reduced and the amount draw raw: its
+    bound ``cap + 1`` depends on the balances the mix reaches, and can pass
+    64 bits. An epoch with fewer than two accounts draws nothing and yields
+    empty lists. A chunk of ``_CHUNK_DRAWS // (3 * count)`` epochs, at least
+    one, takes its draws from one ``rng.draws`` array, and one uint64 pass
+    over it reduces every epoch's indices in place against that epoch's
+    ``A`` and ``A - 1``; only the epoch being yielded becomes Python ints.
+    """
+    epochs = iter(accounts)
+    chunk = max(1, _CHUNK_DRAWS // (3 * count or 1))
+    while bounds := list(islice(epochs, chunk)):
+        drawing = [n for n in bounds if n >= 2]
+        raw = rng.draws(3 * count * len(drawing)).reshape(len(drawing), count, 3)
+        senders, recipients = raw[:, :, 0], raw[:, :, 1]
+        # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
+        moduli = np.array(drawing, np.uint64)[:, None]
+        senders %= moduli
+        recipients %= moduli - np.uint64(1)
+        recipients += recipients >= senders  # skip the sender: add 1 at or above its index
+        rows = iter(raw)
+        for n in bounds:
+            yield (n, *next(rows).T.tolist()) if n >= 2 else (n, [], [], [])
+
+
+def _mix_transfers(state, draws, count: int, frac: Fraction):
     """Apply one epoch's random transfer mix; see the module docstring.
 
-    Equal to folding ``ledger.transfer`` over the drawn transfers with
-    scalar ``rng.below`` draws, but the epoch's ``3 * count`` raw draws come
-    from one ``rng.draws`` array, the account indices are reduced in uint64
-    arrays, and the transfers move poplets inside one copy of the balances'
-    ``held``, indexed by position, where a member's balance is its entry
-    plus the common ``credit``. Only the amount draws become Python ints:
-    their bound ``cap + 1`` can pass 64 bits. Returns the mixed state and
-    the positions written, its senders and recipients, every entry of
-    ``held`` that the mix may have changed.
+    ``draws`` is the epoch's ``(A, senders, recipients, amounts)`` from
+    ``_transfer_draws``, and ``count`` its number of transfers, which the
+    mix does not read: perfbench/spans.py counts the transfers a run
+    attempts by it. Equal to folding ``ledger.transfer`` over the drawn
+    transfers, but the transfers move poplets inside one copy of the
+    balances' ``held``, indexed by position, where a member's balance is
+    its entry plus the common ``credit``. Raises ``InvariantViolation``
+    when the ledger holds other than the ``A`` accounts the indices were
+    reduced for. Returns the mixed state and the positions written, its
+    senders and recipients, every entry of ``held`` that the mix may have
+    changed.
     """
     balances = state.balances
-    n = len(balances.held)
-    if n < 2:
+    accounts, senders, recipients, amounts = draws
+    if len(balances.held) != accounts:
+        raise InvariantViolation(
+            f"transfer mix drew account indices for {accounts} accounts, "
+            f"but the ledger holds {len(balances.held)}"
+        )
+    if accounts < 2:
         return state, ()
     held, flags, credit = balances.held.copy(), balances.flags, balances.credit
     num, den = frac.numerator, frac.denominator
-    draws = rng.draws(3 * count)
-    # uint64 operands throughout: numpy 1.x promotes uint64 % int64 to float64
-    senders = draws[0::3] % np.uint64(n)
-    recipients = draws[1::3] % np.uint64(n - 1)
-    # Skip the sender: add 1 when the draw is >= the sender index.
-    recipients += recipients >= senders
-    senders, recipients = senders.tolist(), recipients.tolist()
-    for sender, recipient, amount_raw in zip(senders, recipients, draws[2::3].tolist()):
+    for sender, recipient, amount_raw in zip(senders, recipients, amounts):
         entry = held[sender]
         poplets = entry + credit if flags[sender] else entry
         amount = amount_raw % (poplets * num // den + 1)
@@ -748,8 +788,9 @@ def _read_balances(balances: Balances, members: int, poplets: int, image, writte
     return sum(held) + common, [entry + credit for entry in held[:members]], None
 
 
-def _member_values(balances, poplets: int, rate: Rate, rate_float: float):
-    """Each member's value as a float array; see the module docstring.
+def _member_values(balances, poplets: int, rate: Rate, rate_float: float, out: np.ndarray):
+    """Write each member's value into the float row ``out`` and return it;
+    see the module docstring.
 
     ``balances`` are the members' balances from ``_read_balances``, an int64
     array or a list of ints, all non-negative and at most ``poplets``, the
@@ -759,8 +800,11 @@ def _member_values(balances, poplets: int, rate: Rate, rate_float: float):
     full precision. Otherwise each value is ``rate.float_times(balance)``.
     """
     if rate_float >= _MIN_NORMAL and poplets <= _MAX_FLOAT:
-        return np.asarray(balances, float) * rate_float
-    return np.array([rate.float_times(balance) for balance in map(int, balances)])
+        out[:] = balances
+        out *= rate_float
+    else:
+        out[:] = [rate.float_times(balance) for balance in map(int, balances)]
+    return out
 
 
 class EpochRecord(NamedTuple):
@@ -777,15 +821,17 @@ def run_epochs(config: ScenarioConfig):
     describes; return the final ledger state, the genesis state at 0 epochs."""
     normalized, params = config.normalized, config.policy
     path = census_path(normalized["population"], normalized["epochs"])
-    peak, last = max(path), len(path) - 1
+    peak = max(path)
     state = genesis(params, map(_account_id, range(path[0])), normalized["poplet_scale"])
     transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
     rng = SplitMix64(normalized["seed"]) if transfer_count else None
+    # epoch t's transfers draw over every account opened so far, max(N_0 .. N_t)
+    draws = rng and _transfer_draws(rng, islice(accumulate(path, max), 1, None), transfer_count)
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
     image = None  # the int64 image of ``held`` the last read returned; see _read_balances
-    pending = []  # the open census block: (macro state, float(E), M_total, member values)
+    pending = []  # the open census block: (macro state, float(E), M_total) of each epoch
     macro_states = run_macro(float(params.basic_income), float(params.demurrage_alpha), path)
     try:
         for macro_state in macro_states:
@@ -805,7 +851,7 @@ def run_epochs(config: ScenarioConfig):
                 )
             written = moved  # the positions written since the last read
             if rng is not None:
-                state, mixed = _mix_transfers(state, rng, transfer_count, frac)
+                state, mixed = _mix_transfers(state, next(draws), transfer_count, frac)
                 written = [*moved, *mixed] if moved else mixed
             held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
             if held != poplets:
@@ -825,24 +871,32 @@ def run_epochs(config: ScenarioConfig):
                     f"epoch {t}: ledger supply {total} deviates from "
                     f"recurrence {macro_state.supply} by more than {tolerance}"
                 )
-            values = _member_values(balances, poplets, rate, rate_float)
-            pending.append((macro_state, rate_float, total, values))
-            if t == last or path[t + 1] != n_now or (len(pending) + 1) * n_now > _BLOCK_VALUES:
+            if not pending:  # a census block opens: one row of member values for each epoch
+                rows = np.empty((_block_epochs(path, t), n_now))
+            _member_values(balances, poplets, rate, rate_float, rows[len(pending)])
+            pending.append((macro_state, rate_float, total))
+            if len(pending) == len(rows):
                 block, pending = pending, []
-                yield from _census_block(block)
+                yield from _census_block(block, rows)
+                rows = None  # free the block before the next one is allocated
     except Exception:
         if pending:  # the epochs before the one that failed, as a run without blocks yields them
-            yield from _census_block(pending)
+            yield from _census_block(pending, rows)
         raise
     return state
 
 
-def _census_block(block: list):
+def _block_epochs(path: list[int], t: int) -> int:
+    """The epochs of the census block that opens at epoch ``t``: those from
+    ``t`` on that share its census, at most ``_BLOCK_VALUES`` values, at least one."""
+    census, end = path[t], min(len(path), t + max(1, _BLOCK_VALUES // path[t]))
+    return next((k for k in range(t + 1, end) if path[k] != census), end) - t
+
+
+def _census_block(block: list, rows: np.ndarray):
     """The ``EpochRecord`` of each epoch of a non-empty census block, in epoch
-    order, from one ``block_metrics`` pass over its member values."""
-    # a lone epoch's values are viewed as one row, not copied: at N > 2,048 every block is one
-    rows = np.array([entry[3] for entry in block]) if len(block) > 1 else block[0][3][None]
-    for (macro_state, rate_float, total, _), metrics in zip(block, block_metrics(rows)):
+    order, from one ``block_metrics`` pass over its epochs' rows of ``rows``."""
+    for (macro_state, rate_float, total), metrics in zip(block, block_metrics(rows[: len(block)])):
         yield EpochRecord(macro_state, rate_float, total, metrics)
 
 

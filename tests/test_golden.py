@@ -146,7 +146,7 @@ CASES = {
     ),
     # The ledger's poplet total passes 2**63 at epoch 548, so the member values
     # come from int64 before that epoch and from Python ints after it; the
-    # 15 draws per epoch are served from a lookahead of 273 epochs at a time.
+    # 15 draws per epoch are reduced in chunks of 273 epochs.
     "fixed_past_int64": (
         {
             "policy": POLICY,

@@ -605,6 +605,32 @@ def test_snapshot_rejects_what_no_state_writes(text):
         state_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "the document is an array, not an object"),
+        ('"snapshot"', "the document is a string, not an object"),
+        ("null", "the document is null, not an object"),
+        ("true", "the document is a boolean, not an object"),
+        (
+            '{"balances":{"a":5},"census":1,"epoch":0,"exchange_rate":5}',
+            "exchange_rate is a number, not an object",
+        ),
+        (
+            '{"balances":{"a":5},"census":1,"epoch":0,"exchange_rate":[1, 2]}',
+            "exchange_rate is an array, not an object",
+        ),
+        ('{"balances":{"a":5},"census":1,"exchange_rate":5}', "missing 'epoch'"),
+        ('{"balances":{"a":5},"census":1,"epoch":0,"exchange_rate":{"num":1}}', "missing 'den'"),
+    ],
+    ids=["array", "string", "null", "boolean", "rate-number", "rate-array", "no-epoch", "no-den"],
+)
+def test_snapshot_names_the_value_that_is_not_an_object(text, message):
+    with pytest.raises(ValueError) as raised:
+        state_from_json(text)
+    assert str(raised.value) == f"malformed ledger snapshot: {message}"
+
+
 def _dumps_snapshot(state):
     """The snapshot as one ``json.dumps`` call writes it, where that call works."""
     rate = state.exchange_rate

@@ -39,7 +39,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
-from popcoin_sim.scenario import _mix_transfers, _read_balances
+from popcoin_sim.scenario import _mix_transfers, _read_balances, _transfer_draws
 
 
 class LedgerModel(RuleBasedStateMachine):
@@ -148,7 +148,8 @@ class LedgerModel(RuleBasedStateMachine):
         accounts = len(self.state.balances)
         count = 1 if patch else accounts
         before = dict(self.state.balances)
-        self.state, written = _mix_transfers(self.state, SplitMix64(seed), count, frac)
+        draws = next(_transfer_draws(SplitMix64(seed), [accounts], count))
+        self.state, written = _mix_transfers(self.state, draws, count, frac)
         self.written += written
         rate = self.state.exchange_rate
         moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}

@@ -563,7 +563,9 @@ def test_member_values_are_float_of_each_balance_times_the_rate(held, dormant, n
     total = sum(balances.values())
     read = Balances.from_entries(balances, members)
     _, member_balances, _ = scenario._read_balances(read, len(held), total, None, ())
-    values = scenario._member_values(member_balances, total, Rate.of(rate, 1), num / den)
+    row = np.empty(len(held))
+    values = scenario._member_values(member_balances, total, Rate.of(rate, 1), num / den, row)
+    assert values is row
     if num / den >= sys.float_info.min and total <= int(sys.float_info.max):
         expected = np.array([float(balance) * (num / den) for balance in held])
     else:
@@ -625,7 +627,7 @@ def test_one_read_of_the_balances_is_exact_on_both_sides_of_int64(ledger):
     assert again == poplets and list(map(int, again_members)) == members
     for num, den in ((1, 3), (1, 3 * 2**1040)):  # a normal and a subnormal float(E)
         rate = Rate.of(Fraction(num, den), 1)
-        values = scenario._member_values(member_balances, poplets, rate, num / den)
+        values = scenario._member_values(member_balances, poplets, rate, num / den, np.empty(count))
         if num / den >= sys.float_info.min:
             expected = [float(balance) * (num / den) for balance in members]
         else:
@@ -744,13 +746,14 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
         for account, poplets in after.balances.items():
             credited = issued if account in after.participants else 0
             assert poplets == before.balances.get(account, 0) + credited, (t, account)
-    # a fold of the ledger API over the same id-range deltas
+    # a fold of the ledger API over the same id-range deltas, one epoch of draws at a time
     rng, state = SplitMix64(GOOD_CONFIG["seed"]), genesis(config.policy, ids[: path[0]], 10**8)
     for before, now in zip(path, path[1:]):
         moved = ids[min(before, now) : max(before, now)]
         joining, leaving = (moved, []) if now > before else ([], moved)
         state, _ = mint_epoch_poplet(state, config.policy, now, joining, leaving)
-        state, _ = scenario._mix_transfers(state, rng, 6, Fraction(1, 2))
+        draws = next(scenario._transfer_draws(rng, [len(state.balances)], 6))
+        state, _ = scenario._mix_transfers(state, draws, 6, Fraction(1, 2))
     assert final == state
     assert list(final.balances) == list(state.balances)
 
