@@ -43,7 +43,7 @@ read of ``exchange_rate`` and kept.
 census and rate are the returned state's.
 
 Every member receives the same ``issued`` poplets, so a state's balances
-(``Balances``, a read-only mapping) keep that basic income as one counter,
+(``Balances``, a mapping) keep that basic income as one counter,
 ``credit``: the poplets every current member has received in common. The
 balances are indexed by position. One account table, the ``index`` dict,
 maps each account to its position and lists the accounts in that order;
@@ -60,7 +60,14 @@ positions of the accounts that leave, whose balance is frozen into
 ``held``, and of those that join, new ones appended in the order given.
 ``transfer`` copies ``held`` and writes two positions. The member set,
 ``participants``, is read from the flags on each access; the ledger keeps
-no cache.
+no cache. ``genesis`` builds the account table once, from the ids, and a
+census change looks each id that joins or leaves up once, for its check
+and its writes.
+
+Every function here is pure: it writes no list, dict or bytearray of the
+state it is given. ``Balances`` is read-only to every caller but one, the
+scenario's transfer mix, which writes the ``held`` of a state that its
+caller alone holds (see ``scenario``).
 
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
@@ -85,7 +92,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -154,7 +161,8 @@ class Balances(Mapping):
     ``flags[i]`` is 1 for a member, ``count`` is the number of members and
     ``credit`` the poplets every current member has received in common, so a
     member who joined late holds about ``-credit`` in ``held``. Read-only,
-    like the state.
+    like the state, but for the ``held`` that a run's transfer mix writes
+    (see the module docstring).
     """
 
     __slots__ = ("index", "held", "flags", "count", "credit")
@@ -195,10 +203,6 @@ class Balances(Mapping):
     @property
     def members(self) -> frozenset[Account]:
         return frozenset(compress(self.index, self.flags))
-
-    def is_member(self, account: Account) -> bool:
-        position = self.index.get(account)
-        return position is not None and self.flags[position] == 1
 
     def __getitem__(self, account: Account) -> int:
         position = self.index[account]
@@ -407,15 +411,16 @@ class MintReport:
     rounding_residue_poplets: int
 
 
-def _genesis_balances(initial_accounts: Iterable[Account], zero) -> dict:
-    """``zero`` held at each of the ``initial_accounts``, in their order."""
-    accounts = list(initial_accounts)
-    if not accounts:
+def _genesis_index(initial_accounts: Iterable[Account]) -> dict:
+    """The account table of the ``initial_accounts``: each to its position, in their order."""
+    positions = count()
+    index = dict(zip(initial_accounts, positions))
+    opened = next(positions)  # zip stops at the last account without taking its position
+    if not opened:
         raise InvalidGenesisError("at least one initial account is required")
-    balances = dict.fromkeys(accounts, zero)
-    if len(balances) != len(accounts):
+    if len(index) != opened:
         raise InvalidGenesisError("duplicate account ids in genesis")
-    return balances
+    return index
 
 
 def genesis(
@@ -428,66 +433,72 @@ def genesis(
     ``poplet_scale`` fixes the initial rate at 1/poplet_scale currency units
     per poplet; larger scales make the atomic unit finer.
     """
-    balances = _genesis_balances(initial_accounts, 0)
+    index = _genesis_index(initial_accounts)
     if not _is_int(poplet_scale) or poplet_scale < 1:
         raise InvalidGenesisError(
             f"poplet_scale must be a positive integer, got {poplet_scale!r}"
         )
+    size = len(index)
+    balances = Balances(index, [0] * size, bytearray(b"\1") * size, size, 0)
     return LedgerState(0, Fraction(1, poplet_scale), balances)
 
 
-def _check_census(census: int, is_member, new_census, new: list, removed: list) -> None:
-    """Raise ``CensusMismatchError`` unless ``new_census`` is the ``census``
-    members with ``new`` added and ``removed`` removed.
+def _check_deltas(new: list, removed: list, new_members: list, removed_members: list) -> None:
+    """Raise ``CensusMismatchError`` unless ``new`` and ``removed`` are
+    distinct ids, ``removed`` current members and ``new`` not.
 
-    ``is_member`` tells a current member; it is asked only about the deltas,
-    so the check is O(len(new) + len(removed)), and a mint with no deltas
-    compares the counts alone.
+    ``new_members`` and ``removed_members`` tell, for each id of ``new`` and
+    ``removed`` in order, whether it is a current member: only the deltas
+    are asked about, so the check is O(len(new) + len(removed)).
     """
-    if new or removed:
-        new_set, removed_set = set(new), set(removed)
-        if len(new_set) != len(new) or len(removed_set) != len(removed):
-            raise CensusMismatchError("duplicate ids in census deltas")
-        if not new_set.isdisjoint(removed_set):
-            raise CensusMismatchError("an id cannot be both added and removed")
-        missing = sorted(account for account in removed_set if not is_member(account))
-        if missing:
-            raise CensusMismatchError(f"removed ids are not current participants: {missing}")
-        dupes = sorted(account for account in new_set if is_member(account))
-        if dupes:
-            raise CensusMismatchError(f"added ids are already participants: {dupes}")
+    new_set, removed_set = set(new), set(removed)
+    if len(new_set) != len(new) or len(removed_set) != len(removed):
+        raise CensusMismatchError("duplicate ids in census deltas")
+    if not new_set.isdisjoint(removed_set):
+        raise CensusMismatchError("an id cannot be both added and removed")
+    missing = sorted(compress(removed, [not member for member in removed_members]))
+    if missing:
+        raise CensusMismatchError(f"removed ids are not current participants: {missing}")
+    dupes = sorted(compress(new, new_members))
+    if dupes:
+        raise CensusMismatchError(f"added ids are already participants: {dupes}")
+
+
+def _check_count(census: int, new_census, added: int, removed: int) -> None:
+    """Raise ``CensusMismatchError`` unless ``new_census`` is the ``census``
+    members with ``added`` added and ``removed`` removed."""
     if not _is_int(new_census) or new_census < 1:
         raise CensusMismatchError(f"census must be a positive integer, got {new_census!r}")
-    expected = census + len(new) - len(removed)
+    expected = census + added - removed
     if new_census != expected:
         raise CensusMismatchError(
             f"declared census {new_census} does not match "
-            f"{census} + {len(new)} added - {len(removed)} removed = {expected}"
+            f"{census} + {added} added - {removed} removed = {expected}"
         )
 
 
 def _census_change(
-    balances: Balances, new: list, removed: list, issued: int, credit: int
+    balances: Balances, new: list, new_at: list, removed_at: list, issued: int, credit: int
 ) -> Balances:
-    """``balances`` after ``removed`` leave and ``new`` join at a mint that
-    issues ``issued`` and raises the common credit to ``credit``."""
-    index = balances.index
-    opened = [account for account in new if account not in index]
+    """``balances`` after the accounts at positions ``removed_at`` leave and
+    ``new`` join, at ``new_at`` (None for an account opened here), at a mint
+    that issues ``issued`` and raises the common credit to ``credit``."""
+    index, size = balances.index, len(balances.held)
+    opened = [account for account, position in zip(new, new_at) if position is None]
+    joining = issued - credit  # a joining account's entry above what it held
+    held = balances.held + [joining] * len(opened)  # the change's one copy of ``held``
+    flags = balances.flags + b"\1" * len(opened)
     if opened:
         index = dict(index)
-        index.update(zip(opened, range(len(index), len(index) + len(opened))))
-    held = balances.held + [0] * len(opened)
-    flags = balances.flags + bytes(len(opened))
-    for account in removed:
-        position = index[account]
+        index.update(zip(opened, range(size, len(held))))
+    for position in removed_at:
         held[position] += balances.credit
         flags[position] = 0
-    for account in new:
-        position = index[account]
-        held[position] += issued - credit
-        flags[position] = 1
-    count = balances.count + len(new) - len(removed)
-    return Balances(index, held, flags, count, credit)
+    for position in new_at:
+        if position is not None:  # a dormant holder re-admitted
+            held[position] += joining
+            flags[position] = 1
+    return Balances(index, held, flags, balances.count + len(new) - len(removed_at), credit)
 
 
 def _round_half_even(num: int, den: int, shift: int = 0) -> tuple[int, int]:
@@ -563,12 +574,20 @@ def mint_epoch_poplet(
     """
     new, removed = list(new_accounts), list(removed_accounts)
     balances = state.balances
-    _check_census(balances.count, balances.is_member, new_census, new, removed)
+    if new or removed:  # each delta id is looked up once, for the check and the change
+        index, flags = balances.index, balances.flags
+        new_at, removed_at = list(map(index.get, new)), list(map(index.get, removed))
+        _check_deltas(
+            new, removed,
+            [position is not None and flags[position] for position in new_at],
+            [position is not None and flags[position] for position in removed_at],
+        )
+    _check_count(balances.count, new_census, len(new), len(removed))
     rate = state.rate.step(params.demurrage_alpha, balances.count, new_census)
     rate, issued, residue = _issue(rate, params.basic_income, new_census)
     credit = balances.credit + issued
     if new or removed:
-        balances = _census_change(balances, new, removed, issued, credit)
+        balances = _census_change(balances, new, new_at, removed_at, issued, credit)
     else:
         balances = balances._moved(balances.held, credit)
     return LedgerState(state.epoch + 1, rate, balances), MintReport(issued, residue)
@@ -652,10 +671,14 @@ def state_to_json(state: LedgerState) -> str:
     index, flags, credit = balances.index, balances.flags, balances.credit
     write = _int_writer(sum(balances.held) + balances.count * credit)
     write_rate = _int_writer(max(rate.numerator, rate.denominator))
+    keys = list(index)
+    rows = zip(keys, balances.held, flags)
+    if keys != sorted(keys):  # a run's table is in key order already
+        rows = sorted(rows)
     fields = {  # in sorted key order
         "balances": "{" + ",".join(
             f"{encode_basestring_ascii(key)}:{write(poplets + credit if member else poplets)}"
-            for key, poplets, member in sorted(zip(index, balances.held, flags))
+            for key, poplets, member in rows
         ) + "}",
         "census": str(state.census),
         "epoch": str(state.epoch),
@@ -738,7 +761,7 @@ class DirectLedgerState:
 
 
 def direct_genesis(initial_accounts: Iterable[Account]) -> DirectLedgerState:
-    balances = _genesis_balances(initial_accounts, Fraction(0))
+    balances = dict.fromkeys(_genesis_index(initial_accounts), Fraction(0))
     return DirectLedgerState(epoch=0, balances=balances, participants=frozenset(balances))
 
 
@@ -752,7 +775,13 @@ def mint_epoch_direct(
     """One epoch of per-account rebasing: scale everyone, credit participants."""
     new, removed = list(new_accounts), list(removed_accounts)
     participants = state.participants
-    _check_census(len(participants), participants.__contains__, new_census, new, removed)
+    if new or removed:
+        _check_deltas(
+            new, removed,
+            [account in participants for account in new],
+            [account in participants for account in removed],
+        )
+    _check_count(len(participants), new_census, len(new), len(removed))
     if new or removed:
         participants = (participants | set(new)) - set(removed)
     scale = (1 - params.demurrage_alpha) * Fraction(new_census, state.census)

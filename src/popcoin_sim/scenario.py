@@ -61,8 +61,16 @@ the image the previous read returned and the positions written since, the
 ids between the two censuses and the senders and recipients the transfer
 mix returns, and the read patches a copy of the image at those positions,
 or builds it anew with ``np.fromiter`` when they are a quarter of the
-entries or more; past 2**63 it drops it. An epoch thus copies its lists
-and arrays whole but writes only the positions that change.
+entries or more; past 2**63 it drops it.
+
+``run_epochs`` owns the ``held`` list it mixes: it hands ``_mix_transfers``
+only the state the mint just returned, and keeps neither that state nor the
+one the mint read, so the mix moves the epoch's poplets inside that state's
+``held`` in place and returns the same state. Every ``ledger`` function
+stays pure; at a fixed census the mint shares ``held`` with the state it
+read, which nothing holds any more. An epoch thus copies ``held`` once when
+its census changes, in the mint, and not at all otherwise, and it writes
+only the positions that change.
 
 ``run_scenario`` writes each record as it arrives, and keeps none: its
 floats are formatted once, and every table line that shows one of its
@@ -666,8 +674,7 @@ def load_config(path) -> ScenarioConfig:
 # --- the epoch generator -----------------------------------------------------
 
 
-def _account_id(index: int) -> str:
-    return f"p{index:08d}"
+_account_id = "p%08d".__mod__  # the id of the account at ``index``
 
 
 def _transfer_draws(rng: SplitMix64, accounts, count: int):
@@ -706,13 +713,15 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
     ``_transfer_draws``, and ``count`` its number of transfers, which the
     mix does not read: perfbench/spans.py counts the transfers a run
     attempts by it. Equal to folding ``ledger.transfer`` over the drawn
-    transfers, but the transfers move poplets inside one copy of the
-    balances' ``held``, indexed by position, where a member's balance is
-    its entry plus the common ``credit``. Raises ``InvariantViolation``
-    when the ledger holds other than the ``A`` accounts the indices were
-    reduced for. Returns the mixed state and the positions written, its
-    senders and recipients, every entry of ``held`` that the mix may have
-    changed.
+    transfers, but the transfers move poplets inside ``state.balances.held``
+    itself, in place, indexed by position, where a member's balance is its
+    entry plus the common ``credit``: the caller owns that list, and no
+    state it keeps may share it (``run_epochs`` passes the state the mint
+    just returned and keeps neither that state nor the one the mint read).
+    Raises ``InvariantViolation`` when the ledger holds other than the ``A``
+    accounts the indices were reduced for. Returns ``state``, now mixed, and
+    the positions written, its senders and recipients, every entry of
+    ``held`` that the mix may have changed.
     """
     balances = state.balances
     accounts, senders, recipients, amounts = draws
@@ -723,7 +732,7 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
         )
     if accounts < 2:
         return state, ()
-    held, flags, credit = balances.held.copy(), balances.flags, balances.credit
+    held, flags, credit = balances.held, balances.flags, balances.credit
     num, den = frac.numerator, frac.denominator
     for sender, recipient, amount_raw in zip(senders, recipients, amounts):
         entry = held[sender]
@@ -737,8 +746,7 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
                 )
             held[sender] = entry - amount
             held[recipient] += amount
-    mixed = LedgerState(state.epoch, state.rate, balances._moved(held, credit))
-    return mixed, senders + recipients
+    return state, senders + recipients
 
 
 def _read_balances(balances: Balances, members: int, poplets: int, image, written):
@@ -780,7 +788,7 @@ def _read_balances(balances: Balances, members: int, poplets: int, image, writte
             image = np.fromiter(held, np.int64, len(held))
         elif written:
             image = np.concatenate((image, np.zeros(len(held) - len(image), np.int64)))
-            image[written] = np.array([held[i] for i in written], np.int64)
+            image[written] = np.array(list(map(held.__getitem__, written)), np.int64)
     except OverflowError:  # an entry past int64, which only a faulty ledger holds
         image = None
     if image is not None:

@@ -384,7 +384,7 @@ def test_every_read_sees_an_image_equal_to_held(name, monkeypatch):
             assert changed <= set(written)
         total, values, image = real_read(balances, members, poplets, image, written)
         assert image is None or image.tolist() == held
-        previous = held
+        previous = list(held)  # the transfer mix writes ``held`` in place
         return total, values, image
 
     monkeypatch.setattr(scenario, "_read_balances", checked_read)

@@ -28,6 +28,7 @@ from popcoin_sim import (
     CensusMismatchError,
     DirectLedgerState,
     InsufficientBalanceError,
+    LedgerState,
     PolicyParams,
     SplitMix64,
     direct_genesis,
@@ -149,7 +150,12 @@ class LedgerModel(RuleBasedStateMachine):
         count = 1 if patch else accounts
         before = dict(self.state.balances)
         draws = next(_transfer_draws(SplitMix64(seed), [accounts], count))
-        self.state, written = _mix_transfers(self.state, draws, count, frac)
+        # the mix writes the ``held`` it is handed in place, as a run hands it the
+        # list of a state it alone holds; a copy keeps every kept state as it was
+        balances = self.state.balances
+        copied = balances._moved(balances.held.copy(), balances.credit)
+        owned = LedgerState(self.state.epoch, self.state.rate, copied)
+        self.state, written = _mix_transfers(owned, draws, count, frac)
         self.written += written
         rate = self.state.exchange_rate
         moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}
@@ -214,8 +220,9 @@ class LedgerModel(RuleBasedStateMachine):
         # no later mint, transfer, mix or read changed an earlier state
         for state, balances, participants in self.kept:
             assert dict(state.balances) == balances
+            index, flags = state.balances.index, state.balances.flags
             assert state.participants == participants == {
-                account for account in balances if state.balances.is_member(account)
+                account for account in balances if flags[index[account]] == 1
             }
             assert state.census == len(participants)
             # accounts opened later are not the earlier state's

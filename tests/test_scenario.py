@@ -10,6 +10,7 @@ import json
 import math
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from popcoin_sim import (
     state_from_json,
     validate_config,
 )
-from popcoin_sim.ledger import Balances, Rate
+from popcoin_sim.ledger import Balances, LedgerState, Rate
 
 GOOD_CONFIG = {
     "policy": {"basic_income": 2922, "demurrage_alpha": 0.02},
@@ -728,8 +729,10 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
     minted = []
 
     def recording_mint(state, *args):
+        # the balances as minted: the transfer mix then writes the state's ``held``
         after, report = mint_epoch_poplet(state, *args)
-        minted.append((state, after, report.issued_per_participant))
+        record = dict(state.balances), dict(after.balances), after.participants
+        minted.append((*record, report.issued_per_participant))
         return after, report
 
     monkeypatch.setattr(scenario, "mint_epoch_poplet", recording_mint)
@@ -739,13 +742,13 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
     ids = [f"p{i:08d}" for i in range(max(path))]
     assert final.participants == frozenset(ids[: path[-1]])
     assert list(final.balances) == ids
-    for t, (before, after, issued) in enumerate(minted, start=1):
-        assert list(after.balances) == ids[: max(path[: t + 1])]
-        assert after.participants == frozenset(ids[: path[t]])
+    for t, (before, after, participants, issued) in enumerate(minted, start=1):
+        assert list(after) == ids[: max(path[: t + 1])]
+        assert participants == frozenset(ids[: path[t]])
         # each member is credited this epoch, a re-admitted holder too; no one else
-        for account, poplets in after.balances.items():
-            credited = issued if account in after.participants else 0
-            assert poplets == before.balances.get(account, 0) + credited, (t, account)
+        for account, poplets in after.items():
+            credited = issued if account in participants else 0
+            assert poplets == before.get(account, 0) + credited, (t, account)
     # a fold of the ledger API over the same id-range deltas, one epoch of draws at a time
     rng, state = SplitMix64(GOOD_CONFIG["seed"]), genesis(config.policy, ids[: path[0]], 10**8)
     for before, now in zip(path, path[1:]):
@@ -756,6 +759,95 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
         state, _ = scenario._mix_transfers(state, draws, 6, Fraction(1, 2))
     assert final == state
     assert list(final.balances) == list(state.balances)
+
+
+# fixed, shrinking, re-admitting, opening and fixed again
+OWNERSHIP_PATH = [6, 6, 4, 4, 5, 8, 8, 3, 3]
+
+
+def test_the_run_mixes_a_state_that_nothing_else_holds(monkeypatch):
+    # the transfer mix writes ``held`` in place, so the run hands it the state
+    # the mint just returned, and by then the state the mint read is gone
+    monkeypatch.setattr(scenario, "census_path", lambda population, epochs: OWNERSHIP_PATH)
+    real_mint, real_mix = scenario.mint_epoch_poplet, scenario._mix_transfers
+    read, returned, mixed = [], [], []
+
+    def keeping_mint(state, *args):
+        read.append(weakref.ref(state))
+        after, report = real_mint(state, *args)
+        returned.append(weakref.ref(after))
+        return after, report
+
+    def checking_mix(state, *args):
+        assert read[-1]() is None, len(read)
+        assert state is returned[-1](), len(read)
+        mixed.append(len(read))
+        return real_mix(state, *args)
+
+    monkeypatch.setattr(scenario, "mint_epoch_poplet", keeping_mint)
+    monkeypatch.setattr(scenario, "_mix_transfers", checking_mix)
+    epochs = len(OWNERSHIP_PATH) - 1
+    config = parse_config({**GOOD_CONFIG, "epochs": epochs})
+    final = final_state(scenario.run_epochs(config))
+    assert mixed == list(range(1, epochs + 1))
+    assert final is returned[-1]()
+
+
+def test_only_an_epoch_that_changes_the_census_copies_held(monkeypatch):
+    # the work law: a fixed-census epoch shares ``held`` from mint to mix and
+    # makes no copy of it; an epoch that changes the census makes one, in the mint
+    copies = []
+
+    class CountingList(list):
+        """``held``, counting its copies; each copy is one too, so the run keeps counting."""
+
+        def _copied(self, items):
+            copies.append(len(items))
+            return CountingList(items)
+
+        def copy(self):
+            return self._copied(list(self))
+
+        __copy__ = copy
+
+        def __add__(self, other):
+            return self._copied(list.__add__(self, other))
+
+        def __mul__(self, times):
+            return self._copied(list.__mul__(self, times))
+
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                return self._copied(list.__getitem__(self, key))
+            return list.__getitem__(self, key)
+
+    def counting_genesis(*args):
+        state = genesis(*args)
+        balances = state.balances
+        counted = CountingList(balances.held)
+        seeded = Balances(balances.index, counted, balances.flags, balances.count, 0)
+        return LedgerState(0, state.rate, seeded)
+
+    per_epoch = []  # the copies made so far, at each epoch's read of the balances
+    real_read = scenario._read_balances
+
+    def counting_read(balances, *args):
+        assert type(balances.held) is CountingList
+        per_epoch.append(len(copies))
+        return real_read(balances, *args)
+
+    monkeypatch.setattr(scenario, "census_path", lambda population, epochs: OWNERSHIP_PATH)
+    config = parse_config({**GOOD_CONFIG, "epochs": len(OWNERSHIP_PATH) - 1})
+    expected = final_state(scenario.run_epochs(config))
+    monkeypatch.setattr(scenario, "genesis", counting_genesis)
+    monkeypatch.setattr(scenario, "_read_balances", counting_read)
+    final = final_state(scenario.run_epochs(config))
+    assert final == expected and type(final.balances.held) is CountingList
+    made = [now - before for before, now in zip([0, *per_epoch], per_epoch)]
+    changes = [int(now != before) for before, now in zip(OWNERSHIP_PATH, OWNERSHIP_PATH[1:])]
+    assert made == changes == [0, 1, 0, 1, 1, 0, 1, 0]
+    # each copy is the whole list, with the accounts a growing census opens
+    assert copies == [max(OWNERSHIP_PATH[: t + 1]) for t, c in enumerate(changes, 1) if c]
 
 
 @pytest.mark.parametrize(

@@ -175,16 +175,17 @@ def funded(*ids):
 # one transfer among nine accounts writes its sender and recipient
 @example(state=funded(*"abcdefghi"), seed=7, count=1, frac=Fraction(1))
 def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
-    held_before = dict(state.balances)
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
-    mixed, written = _mix_transfers(state, epoch_draws(rng, state, count), count, frac)
+    # the pure fold first, over the untouched input: the mix writes its input's ``held``
     expected = mix_by_transfer_fold(state, oracle_rng, count, frac)
+    before = list(state.balances.held)
+    mixed, written = _mix_transfers(state, epoch_draws(rng, state, count), count, frac)
+    assert mixed is state  # mixed in place, in the list its caller owns
     assert mixed == expected
     assert rng._state == oracle_rng._state
-    assert state.balances == held_before  # the input state is not modified
     # the run patches its image at the positions returned: every entry of
     # ``held`` that the mix changed is among them
-    before, after = state.balances.held, mixed.balances.held
+    after = mixed.balances.held
     assert len(after) == len(before)
     assert {i for i, entry in enumerate(after) if entry != before[i]} <= set(written)
     assert len(written) == 2 * count
