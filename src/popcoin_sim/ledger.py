@@ -219,7 +219,7 @@ class Balances(Mapping):
         return len(self.index)
 
     def __repr__(self) -> str:
-        return f"Balances({dict(self)!r})"
+        return "Balances({" + ", ".join(f"{a!r}: {_int_text(b)}" for a, b in self.items()) + "})"
 
 
 # --- the exchange rate ------------------------------------------------------
@@ -388,6 +388,11 @@ class LedgerState:
     @property
     def exchange_rate(self) -> Fraction:
         return self.rate.value
+
+    def __repr__(self) -> str:  # the dataclass repr, with ints written by ``_int_text``
+        num, den = map(_int_text, (self.exchange_rate.numerator, self.exchange_rate.denominator))
+        return (f"LedgerState(epoch={_int_text(self.epoch)}, exchange_rate=Fraction({num}, {den}), "
+                f"balances={self.balances!r}, participants={self.participants!r})")
 
     @property
     def participants(self) -> frozenset[Account]:
@@ -606,9 +611,9 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     for account in (sender, recipient):
         if account not in balances.index:
             raise UnknownAccountError(f"unknown account: {account!r}")
-    if balances[sender] < amount:
+    if (poplets := balances[sender]) < amount:
         raise InsufficientBalanceError(
-            f"{sender!r} holds {balances[sender]} poplets, cannot send {amount}"
+            f"{sender!r} holds {_int_text(poplets)} poplets, cannot send {_int_text(amount)}"
         )
     held = balances.held.copy()
     held[balances.index[sender]] -= amount
@@ -664,6 +669,17 @@ def _int_writer(largest: int):
     limit = _int_max_str_digits() if _int_max_str_digits else 0  # 0: no limit
     # below 2**(3 * limit) < 10**limit, an int has at most ``limit`` digits
     return Decimal if limit and largest.bit_length() > 3 * limit else str
+
+
+def _int_text(value) -> str:
+    """``repr(value)``, but an int past the limit written as the snapshot writes it."""
+    return str(_int_writer(value)(value)) if _is_int(value) else repr(value)
+
+
+def _fraction_text(value: Fraction) -> str:
+    """``str(value)``, its numerator and denominator written by ``_int_text``."""
+    num, den = _int_text(value.numerator), _int_text(value.denominator)
+    return num if den == "1" else f"{num}/{den}"
 
 
 def state_to_json(state: LedgerState) -> str:
@@ -806,7 +822,8 @@ def direct_transfer(
             raise UnknownAccountError(f"unknown account: {account!r}")
     if state.balances[sender] < amount:
         raise InsufficientBalanceError(
-            f"{sender!r} holds {state.balances[sender]}, cannot send {amount}"
+            f"{sender!r} holds {_fraction_text(state.balances[sender])}, "
+            f"cannot send {_fraction_text(amount)}"
         )
     balances = dict(state.balances)
     balances[sender] -= amount

@@ -26,23 +26,19 @@ final ledger state. Each epoch makes three checks, any of which raises
   within ``max(N_t) * t * float(E)``, the issuance rounding carried so far,
   plus 1e-9 of the supply for the recurrence's float error.
 
-The records arrive a census block at a time. A census block is a run of
-consecutive epochs with the same census N, cut so that it holds at most
-``_BLOCK_VALUES`` (4,096) member values: 40 epochs at N = 100, 4 at
-N = 1,000, and one epoch once N passes 2,048, where a second row no longer
-fits. It closes in the epoch after which the census changes, in the last
-epoch, or when it is full, so its length is known from the census path when
-it opens (``_block_epochs``): each of its epochs writes its member values
-into its own row of one float array allocated then, which is freed once the
-block's records are yielded. The rows are measured by one
-``inequality.block_metrics`` pass, and its records are then yielded in epoch
-order; ``epoch_metrics`` is the one-row block, and every record is bit for
-bit the one a run measuring each epoch alone yields. Each check still
-raises in its own epoch: when one fails, the records of the epochs before
-it in the open block are yielded first. The gain therefore needs epochs
-that share a census: all of them on ``long_horizon`` (blocks of 40) and
-``transfer_heavy`` (blocks of 4), none on ``wide_census``, whose census
-changes every epoch and passes 4,096.
+The records arrive a census block at a time: a run of consecutive epochs
+with the same census N and at most ``_BLOCK_VALUES`` (4,096) member values,
+40 epochs at N = 100, 4 at N = 1,000, and one once N passes 2,048.
+``_census_blocks`` walks the census path a block at a time. A block's first
+epoch allocates one float array once its checks pass, each epoch writes its
+member values into its own row, one ``inequality.block_metrics`` pass
+measures the rows, the records are yielded in epoch order, and the array is
+freed before the next block's is allocated. ``epoch_metrics`` is the one-row
+block, and every record is bit for bit the one a run measuring each epoch
+alone yields. A failing check raises at once, before its block is measured.
+The gain therefore needs epochs that share a census: all of them on
+``long_horizon`` (blocks of 40) and ``transfer_heavy`` (blocks of 4), none
+on ``wide_census``, whose census changes every epoch and passes 4,096.
 
 ``float(E)`` and ``float(poplets * E)`` are correctly rounded; the ledger's
 ``Rate`` decides them from its bracket and builds the exact ratio only
@@ -66,11 +62,11 @@ entries or more; past 2**63 it drops it.
 ``run_epochs`` owns the ``held`` list it mixes: it hands ``_mix_transfers``
 only the state the mint just returned, and keeps neither that state nor the
 one the mint read, so the mix moves the epoch's poplets inside that state's
-``held`` in place and returns the same state. Every ``ledger`` function
-stays pure; at a fixed census the mint shares ``held`` with the state it
-read, which nothing holds any more. An epoch thus copies ``held`` once when
-its census changes, in the mint, and not at all otherwise, and it writes
-only the positions that change.
+``held`` in place and returns only the positions it wrote. Every ``ledger``
+function stays pure; at a fixed census the mint shares ``held`` with the
+state it read, which nothing holds any more. An epoch thus copies ``held``
+once when its census changes, in the mint, and not at all otherwise, and it
+writes only the positions that change.
 
 ``run_scenario`` writes each record as it arrives, and keeps none: its
 floats are formatted once, and every table line that shows one of its
@@ -79,20 +75,19 @@ alone (``N``, ``n``, ``D``, ``R``, the supply cap and the three bounds) are
 formatted once per distinct ``(N_t, n_t)``. The epoch tables, ``epochs.csv``,
 the ``supply.csv`` and ``inequality.csv`` of those two studies, and the
 optional long-format ``plot_data.csv``, are written into a staging directory
-that ``tempfile.mkdtemp`` makes inside the output directory. After the last
-epoch the run builds ``manifest.json``, ``final_state.json`` and the files
-that ``STUDY_FILES`` maps the exchange and agent studies to
-(``exchange.csv`` with ``exchange_summary.json``, ``agent.csv``). Only then
-does it move the staged tables into the output directory with
-``os.replace``, write the rest, remove each other name of ``RUN_FILES`` that
-an earlier run left, and remove the staging directory. A run that raises
-removes the staging directory and leaves the output directory as it was; a
-killed process can leave one behind, hidden as ``.popcoin-sim-*``. Inequality
-columns cover census members only; dormant holders still count toward
-M_total. A member's value is ``float(balance) * float(E)`` while ``float(E)``
-is a normal float and the poplet total is at most the largest float;
-otherwise it is ``balance * E`` correctly rounded, decided like ``float(E)``,
-and finite because no value exceeds the supply.
+that ``tempfile.mkdtemp`` makes inside the output directory, and after the
+last epoch so are ``manifest.json``, ``final_state.json`` and the files that
+``STUDY_FILES`` maps the exchange and agent studies to (``exchange.csv`` with
+``exchange_summary.json``, ``agent.csv``). Only then does the run move
+them all into the output directory with ``os.replace``, remove each other
+name of ``RUN_FILES`` that an earlier run left, and remove the staging
+directory. A run whose check or write fails leaves the output directory as
+it was; a killed process can leave a staging directory behind, hidden as
+``.popcoin-sim-*``. Inequality columns cover census members only; dormant
+holders still count toward M_total. A member's value is ``float(balance) *
+float(E)`` while ``float(E)`` is a normal float and the poplet total is at
+most the largest float; otherwise it is ``balance * E`` correctly rounded,
+decided like ``float(E)``, and finite because no value exceeds the supply.
 
 Random transfer mix (documented for reimplementation): each epoch after
 minting, ``count_per_epoch`` transfers run over the list of all accounts,
@@ -719,9 +714,8 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
     state it keeps may share it (``run_epochs`` passes the state the mint
     just returned and keeps neither that state nor the one the mint read).
     Raises ``InvariantViolation`` when the ledger holds other than the ``A``
-    accounts the indices were reduced for. Returns ``state``, now mixed, and
-    the positions written, its senders and recipients, every entry of
-    ``held`` that the mix may have changed.
+    accounts the indices were reduced for. Returns the positions written, the
+    senders and the recipients: every entry of ``held`` the mix may have changed.
     """
     balances = state.balances
     accounts, senders, recipients, amounts = draws
@@ -730,8 +724,6 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
             f"transfer mix drew account indices for {accounts} accounts, "
             f"but the ledger holds {len(balances.held)}"
         )
-    if accounts < 2:
-        return state, ()
     held, flags, credit = balances.held, balances.flags, balances.credit
     num, den = frac.numerator, frac.denominator
     for sender, recipient, amount_raw in zip(senders, recipients, amounts):
@@ -746,7 +738,7 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
                 )
             held[sender] = entry - amount
             held[recipient] += amount
-    return state, senders + recipients
+    return senders + recipients
 
 
 def _read_balances(balances: Balances, members: int, poplets: int, image, written):
@@ -839,10 +831,10 @@ def run_epochs(config: ScenarioConfig):
 
     poplets = 0  # every poplet issued so far; genesis balances are zero
     image = None  # the int64 image of ``held`` the last read returned; see _read_balances
-    pending = []  # the open census block: (macro state, float(E), M_total) of each epoch
-    macro_states = run_macro(float(params.basic_income), float(params.demurrage_alpha), path)
-    try:
-        for macro_state in macro_states:
+    macro_states = iter(run_macro(float(params.basic_income), float(params.demurrage_alpha), path))
+    for _, length in _census_blocks(path):
+        block = []  # (macro state, float(E), M_total) of each epoch
+        for macro_state in islice(macro_states, length):
             t, n_now, before = macro_state.epoch, macro_state.census, state.census
             # The ids between the two censuses join (a dormant holder in its place
             # in ``held``, a new id appended) or leave: ``held`` stays in id order
@@ -859,7 +851,7 @@ def run_epochs(config: ScenarioConfig):
                 )
             written = moved  # the positions written since the last read
             if rng is not None:
-                state, mixed = _mix_transfers(state, next(draws), transfer_count, frac)
+                mixed = _mix_transfers(state, next(draws), transfer_count, frac)
                 written = [*moved, *mixed] if moved else mixed
             held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
             if held != poplets:
@@ -879,40 +871,32 @@ def run_epochs(config: ScenarioConfig):
                     f"epoch {t}: ledger supply {total} deviates from "
                     f"recurrence {macro_state.supply} by more than {tolerance}"
                 )
-            if not pending:  # a census block opens: one row of member values for each epoch
-                rows = np.empty((_block_epochs(path, t), n_now))
-            _member_values(balances, poplets, rate, rate_float, rows[len(pending)])
-            pending.append((macro_state, rate_float, total))
-            if len(pending) == len(rows):
-                block, pending = pending, []
-                yield from _census_block(block, rows)
-                rows = None  # free the block before the next one is allocated
-    except Exception:
-        if pending:  # the epochs before the one that failed, as a run without blocks yields them
-            yield from _census_block(pending, rows)
-        raise
+            if not block:  # here, not before the mint: there it raised wide_census peak RSS
+                rows = np.empty((length, n_now))
+            _member_values(balances, poplets, rate, rate_float, rows[len(block)])
+            block.append((macro_state, rate_float, total))
+        for (macro_state, rate_float, total), metrics in zip(block, block_metrics(rows)):
+            yield EpochRecord(macro_state, rate_float, total, metrics)
+        del rows  # free the block before the next one is allocated
     return state
 
 
-def _block_epochs(path: list[int], t: int) -> int:
-    """The epochs of the census block that opens at epoch ``t``: those from
-    ``t`` on that share its census, at most ``_BLOCK_VALUES`` values, at least one."""
-    census, end = path[t], min(len(path), t + max(1, _BLOCK_VALUES // path[t]))
-    return next((k for k in range(t + 1, end) if path[k] != census), end) - t
-
-
-def _census_block(block: list, rows: np.ndarray):
-    """The ``EpochRecord`` of each epoch of a non-empty census block, in epoch
-    order, from one ``block_metrics`` pass over its epochs' rows of ``rows``."""
-    for (macro_state, rate_float, total), metrics in zip(block, block_metrics(rows[: len(block)])):
-        yield EpochRecord(macro_state, rate_float, total, metrics)
+def _census_blocks(path: list[int]):
+    """Yield each census block of epochs 1 .. T of ``path`` as ``(start, length)``,
+    in order: the epochs from ``start`` on that share its census, at most
+    ``_BLOCK_VALUES`` values, at least one."""
+    start = 1
+    while start < len(path):
+        census, end = path[start], min(len(path), start + max(1, _BLOCK_VALUES // path[start]))
+        length = next((k for k in range(start + 1, end) if path[k] != census), end) - start
+        yield start, length
+        start += length
 
 
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
-    """Run ``config`` through ``run_epochs``, writing each record's table lines
-    into a staging directory inside ``out_dir`` as it arrives; once the last
-    epoch and every study have passed their checks, publish every output file
-    into ``out_dir``. On any exception ``out_dir`` is left as it was."""
+    """Run ``config`` through ``run_epochs``, staging each record's table lines
+    in ``out_dir`` as it arrives and every other output once the studies pass,
+    then publish them all. A failed check or write leaves ``out_dir`` as it was."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     studies = [entry["study"] for entry in config.normalized["outputs"]]
@@ -943,10 +927,9 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
         for entry in config.normalized["outputs"]:
             if entry["study"] in STUDY_FILES:
                 files.update(STUDY_FILES[entry["study"]](entry["params"]))
-        for name in streamed:
+        written = [*streamed, *write_outputs(staging, files)]
+        for name in written:
             os.replace(staging / name, out / name)
-        write_outputs(out, files)
-        written = [*streamed, *files]
         for name in set(RUN_FILES).difference(written):  # left by an earlier run
             (out / name).unlink(missing_ok=True)
     finally:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -30,6 +31,15 @@ CONFIG = {
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def add_to_richest(state, poplets):
+    """Add ``poplets`` to the richest account's entry of the ``held`` list the
+    transfer mix writes in place; return its position, for the run to read."""
+    balances = state.balances
+    position = balances.index[max(balances, key=balances.get)]
+    balances.held[position] += poplets
+    return position
 
 
 def test_run_and_validate_happy_path(tmp_path, capsys):
@@ -87,10 +97,8 @@ def test_run_checks_the_poplet_total_after_the_transfer_mix(
     real_mix = scenario._mix_transfers
 
     def mix_dropping(state, rng, count, frac):
-        state, written = real_mix(state, rng, count, frac)
-        balances = dict(state.balances)
-        balances[max(balances, key=balances.get)] -= dropped
-        return dataclasses.replace(state, balances=balances), written
+        written = real_mix(state, rng, count, frac)
+        return [*written, add_to_richest(state, -dropped)]
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping)
     config = write_json(tmp_path / "cfg.json", CONFIG)
@@ -122,10 +130,8 @@ def test_the_poplet_total_check_prints_counts_past_the_int_to_str_limit(
     real_mix = scenario._mix_transfers
 
     def mix_creating(state, rng, count, frac):
-        state, written = real_mix(state, rng, count, frac)
-        balances = dict(state.balances)
-        balances["p00000000"] += 10**5000
-        return dataclasses.replace(state, balances=balances), written
+        written = real_mix(state, rng, count, frac)
+        return [*written, add_to_richest(state, 10**5000)]
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_creating)
     config = write_json(tmp_path / "cfg.json", CONFIG)
@@ -155,12 +161,8 @@ def test_an_invariant_violation_at_epoch_1_writes_no_file(tmp_path, capsys, monk
     real_mix = scenario._mix_transfers
 
     def mix_dropping_at_epoch_1(state, rng, count, frac):
-        state, written = real_mix(state, rng, count, frac)
-        if state.epoch != 1:
-            return state, written
-        balances = dict(state.balances)
-        balances[max(balances, key=balances.get)] -= 1
-        return dataclasses.replace(state, balances=balances), written
+        written = real_mix(state, rng, count, frac)
+        return [*written, add_to_richest(state, -1)] if state.epoch == 1 else written
 
     monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping_at_epoch_1)
     config = write_json(tmp_path / "cfg.json", dict(CONFIG, epochs=5))
@@ -202,17 +204,22 @@ def _all_studies(epochs: int) -> dict:
     )
 
 
-@pytest.mark.parametrize("failure", ["check at epoch 7", "exchange study"])
-def test_a_failed_run_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkeypatch, failure):
-    # an earlier run's nine files and a file of the user's; the tables are
-    # staged inside out, and only a run that passes publishes them
+def _earlier_out(tmp_path):
+    """An out directory holding an earlier run's nine files and a file of the
+    user's, and its files' bytes by name."""
     out = tmp_path / "out"
     earlier = write_json(tmp_path / "earlier.json", dict(_all_studies(4), seed=2))
     assert main(["run", earlier, "--out", str(out), "--plot-data"]) == 0
     (out / "notes.txt").write_text("kept\n", encoding="utf-8")
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     assert sorted(before) == sorted([*scenario.RUN_FILES, "notes.txt"])
+    return out, before
 
+
+@pytest.mark.parametrize("failure", ["check at epoch 7", "exchange study"])
+def test_a_failed_run_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkeypatch, failure):
+    # every output is staged inside out, and only a run that passes publishes them
+    out, before = _earlier_out(tmp_path)
     doc = _all_studies(12)
     if failure == "exchange study":  # fails after the last epoch, as above
         doc["outputs"][2]["params"] = {
@@ -224,18 +231,33 @@ def test_a_failed_run_leaves_the_out_directory_as_it_was(tmp_path, capsys, monke
         real_mix = scenario._mix_transfers
 
         def mix_dropping_at_epoch_7(state, rng, count, frac):
-            state, written = real_mix(state, rng, count, frac)
-            if state.epoch != 7:
-                return state, written
-            balances = dict(state.balances)
-            balances[max(balances, key=balances.get)] -= 1
-            return dataclasses.replace(state, balances=balances), written
+            written = real_mix(state, rng, count, frac)
+            return [*written, add_to_richest(state, -1)] if state.epoch == 7 else written
 
         monkeypatch.setattr(scenario, "_mix_transfers", mix_dropping_at_epoch_7)
     config = write_json(tmp_path / "cfg.json", doc)
     assert main(["run", config, "--out", str(out), "--plot-data"]) == 3
     err = capsys.readouterr().err
     assert ("epoch 7: the ledger holds" in err) == (failure == "check at epoch 7")
+    after = {path.name: path.read_bytes() if path.is_file() else None for path in out.iterdir()}
+    assert after == before
+
+
+@pytest.mark.parametrize("writer", ["_write_text", "_write_json", "_write_csv"])
+def test_a_full_disk_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkeypatch, writer):
+    # a full disk reports ENOSPC with no file name; the run writes every output
+    # into its staging directory before it publishes any
+    out, before = _earlier_out(tmp_path)
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(scenario, writer, full)
+    problems = [{"basic_income": 10.0, "earned_income": 5.0}]
+    agent = {"study": "agent", "params": {"problems": problems}}
+    doc = dict(CONFIG, outputs=[{"study": "supply"}, agent])
+    assert main(["run", write_json(tmp_path / "cfg.json", doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{out}: cannot be written (No space left on device)\n"
     after = {path.name: path.read_bytes() if path.is_file() else None for path in out.iterdir()}
     assert after == before
 

@@ -785,14 +785,76 @@ def test_a_snapshot_sorts_the_rows_only_where_the_keys_are_out_of_order(state):
 
 
 def test_a_run_table_past_the_digit_limit_is_written_unsorted_as_sorted():
-    # a run's p%08d table is in key order; its balances here pass 4300 digits,
-    # which no explicit example above can hold: Hypothesis writes each with repr
+    # a run's p%08d table is in key order; its balances here pass 4300 digits
     ids = [f"p{i:08d}" for i in range(12)]
     state = _table_state(ids, [10**4400 + i for i in range(12)], [1] * 9 + [0] * 3, 10**4399)
     text = state_to_json(state)
     assert text == _sorted_snapshot(state)
     assert list(json.loads(text, parse_int=len)["balances"]) == ids
     assert state_from_json(text) == state
+
+
+# --- reprs and messages past the int-to-str limit ----------------------------------
+#
+# ``str`` of an int past 4300 digits raises ValueError; the reprs and the transfer
+# messages write such an int as the snapshot does, and every other one as before.
+
+BIG = 10**5000
+BIG_TEXT = "1" + "0" * 5000
+
+
+def test_a_balances_repr_writes_an_int_past_the_digit_limit():
+    balances = LedgerState(0, 1, {"a": BIG, "b": 2}).balances
+    assert repr(balances) == f"Balances({{'a': {BIG_TEXT}, 'b': 2}})"
+
+
+@pytest.mark.parametrize(
+    "rate, balance, rate_text, balance_text",
+    [(1, BIG, "1, 1", BIG_TEXT), (Fraction(1, BIG), 1, f"1, {BIG_TEXT}", "1")],
+    ids=["balance", "rate"],
+)
+def test_a_state_repr_writes_an_int_past_the_digit_limit(rate, balance, rate_text, balance_text):
+    assert repr(LedgerState(0, rate, {"a": balance})) == (
+        f"LedgerState(epoch=0, exchange_rate=Fraction({rate_text}), "
+        f"balances=Balances({{'a': {balance_text}}}), participants=frozenset({{'a'}}))"
+    )
+
+
+def test_a_transfer_past_the_digit_limit_raises_its_own_error():
+    state = LedgerState(0, 1, {"a": BIG, "b": 0})
+    with pytest.raises(InsufficientBalanceError) as error:
+        transfer(state, "b", "a", BIG)
+    assert str(error.value) == f"'b' holds 0 poplets, cannot send {BIG_TEXT}"
+
+
+def test_a_direct_transfer_past_the_digit_limit_raises_its_own_error():
+    state = DirectLedgerState(0, {"a": Fraction(BIG, 3), "b": Fraction(7, 3)}, frozenset("ab"))
+    with pytest.raises(InsufficientBalanceError) as error:
+        direct_transfer(state, "b", "a", Fraction(BIG, 7))
+    assert str(error.value) == f"'b' holds 7/3, cannot send {BIG_TEXT}/7"
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(state=snapshot_states(small_rates), amount=st.integers(min_value=1, max_value=10**41))
+def test_reprs_and_messages_below_the_digit_limit_are_unchanged(state, amount):
+    balances = state.balances
+    assert repr(balances) == f"Balances({dict(balances)!r})"
+    assert repr(state) == (
+        f"LedgerState(epoch={state.epoch!r}, exchange_rate={state.exchange_rate!r}, "
+        f"balances={balances!r}, participants={state.participants!r})"
+    )
+    poorest = min(balances, key=balances.get)
+    other = max(balances, key=lambda account: account != poorest)
+    amount += balances[poorest]
+    with pytest.raises(InsufficientBalanceError) as error:
+        transfer(state, poorest, other, amount)
+    held = balances[poorest]
+    assert str(error.value) == f"{poorest!r} holds {held} poplets, cannot send {amount}"
+    thirds = {account: Fraction(poplets, 3) for account, poplets in balances.items()}
+    held, amount = thirds[poorest], thirds[poorest] + Fraction(amount, 7)
+    with pytest.raises(InsufficientBalanceError) as error:
+        direct_transfer(DirectLedgerState(0, thirds, frozenset(thirds)), poorest, other, amount)
+    assert str(error.value) == f"{poorest!r} holds {held}, cannot send {amount}"
 
 
 # --- equivalence with the direct-rebasing oracle -------------------------------------

@@ -155,8 +155,8 @@ class LedgerModel(RuleBasedStateMachine):
         balances = self.state.balances
         copied = balances._moved(balances.held.copy(), balances.credit)
         owned = LedgerState(self.state.epoch, self.state.rate, copied)
-        self.state, written = _mix_transfers(owned, draws, count, frac)
-        self.written += written
+        self.written += _mix_transfers(owned, draws, count, frac)
+        self.state = owned
         rate = self.state.exchange_rate
         moved = {a: (self.state.balances[a] - before[a]) * rate for a in before}
         mirror = {a: b + moved[a] for a, b in self.mirror.balances.items()}

@@ -756,7 +756,7 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
         joining, leaving = (moved, []) if now > before else ([], moved)
         state, _ = mint_epoch_poplet(state, config.policy, now, joining, leaving)
         draws = next(scenario._transfer_draws(rng, [len(state.balances)], 6))
-        state, _ = scenario._mix_transfers(state, draws, 6, Fraction(1, 2))
+        scenario._mix_transfers(state, draws, 6, Fraction(1, 2))
     assert final == state
     assert list(final.balances) == list(state.balances)
 
@@ -1043,6 +1043,52 @@ def test_records_do_not_depend_on_the_block_bound(monkeypatch, kind, epochs):
     assert final == final_alone
 
 
+_SIZES = st.integers(min_value=1, max_value=5000)
+# every population kind, over at most 60 epochs
+_POPULATIONS = st.one_of(
+    st.builds(lambda n: {"kind": "fixed", "N": n}, _SIZES),
+    st.builds(
+        lambda n0, growth: {"kind": "exponential", "N0": n0, "n": growth},
+        _SIZES, st.floats(min_value=-0.5, max_value=0.5),
+    ),
+    st.builds(
+        lambda n0, cap, rate: {"kind": "logistic", "N0": n0, "K": cap, "rate": rate},
+        _SIZES, _SIZES, st.floats(min_value=0.01, max_value=2.0),
+    ),
+    st.builds(
+        lambda n0, factor, at: {"kind": "step_shock", "N0": n0, "factor": factor, "at_epoch": at},
+        _SIZES, st.floats(min_value=0.01, max_value=10.0), st.integers(min_value=1, max_value=60),
+    ),
+    st.builds(
+        lambda n0, growth: {"kind": "degrowth", "N0": n0, "n": growth},
+        _SIZES, st.floats(min_value=-0.5, max_value=-0.001),
+    ),
+)
+_CENSUS_PATHS = st.one_of(
+    st.builds(census_path, _POPULATIONS, st.integers(min_value=0, max_value=60)),
+    # patched paths, which shrink and grow again as no population kind does
+    st.lists(_SIZES | st.integers(min_value=1, max_value=8), min_size=1, max_size=60),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(path=_CENSUS_PATHS, bound=st.sampled_from([1, 7, 4096]))
+@example(path=[3, 3, 3, 2, 2, 3, 3, 3], bound=7)  # two epochs of 3 fill a block of 7
+@example(path=[5000], bound=4096)  # no epoch, no block
+def test_census_blocks_cover_the_epochs_in_order(path, bound):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_BLOCK_VALUES", bound)
+        blocks = list(scenario._census_blocks(path))
+    epochs = [t for start, length in blocks for t in range(start, start + length)]
+    assert epochs == list(range(1, len(path)))
+    for start, length in blocks:
+        census, end = path[start], start + length
+        assert length >= 1 and set(path[start:end]) == {census}
+        assert length == 1 or length * census <= bound
+        # a block ends only at the last epoch, a census change, or when full
+        assert end == len(path) or path[end] != census or (length + 1) * census > bound
+
+
 def _failing_at_epoch(monkeypatch, where, epoch):
     """Make the run fail at ``epoch``: a rounding residue past its bound, or
     a negative member value, which the metrics reject."""
@@ -1073,18 +1119,23 @@ def _failing_at_epoch(monkeypatch, where, epoch):
 @pytest.mark.parametrize("bound", [4096, 1])
 def test_a_check_fails_after_the_records_of_the_epochs_before_it(monkeypatch, where, bound):
     # 20 members share a census for 12 epochs, so the default bound makes one
-    # block of them; the failing epoch 7 is in its middle
+    # block of them and the failing epoch 7 is in its middle: the residue check
+    # raises before the block is measured, and the metrics reject epoch 7's
+    # row after the rows before it. With one epoch per block, the records of
+    # epochs 1-6 come first either way.
     monkeypatch.setattr(scenario, "_BLOCK_VALUES", bound)
     _failing_at_epoch(monkeypatch, where, 7)
     config = parse_config({**GOOD_CONFIG, "epochs": 12, "population": {"kind": "fixed", "N": 20}})
-    records = scenario.run_epochs(config)
-    assert [record.macro.epoch for record in itertools.islice(records, 6)] == list(range(1, 7))
+    epochs = []
     if where == "residue":
-        with pytest.raises(scenario.InvariantViolation, match="epoch 7: issuance rounding"):
-            next(records)
+        error, match = scenario.InvariantViolation, "epoch 7: issuance rounding"
     else:
-        with pytest.raises(ValueError, match="balances must be non-negative"):
-            next(records)
+        error, match = ValueError, "balances must be non-negative"
+    with pytest.raises(error, match=match):
+        for record in scenario.run_epochs(config):
+            epochs.append(record.macro.epoch)
+    before = bound == 1 or where == "values"
+    assert epochs == (list(range(1, 7)) if before else [])
 
 
 def test_load_config_rejects_bad_json(tmp_path):
