@@ -47,8 +47,8 @@ Every member receives the same ``issued`` poplets, so a state's balances
 ``credit``: the poplets every current member has received in common. The
 balances are indexed by position. One account table, the ``index`` dict,
 maps each account to its position and lists the accounts in that order;
-states share it and never change it, and only a mint that opens accounts
-copies it. ``held``
+states share it, and only a mint that opens accounts copies it, or, in
+place, extends it. ``held``
 lists each account's poplets less the common credit, a ``bytearray`` of
 ``flags`` marks the members, and ``count`` counts them, so a member's
 balance is ``held[i] + credit`` and a dormant holder's ``held[i]``.
@@ -58,6 +58,8 @@ and ``flags`` with the state it came from, so it does O(1) work; on a census
 change it copies the list and the bytearray once and writes only the
 positions of the accounts that leave, whose balance is frozen into
 ``held``, and of those that join, new ones appended in the order given.
+A mint called ``in_place`` by a caller that holds the state alone makes the
+same writes into the state's own lists and table, and copies nothing.
 ``transfer`` copies ``held`` and writes two positions. The member set,
 ``participants``, is read from the flags on each access; the ledger keeps
 no cache. ``genesis`` builds the account table once, from the ids, and a
@@ -65,9 +67,10 @@ census change looks each id that joins or leaves up once, for its check
 and its writes.
 
 Every function here is pure: it writes no list, dict or bytearray of the
-state it is given. ``Balances`` is read-only to every caller but one, the
-scenario's transfer mix, which writes the ``held`` of a state that its
-caller alone holds (see ``scenario``).
+state it is given, but for ``mint_epoch_poplet`` called ``in_place``.
+``Balances`` is read-only to every caller but one, the scenario's run,
+which holds each state alone: it has the mint write each census change in
+place, and its transfer mix writes ``held`` (see ``scenario``).
 
 The module also ships a second, deliberately naive implementation
 (``DirectLedgerState``) that rescales every real-valued balance each epoch.
@@ -161,8 +164,9 @@ class Balances(Mapping):
     ``flags[i]`` is 1 for a member, ``count`` is the number of members and
     ``credit`` the poplets every current member has received in common, so a
     member who joined late holds about ``-credit`` in ``held``. Read-only,
-    like the state, but for the ``held`` that a run's transfer mix writes
-    (see the module docstring).
+    like the state, but for the lists that a run writes in place: ``held``,
+    ``flags`` and ``index`` in its census changes, ``held`` in its transfer
+    mix (see the module docstring).
     """
 
     __slots__ = ("index", "held", "flags", "count", "credit")
@@ -483,18 +487,24 @@ def _check_count(census: int, new_census, added: int, removed: int) -> None:
 
 
 def _census_change(
-    balances: Balances, new: list, new_at: list, removed_at: list, issued: int, credit: int
+    balances: Balances, new: list, new_at: list, removed_at: list, issued: int, credit: int,
+    in_place: bool,
 ) -> Balances:
     """``balances`` after the accounts at positions ``removed_at`` leave and
     ``new`` join, at ``new_at`` (None for an account opened here), at a mint
-    that issues ``issued`` and raises the common credit to ``credit``."""
-    index, size = balances.index, len(balances.held)
+    that issues ``issued`` and raises the common credit to ``credit``:
+    written into copies of ``held``, ``flags`` and, when it opens an account,
+    ``index``, or, ``in_place``, into the lists of ``balances`` themselves."""
+    index, held, flags = balances.index, balances.held, balances.flags
     opened = [account for account, position in zip(new, new_at) if position is None]
+    if not in_place:  # the change's one copy of each list, and of the table if it grows
+        held, flags = held.copy(), flags.copy()
+        index = dict(index) if opened else index
     joining = issued - credit  # a joining account's entry above what it held
-    held = balances.held + [joining] * len(opened)  # the change's one copy of ``held``
-    flags = balances.flags + b"\1" * len(opened)
     if opened:
-        index = dict(index)
+        size = len(held)
+        held += [joining] * len(opened)
+        flags += b"\1" * len(opened)
         index.update(zip(opened, range(size, len(held))))
     for position in removed_at:
         held[position] += balances.credit
@@ -563,6 +573,8 @@ def mint_epoch_poplet(
     new_census: int,
     new_accounts: Iterable[Account] = (),
     removed_accounts: Iterable[Account] = (),
+    *,
+    in_place: bool = False,
 ) -> tuple[LedgerState, MintReport]:
     """Advance one epoch: update the exchange rate, credit every participant.
 
@@ -576,6 +588,13 @@ def mint_epoch_poplet(
     (new, appended in the order given, or a dormant holder) holds its
     balance plus ``issued`` less the new ``credit``; no other position is
     written.
+
+    A census change writes copies of the state's lists, and leaves ``state``
+    as it was. With ``in_place`` the caller promises to keep no other
+    reference to ``state``, nor to any state that shares its lists, and the
+    change writes ``held``, ``flags`` and the shared ``index`` in place
+    instead, once its checks have passed: a rejected change still leaves
+    ``state`` as it was.
     """
     new, removed = list(new_accounts), list(removed_accounts)
     balances = state.balances
@@ -592,7 +611,7 @@ def mint_epoch_poplet(
     rate, issued, residue = _issue(rate, params.basic_income, new_census)
     credit = balances.credit + issued
     if new or removed:
-        balances = _census_change(balances, new, new_at, removed_at, issued, credit)
+        balances = _census_change(balances, new, new_at, removed_at, issued, credit, in_place)
     else:
         balances = balances._moved(balances.held, credit)
     return LedgerState(state.epoch + 1, rate, balances), MintReport(issued, residue)
@@ -688,8 +707,9 @@ def state_to_json(state: LedgerState) -> str:
     write = _int_writer(sum(balances.held) + balances.count * credit)
     write_rate = _int_writer(max(rate.numerator, rate.denominator))
     keys = list(index)
+    ordered = keys == sorted(keys)  # a run's table is in key order already
     rows = zip(keys, balances.held, flags)
-    if keys != sorted(keys):  # a run's table is in key order already
+    if not ordered:
         rows = sorted(rows)
     fields = {  # in sorted key order
         "balances": "{" + ",".join(
@@ -703,7 +723,9 @@ def state_to_json(state: LedgerState) -> str:
         ),
     }
     if balances.count != len(index):
-        members = sorted(compress(index, flags))
+        members = list(compress(keys, flags))
+        if not ordered:
+            members.sort()
         fields["participants"] = json.dumps(members, separators=(",", ":"))
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 

@@ -59,14 +59,16 @@ mix returns, and the read patches a copy of the image at those positions,
 or builds it anew with ``np.fromiter`` when they are a quarter of the
 entries or more; past 2**63 it drops it.
 
-``run_epochs`` owns the ``held`` list it mixes: it hands ``_mix_transfers``
-only the state the mint just returned, and keeps neither that state nor the
-one the mint read, so the mix moves the epoch's poplets inside that state's
-``held`` in place and returns only the positions it wrote. Every ``ledger``
-function stays pure; at a fixed census the mint shares ``held`` with the
-state it read, which nothing holds any more. An epoch thus copies ``held``
-once when its census changes, in the mint, and not at all otherwise, and it
-writes only the positions that change.
+``run_epochs`` owns the lists of the one state it holds: it hands
+``_mix_transfers`` only the state the mint just returned, and keeps neither
+that state nor the one the mint read, so the mix moves the epoch's poplets
+inside that state's ``held`` in place and returns only the positions it
+wrote. For the same reason it calls ``mint_epoch_poplet`` with
+``in_place=True``: a census change freezes the balances of the members who
+leave, writes those who rejoin and appends the accounts it opens in the
+state's own ``held``, ``flags`` and ``index``, and a fixed-census mint shares
+them. An epoch thus never copies ``held``, and it writes only the positions
+that change. Every other caller of ``ledger`` keeps its pure API.
 
 ``run_scenario`` writes each record as it arrives, and keeps none: its
 floats are formatted once, and every table line that shows one of its
@@ -82,7 +84,8 @@ last epoch so are ``manifest.json``, ``final_state.json`` and the files that
 them all into the output directory with ``os.replace``, remove each other
 name of ``RUN_FILES`` that an earlier run left, and remove the staging
 directory. A run whose check or write fails leaves the output directory as
-it was; a killed process can leave a staging directory behind, hidden as
+it was, or, when the run made it, removes it and every parent the run made
+for it; a killed process can leave a staging directory behind, hidden as
 ``.popcoin-sim-*``. Inequality columns cover census members only; dormant
 holders still count toward M_total. A member's value is ``float(balance) *
 float(E)`` while ``float(E)`` is a normal float and the poplet total is at
@@ -136,11 +139,11 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, takewhile
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -670,6 +673,18 @@ def load_config(path) -> ScenarioConfig:
 
 
 _account_id = "p%08d".__mod__  # the id of the account at ``index``
+_ID_SUFFIXES = tuple("%02d" % i for i in range(100))
+
+
+def _account_ids(start: int, stop: int):
+    """The ids of the accounts at ``start`` .. ``stop - 1``, as
+    ``map(_account_id, range(start, stop))`` yields them, built a hundred to
+    one formatted ``p%06d`` prefix."""
+    if stop <= start:  # every epoch at a fixed census asks for none
+        return iter(())
+    hundreds = range(start // 100, -(-stop // 100))
+    ids = chain.from_iterable(map(("p%06d" % h).__add__, _ID_SUFFIXES) for h in hundreds)
+    return islice(ids, start % 100, start % 100 + stop - start)
 
 
 def _transfer_draws(rng: SplitMix64, accounts, count: int):
@@ -725,10 +740,11 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
             f"but the ledger holds {len(balances.held)}"
         )
     held, flags, credit = balances.held, balances.flags, balances.credit
+    dormant = balances.count != accounts  # else every account is a member
     num, den = frac.numerator, frac.denominator
     for sender, recipient, amount_raw in zip(senders, recipients, amounts):
         entry = held[sender]
-        poplets = entry + credit if flags[sender] else entry
+        poplets = entry if dormant and not flags[sender] else entry + credit
         amount = amount_raw % (poplets * num // den + 1)
         if amount > 0:
             if amount > poplets:
@@ -822,7 +838,7 @@ def run_epochs(config: ScenarioConfig):
     normalized, params = config.normalized, config.policy
     path = census_path(normalized["population"], normalized["epochs"])
     peak = max(path)
-    state = genesis(params, map(_account_id, range(path[0])), normalized["poplet_scale"])
+    state = genesis(params, _account_ids(0, path[0]), normalized["poplet_scale"])
     transfers = normalized["transfers"] or {"count_per_epoch": 0, "max_fraction": 0}
     transfer_count, frac = transfers["count_per_epoch"], exact(transfers["max_fraction"])
     rng = SplitMix64(normalized["seed"]) if transfer_count else None
@@ -840,9 +856,9 @@ def run_epochs(config: ScenarioConfig):
             # in ``held``, a new id appended) or leave: ``held`` stays in id order
             # with the members first, and the mint writes no other position.
             moved = range(min(before, n_now), max(before, n_now))
-            ids = map(_account_id, moved)
+            ids = _account_ids(moved.start, moved.stop)
             joining, leaving = (ids, ()) if n_now > before else ((), ids)
-            state, report = mint_epoch_poplet(state, params, n_now, joining, leaving)
+            state, report = mint_epoch_poplet(state, params, n_now, joining, leaving, in_place=True)
             poplets += n_now * report.issued_per_participant
             if abs(report.rounding_residue_poplets) > (n_now + 1) // 2:
                 raise InvariantViolation(
@@ -896,9 +912,25 @@ def _census_blocks(path: list[int]):
 def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = False) -> dict:
     """Run ``config`` through ``run_epochs``, staging each record's table lines
     in ``out_dir`` as it arrives and every other output once the studies pass,
-    then publish them all. A failed check or write leaves ``out_dir`` as it was."""
+    then publish them all. A failed check or write leaves ``out_dir`` as it
+    was, and removes it and the parents the run made for it."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    made = list(takewhile(lambda directory: not directory.exists(), (out, *out.parents)))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written = _stage_and_publish(config, out, include_plot_data)
+    except BaseException:
+        for directory in made:  # innermost first; each is empty unless someone else wrote there
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+    epochs = config.normalized["epochs"]
+    log.info("run complete: %d epochs, %d files in %s", epochs, len(written), out)
+    return {"out_dir": str(out), "files": sorted(written)}
+
+
+def _stage_and_publish(config: ScenarioConfig, out: Path, include_plot_data: bool) -> list[str]:
+    """``run_scenario`` in the directory ``out``, which exists; return the names written."""
     studies = [entry["study"] for entry in config.normalized["outputs"]]
     streamed = {
         name: header
@@ -935,8 +967,7 @@ def run_scenario(config: ScenarioConfig, out_dir, include_plot_data: bool = Fals
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     log.debug("exact fallbacks: %d", state.rate.fallbacks.total())
-    log.info("run complete: %d epochs, %d files in %s", state.epoch, len(written), out)
-    return {"out_dir": str(out), "files": sorted(written)}
+    return written
 
 
 def _write_records(records, policy: PolicyParams, tables: dict) -> LedgerState:

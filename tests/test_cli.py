@@ -77,8 +77,8 @@ def test_run_checks_the_rounding_residue_bound(tmp_path, capsys, monkeypatch, ex
     # half a poplet per participant, rounded: at most (N + 1) // 2 in all
     real_mint = scenario.mint_epoch_poplet
 
-    def mint_with_residue(state, params, census, *deltas):
-        state, report = real_mint(state, params, census, *deltas)
+    def mint_with_residue(state, params, census, *deltas, **kwargs):
+        state, report = real_mint(state, params, census, *deltas, **kwargs)
         residue = -((census + 1) // 2 + excess)
         return state, dataclasses.replace(report, rounding_residue_poplets=residue)
 
@@ -113,8 +113,8 @@ def test_run_checks_the_poplet_total_against_the_reported_issuance(
     # a mint whose report disagrees with what it credited
     real_mint = scenario.mint_epoch_poplet
 
-    def mint_misreporting(state, params, census, *deltas):
-        state, report = real_mint(state, params, census, *deltas)
+    def mint_misreporting(state, params, census, *deltas, **kwargs):
+        state, report = real_mint(state, params, census, *deltas, **kwargs)
         issued = report.issued_per_participant + extra
         return state, dataclasses.replace(report, issued_per_participant=issued)
 
@@ -169,7 +169,7 @@ def test_an_invariant_violation_at_epoch_1_writes_no_file(tmp_path, capsys, monk
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out)]) == 3
     assert "epoch 1: the ledger holds" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # the run made it, and removes it
 
 
 def test_a_failing_study_writes_no_file(tmp_path, capsys):
@@ -187,7 +187,7 @@ def test_a_failing_study_writes_no_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out)]) == 3
     assert "invariant" in capsys.readouterr().err.lower()
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # the run made it, and removes it
 
 
 def _all_studies(epochs: int) -> dict:
@@ -260,6 +260,32 @@ def test_a_full_disk_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkey
     assert capsys.readouterr().err == f"{out}: cannot be written (No space left on device)\n"
     after = {path.name: path.read_bytes() if path.is_file() else None for path in out.iterdir()}
     assert after == before
+
+
+@pytest.mark.parametrize("parent_exists", [False, True])
+@pytest.mark.parametrize("failure", ["exchange study", "full disk"])
+def test_a_failed_run_removes_the_directories_it_made(
+    tmp_path, capsys, monkeypatch, failure, parent_exists
+):
+    # an --out below a directory that does not exist is made with its parent;
+    # a failed run removes both, and a parent that existed stays
+    parent = tmp_path / "newparent"
+    if parent_exists:
+        parent.mkdir()
+    if failure == "exchange study":  # fails after the last epoch, as above
+        params = {"scenario": {"money_supply_pop": 1.1}, "fiat_supply_shocks": [0.01],
+                  "elasticities": [1.0]}
+        outputs, code = [{"study": "exchange", "params": params}], 3
+    else:
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(scenario, "_write_json", full)
+        outputs, code = [{"study": "supply"}], 2
+    config = write_json(tmp_path / "cfg.json", dict(CONFIG, outputs=outputs))
+    assert main(["run", config, "--out", str(parent / "out")]) == code
+    assert parent.exists() == parent_exists
+    assert not (parent / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,9 @@ The model also carries the run's int64 image of ``held`` as a run does: it
 collects the positions each mint, transfer and mix writes, passes them to
 the next read with the image the last read returned, and checks that the
 image each read returns is absent or equal to that read's ``held``.
+Each mint the run makes in place, on a copy of the state with lists of its
+own, must equal the pure mint, and where its deltas are rejected leave the
+copy's lists as they were.
 """
 
 import json
@@ -40,6 +43,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
+from popcoin_sim.ledger import Balances
 from popcoin_sim.scenario import _mix_transfers, _read_balances, _transfer_draws
 
 
@@ -76,6 +80,7 @@ class LedgerModel(RuleBasedStateMachine):
         assert (state_to_json(self.state), dict(self.mirror.balances)) == before
 
     def _mint(self, added, removed):
+        """Mint with the census deltas ``added`` and ``removed``; return the report."""
         census = self.state.census + len(added) - len(removed)
         self.state, report = mint_epoch_poplet(self.state, self.params, census, added, removed)
         self.mirror = mint_epoch_direct(self.mirror, self.params, census, added, removed)
@@ -85,6 +90,7 @@ class LedgerModel(RuleBasedStateMachine):
         for account in self.state.participants:
             self.credited[account] = self.credited.get(account, 0) + 1
         self._keep()
+        return report
 
     @rule(grow=st.integers(min_value=0, max_value=3), data=st.data())
     def mint(self, grow, data):
@@ -101,6 +107,68 @@ class LedgerModel(RuleBasedStateMachine):
         # dormant holders re-enter the census with the poplets they kept
         dormant = sorted(self.state.balances.keys() - self.state.participants)
         self._mint(data.draw(st.lists(st.sampled_from(dormant), unique=True, min_size=1)), [])
+
+    def _owned_copy(self) -> LedgerState:
+        """The state with lists, flags and table of its own, as a run holds it."""
+        balances = self.state.balances
+        owned = Balances(dict(balances.index), list(balances.held), bytearray(balances.flags),
+                         balances.count, balances.credit)
+        return LedgerState(self.state.epoch, self.state.rate, owned)
+
+    @rule(grow=st.integers(min_value=0, max_value=3), data=st.data())
+    def mint_in_place(self, grow, data):
+        # the run's mint, which writes a census change into the lists of the
+        # state it is given, equals the pure mint, which copies them
+        members = sorted(self.state.participants)
+        dormant = sorted(self.state.balances.keys() - self.state.participants)
+        retire = st.lists(st.sampled_from(members), unique=True, max_size=len(members) - 1)
+        removed = data.draw(retire)
+        rejoin = data.draw(st.lists(st.sampled_from(dormant), unique=True)) if dormant else []
+        added = rejoin + [f"a{self.opened + k}" for k in range(grow)]
+        self.opened += grow
+        owned = self._owned_copy()
+        balances = owned.balances
+        census = owned.census + len(added) - len(removed)
+        after, report = mint_epoch_poplet(
+            owned, self.params, census, added, removed, in_place=True
+        )
+        assert report == self._mint(added, removed)
+        assert after == self.state and state_to_json(after) == state_to_json(self.state)
+        mine, pure = after.balances, self.state.balances
+        assert list(mine.index.items()) == list(pure.index.items())
+        assert (mine.held, mine.flags, mine.count, mine.credit) == (
+            pure.held, pure.flags, pure.count, pure.credit
+        )
+        # written in place: the lists and the table are the ones it was given
+        assert mine.held is balances.held and mine.flags is balances.flags
+        assert mine.index is balances.index
+
+    @rule(
+        fault=st.sampled_from(["census", "member added", "unknown removed", "both", "twice"]),
+        data=st.data(),
+    )
+    def mint_in_place_a_rejected_change(self, fault, data):
+        # every check passes before the first write, so a rejected change
+        # leaves the lists it would have written as they were
+        owned = self._owned_copy()
+        balances = owned.balances
+        before = dict(balances.index), list(balances.held), bytes(balances.flags)
+        new = f"a{self.opened}"
+        added, removed = [new], []
+        if fault == "member added":
+            added.append(data.draw(st.sampled_from(sorted(self.state.participants))))
+        elif fault == "unknown removed":
+            dormant = sorted(self.state.balances.keys() - self.state.participants)
+            removed.append(data.draw(st.sampled_from(["ghost", *dormant])))
+        elif fault == "both":
+            removed.append(new)
+        elif fault == "twice":
+            added.append(new)
+        census = owned.census + len(added) - len(removed) + (fault == "census")
+        with pytest.raises(CensusMismatchError):
+            mint_epoch_poplet(owned, self.params, census, added, removed, in_place=True)
+        assert (dict(balances.index), balances.held, bytes(balances.flags)) == before
+        assert list(balances.index) == list(before[0])
 
     @rule(data=st.data())
     def mint_with_a_wrong_census(self, data):

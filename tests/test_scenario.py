@@ -702,6 +702,17 @@ def test_states_carry_an_image_only_below_int64(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "start, stop",
+    [(0, 0), (7, 7), (5, 3), (0, 1), (99, 101), (37, 250), (0, 10_000), (10**8 - 10, 10**8)],
+)
+def test_account_ids_are_the_ids_of_their_positions(start, stop):
+    # built a hundred to one prefix, they must be p%08d of each position
+    assert list(scenario._account_ids(start, stop)) == list(
+        map(scenario._account_id, range(start, stop))
+    )
+
+
+@pytest.mark.parametrize(
     "population",
     [
         {"kind": "step_shock", "N0": 3, "factor": 2.5, "at_epoch": 2},
@@ -728,10 +739,11 @@ def test_a_census_that_grows_again_re_admits_its_dormant_holders(monkeypatch, pa
     monkeypatch.setattr(scenario, "census_path", lambda population, epochs: path)
     minted = []
 
-    def recording_mint(state, *args):
+    def recording_mint(state, *args, **kwargs):
         # the balances as minted: the transfer mix then writes the state's ``held``
-        after, report = mint_epoch_poplet(state, *args)
-        record = dict(state.balances), dict(after.balances), after.participants
+        before = dict(state.balances)  # before the mint, which writes the state in place
+        after, report = mint_epoch_poplet(state, *args, **kwargs)
+        record = before, dict(after.balances), after.participants
         minted.append((*record, report.issued_per_participant))
         return after, report
 
@@ -772,9 +784,9 @@ def test_the_run_mixes_a_state_that_nothing_else_holds(monkeypatch):
     real_mint, real_mix = scenario.mint_epoch_poplet, scenario._mix_transfers
     read, returned, mixed = [], [], []
 
-    def keeping_mint(state, *args):
+    def keeping_mint(state, *args, **kwargs):
         read.append(weakref.ref(state))
-        after, report = real_mint(state, *args)
+        after, report = real_mint(state, *args, **kwargs)
         returned.append(weakref.ref(after))
         return after, report
 
@@ -793,9 +805,10 @@ def test_the_run_mixes_a_state_that_nothing_else_holds(monkeypatch):
     assert final is returned[-1]()
 
 
-def test_only_an_epoch_that_changes_the_census_copies_held(monkeypatch):
-    # the work law: a fixed-census epoch shares ``held`` from mint to mix and
-    # makes no copy of it; an epoch that changes the census makes one, in the mint
+def test_no_epoch_copies_held(monkeypatch):
+    # the work law: a fixed-census epoch shares ``held`` from mint to mix, and
+    # an epoch that changes the census writes it in place, in the mint; no
+    # epoch copies it
     copies = []
 
     class CountingList(list):
@@ -843,11 +856,7 @@ def test_only_an_epoch_that_changes_the_census_copies_held(monkeypatch):
     monkeypatch.setattr(scenario, "_read_balances", counting_read)
     final = final_state(scenario.run_epochs(config))
     assert final == expected and type(final.balances.held) is CountingList
-    made = [now - before for before, now in zip([0, *per_epoch], per_epoch)]
-    changes = [int(now != before) for before, now in zip(OWNERSHIP_PATH, OWNERSHIP_PATH[1:])]
-    assert made == changes == [0, 1, 0, 1, 1, 0, 1, 0]
-    # each copy is the whole list, with the accounts a growing census opens
-    assert copies == [max(OWNERSHIP_PATH[: t + 1]) for t, c in enumerate(changes, 1) if c]
+    assert per_epoch == [0] * (len(OWNERSHIP_PATH) - 1) and copies == []
 
 
 @pytest.mark.parametrize(
@@ -872,9 +881,10 @@ def test_each_mint_writes_only_the_ids_between_the_two_censuses(monkeypatch, pop
         monkeypatch.setattr(scenario, "census_path", lambda population, epochs: path)
     writes = []  # per mint: the census before, after, and the positions it changed
 
-    def recording_mint(state, *args):
-        after, report = mint_epoch_poplet(state, *args)
-        before, held = state.balances.held, after.balances.held
+    def recording_mint(state, *args, **kwargs):
+        before = list(state.balances.held)  # the mint writes the run's ``held`` in place
+        after, report = mint_epoch_poplet(state, *args, **kwargs)
+        held = after.balances.held
         changed = {i for i, entry in enumerate(held) if i >= len(before) or entry != before[i]}
         writes.append((state.census, after.census, changed))
         return after, report
@@ -1095,8 +1105,8 @@ def _failing_at_epoch(monkeypatch, where, epoch):
     if where == "residue":
         real_mint = scenario.mint_epoch_poplet
 
-        def mint(state, params, census, *deltas):
-            state, report = real_mint(state, params, census, *deltas)
+        def mint(state, params, census, *deltas, **kwargs):
+            state, report = real_mint(state, params, census, *deltas, **kwargs)
             if state.epoch == epoch:
                 report = dataclasses.replace(report, rounding_residue_poplets=census)
             return state, report

@@ -24,6 +24,7 @@ from popcoin_sim import (
     census_path,
     parse_config,
     scenario,
+    state_to_json,
     transfer,
 )
 from popcoin_sim.ledger import Balances
@@ -131,9 +132,10 @@ def ledger_states(draw):
     # balances within int64, or past it, as they are at long horizons
     top = draw(st.sampled_from([2**40, 2**80]))
     balances = {a: draw(st.integers(min_value=0, max_value=top)) for a in ids}
-    # a census of at least one member, as every state has
+    # a census of at least one member, as every state has, and often every
+    # account, where the mix reads no flag
     flags = st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))
-    dormant = draw(flags.filter(lambda off: not all(off)))
+    dormant = draw(st.just([False] * len(ids)) | flags.filter(lambda off: not all(off)))
     members = frozenset(a for a, off in zip(ids, dormant) if not off)
     # members hold their balance less the common credit, late joiners less than nothing
     credit = draw(st.integers(min_value=0, max_value=top))
@@ -174,6 +176,13 @@ def funded(*ids):
 @example(state=funded("c", "a", "b"), seed=7, count=1, frac=Fraction(1))
 # one transfer among nine accounts writes its sender and recipient
 @example(state=funded(*"abcdefghi"), seed=7, count=1, frac=Fraction(1))
+# every account a member, past int64, late joiners below zero in ``held``
+@example(
+    state=LedgerState(0, Fraction(1), Balances.from_entries({"a": 1, "b": -(2**69)}, None, 2**70)),
+    seed=7,
+    count=6,
+    frac=Fraction(1),
+)
 def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
     # the pure fold first, over the untouched input: the mix writes its input's ``held``
@@ -319,6 +328,56 @@ def test_the_run_draws_each_epoch_as_the_scalar_draws_do(path, count, budget, se
     chunks = [peaks[i : i + chunk] for i in range(0, epochs, chunk)]
     assert rng.calls == [3 * count * sum(accounts >= 2 for accounts in c) for c in chunks]
     assert all(calls <= max(budget, 3 * count) for calls in rng.calls)
+
+
+def _records_and_final_state(config):
+    """The records of ``run_epochs(config)``, each by its ``repr``, and the final state."""
+    records, run = [], scenario.run_epochs(config)
+    while True:
+        try:
+            records.append(repr(next(run)))
+        except StopIteration as done:
+            return records, done.value
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    path=census_paths(),
+    count=st.sampled_from([0, 1, 6]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+# fixed, shrinking, re-admitting, opening and fixed again
+@example(path=[6, 6, 4, 4, 5, 8, 8, 3, 3], count=6, seed=5)
+def test_a_run_that_mints_in_place_equals_one_that_mints_pure(path, count, seed):
+    # the run's census changes write its state's lists in place; the pure
+    # mint, which copies them, must give the same records and final state
+    real_mint = scenario.mint_epoch_poplet
+
+    def pure_mint(state, *args, in_place):  # the run must pass in_place
+        assert in_place is True
+        return real_mint(state, *args)
+
+    config = parse_config(
+        {
+            "policy": {"basic_income": 2922, "demurrage_alpha": 0.02},
+            "epochs": len(path) - 1,
+            "population": {"kind": "fixed", "N": path[0]},
+            "seed": seed,
+            "transfers": {"count_per_epoch": count, "max_fraction": 0.5},
+        }
+    )
+    runs = []
+    for mint in (real_mint, pure_mint):
+        with (
+            mock.patch.object(scenario, "census_path", lambda population, epochs: path),
+            mock.patch.object(scenario, "mint_epoch_poplet", mint),
+        ):
+            records, final = _records_and_final_state(config)
+        balances = final.balances
+        table = list(balances.index.items()), balances.held, bytes(balances.flags)
+        runs.append((records, final, state_to_json(final), table, balances.credit))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == len(path) - 1
 
 
 @pytest.mark.parametrize(
