@@ -729,8 +729,19 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
     state it keeps may share it (``run_epochs`` passes the state the mint
     just returned and keeps neither that state nor the one the mint read).
     Raises ``InvariantViolation`` when the ledger holds other than the ``A``
-    accounts the indices were reduced for. Returns the positions written, the
-    senders and the recipients: every entry of ``held`` the mix may have changed.
+    accounts the indices were reduced for, or when ``frac`` lies outside
+    (0, 1]. Returns the positions written, the senders and the recipients:
+    every entry of ``held`` the mix may have changed.
+
+    The fraction is checked once, up front, and no transfer checks its
+    amount: with ``0 < num <= den`` the bound ``cap + 1`` is positive only
+    for a balance ``poplets >= 0``, and then ``amount <= cap <= poplets``.
+    A zero amount writes its two entries back unchanged. For integers,
+    ``(entry + credit) * num // den + 1 == (entry * num + credit * num +
+    den) // den``, so the bound of a transfer is ``(entry * num + offset) //
+    den``, where ``offset`` is ``credit * num + den`` for a member, computed
+    once per epoch, and ``den`` for a dormant holder. A ledger whose every
+    account is a member, as at every fixed census, reads no flag.
     """
     balances = state.balances
     accounts, senders, recipients, amounts = draws
@@ -739,19 +750,21 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
             f"transfer mix drew account indices for {accounts} accounts, "
             f"but the ledger holds {len(balances.held)}"
         )
-    held, flags, credit = balances.held, balances.flags, balances.credit
-    dormant = balances.count != accounts  # else every account is a member
     num, den = frac.numerator, frac.denominator
-    for sender, recipient, amount_raw in zip(senders, recipients, amounts):
-        entry = held[sender]
-        poplets = entry if dormant and not flags[sender] else entry + credit
-        amount = amount_raw % (poplets * num // den + 1)
-        if amount > 0:
-            if amount > poplets:
-                raise InvariantViolation(
-                    f"transfer mix drew {Decimal(amount)} poplets from "
-                    f"{list(balances.index)[sender]!r}, which holds {Decimal(poplets)}"
-                )
+    if not 0 < num <= den:
+        raise InvariantViolation(f"transfer mix fraction {frac} lies outside (0, 1]")
+    held, flags = balances.held, balances.flags
+    member = balances.credit * num + den
+    if balances.count == accounts:  # every account is a member
+        for sender, recipient, amount_raw in zip(senders, recipients, amounts):
+            entry = held[sender]
+            amount = amount_raw % ((entry * num + member) // den)
+            held[sender] = entry - amount
+            held[recipient] += amount
+    else:
+        for sender, recipient, amount_raw in zip(senders, recipients, amounts):
+            entry = held[sender]
+            amount = amount_raw % ((entry * num + (member if flags[sender] else den)) // den)
             held[sender] = entry - amount
             held[recipient] += amount
     return senders + recipients

@@ -8,6 +8,7 @@ by scalar ``below`` draws, as the determinism contract in the scenario
 module describes it, and return every position it wrote.
 """
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
@@ -183,6 +184,33 @@ def funded(*ids):
     count=6,
     frac=Fraction(1),
 )
+# a dormant holder, past int64, at a numerator above one
+@example(
+    state=LedgerState(
+        0, Fraction(1), Balances.from_entries({"a": 3, "b": 2**75, "c": -(2**69)}, {"a", "c"}, 2**70)
+    ),
+    seed=7,
+    count=6,
+    frac=Fraction(3, 10),
+)
+# every account a member, past int64, at a numerator above one
+@example(
+    state=LedgerState(
+        0, Fraction(1), Balances.from_entries({"a": 5, "b": -(2**69), "c": 2**66}, None, 2**70)
+    ),
+    seed=3,
+    count=6,
+    frac=Fraction(7, 10),
+)
+# up to the whole balance, with a dormant holder
+@example(
+    state=LedgerState(
+        0, Fraction(1), Balances.from_entries({"a": 10**6, "b": 10**6, "c": 5 * 10**5}, {"a", "b"}, 10**6)
+    ),
+    seed=5,
+    count=6,
+    frac=Fraction(1),
+)
 def test_mix_equals_fold_of_pure_transfers(state, seed, count, frac):
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
     # the pure fold first, over the untouched input: the mix writes its input's ``held``
@@ -207,12 +235,41 @@ def test_mix_with_one_account_draws_nothing():
     assert rng._state == SplitMix64(9)._state
 
 
-def test_mix_rejects_an_overdrawing_amount():
-    # a fraction above one can only reach the kernel by bypassing validation
+def test_mix_rejects_a_fraction_outside_the_unit_interval():
+    # such a fraction can only reach the kernel by bypassing validation
     balances = {"a": 10**6, "b": 10**6}
     state = LedgerState(1, Fraction(1), balances, frozenset(balances))
-    with pytest.raises(InvariantViolation, match=r"poplets from '[ab]', which holds"):
-        _mix_transfers(state, epoch_draws(SplitMix64(1), state, 50), 50, Fraction(3))
+    before = list(state.balances.held)
+    for frac in (Fraction(3), Fraction(0), Fraction(-1, 2)):
+        match = rf"transfer mix fraction {re.escape(str(frac))} lies outside \(0, 1\]"
+        with pytest.raises(InvariantViolation, match=match):
+            _mix_transfers(state, epoch_draws(SplitMix64(1), state, 50), 50, frac)
+        assert state.balances.held == before
+
+
+class CountingFlags(bytearray):
+    """Member flags that count the reads of single flags."""
+
+    def __init__(self, flags):
+        super().__init__(flags)
+        self.reads = 0
+
+    def __getitem__(self, position):
+        self.reads += 1
+        return super().__getitem__(position)
+
+
+@pytest.mark.parametrize("dormant", [False, True], ids=["all-members", "one-dormant"])
+def test_the_mix_reads_a_flag_only_where_an_account_is_dormant(dormant):
+    ids = [f"p{i}" for i in range(20)]
+    members = ids[:-1] if dormant else ids
+    state = LedgerState(0, Fraction(1), {a: 10**6 for a in ids}, frozenset(members))
+    expected = mix_by_transfer_fold(state, SplitMix64(4), 300, Fraction(1, 3))
+    flags = state.balances.flags = CountingFlags(state.balances.flags)
+    _mix_transfers(state, epoch_draws(SplitMix64(4), state, 300), 300, Fraction(1, 3))
+    # an all-member ledger reads no flag, another at most one per transfer
+    assert flags.reads <= (300 if dormant else 0)
+    assert state == expected
 
 
 def scalar_epoch_draws(rng, accounts, count):
