@@ -89,7 +89,6 @@ further basic income.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -146,14 +145,13 @@ class PolicyParams:
     demurrage_alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "basic_income", exact(self.basic_income))
-        object.__setattr__(self, "demurrage_alpha", exact(self.demurrage_alpha))
-        if self.basic_income <= 0:
-            raise ValueError(f"basic_income must be positive, got {self.basic_income}")
-        if not 0 <= self.demurrage_alpha < 1:
-            raise ValueError(
-                f"demurrage_alpha must lie in [0, 1), got {self.demurrage_alpha}"
-            )
+        income, alpha = exact(self.basic_income), exact(self.demurrage_alpha)
+        object.__setattr__(self, "basic_income", income)
+        object.__setattr__(self, "demurrage_alpha", alpha)
+        if income <= 0:
+            raise ValueError(f"basic_income must be positive, got {_fraction_text(income)}")
+        if not 0 <= alpha < 1:
+            raise ValueError(f"demurrage_alpha must lie in [0, 1), got {_fraction_text(alpha)}")
 
 
 class Balances(Mapping):
@@ -275,7 +273,7 @@ class Rate:
         ``bits``-bit bracket. Raises ``ValueError`` unless ``value > 0``."""
         value = exact(value)
         if value <= 0:
-            raise ValueError(f"exchange_rate must be positive, got {value}")
+            raise ValueError(f"exchange_rate must be positive, got {_fraction_text(value)}")
         bracket = _bracket(value.denominator, value.numerator, bits)
         return cls(value, 1, 1, 0, census, census, *bracket, bits, Counter())
 
@@ -419,6 +417,10 @@ class MintReport:
     issued_per_participant: int
     rounding_residue_poplets: int
 
+    def __repr__(self) -> str:  # the dataclass repr, with ints written by ``_int_text``
+        return (f"MintReport(issued_per_participant={_int_text(self.issued_per_participant)}, "
+                f"rounding_residue_poplets={_int_text(self.rounding_residue_poplets)})")
+
 
 def _genesis_index(initial_accounts: Iterable[Account]) -> dict:
     """The account table of the ``initial_accounts``: each to its position, in their order."""
@@ -445,7 +447,7 @@ def genesis(
     index = _genesis_index(initial_accounts)
     if not _is_int(poplet_scale) or poplet_scale < 1:
         raise InvalidGenesisError(
-            f"poplet_scale must be a positive integer, got {poplet_scale!r}"
+            f"poplet_scale must be a positive integer, got {_int_text(poplet_scale)}"
         )
     size = len(index)
     balances = Balances(index, [0] * size, bytearray(b"\1") * size, size, 0)
@@ -477,11 +479,11 @@ def _check_count(census: int, new_census, added: int, removed: int) -> None:
     """Raise ``CensusMismatchError`` unless ``new_census`` is the ``census``
     members with ``added`` added and ``removed`` removed."""
     if not _is_int(new_census) or new_census < 1:
-        raise CensusMismatchError(f"census must be a positive integer, got {new_census!r}")
+        raise CensusMismatchError(f"census must be a positive integer, got {_int_text(new_census)}")
     expected = census + added - removed
     if new_census != expected:
         raise CensusMismatchError(
-            f"declared census {new_census} does not match "
+            f"declared census {_int_text(new_census)} does not match "
             f"{census} + {added} added - {removed} removed = {expected}"
         )
 
@@ -625,7 +627,7 @@ def transfer(state: LedgerState, sender: Account, recipient: Account, amount: in
     receive like anyone else.
     """
     if not _is_int(amount) or amount < 0:
-        raise ValueError(f"amount must be a non-negative integer, got {amount!r}")
+        raise ValueError(f"amount must be a non-negative integer, got {_int_text(amount)}")
     balances = state.balances
     for account in (sender, recipient):
         if account not in balances.index:
@@ -672,27 +674,23 @@ def total_supply_popcoin(state: LedgerState) -> float:
 #
 # The rate's numerator and denominator pass the interpreter's 4300-digit
 # int-to-str limit after about 2,500 epochs at alpha = 0.02, and balances
-# pass it too (after about 2,150 epochs at alpha = 0.99). Ints past it are
-# written through ``decimal``, which has no such limit and writes the same
-# digits, and every int is read back through it. ``str`` is faster, so it
-# writes the balances while their poplet total, which no balance exceeds,
-# is within the limit, and the rate while its numerator and denominator are.
+# pass it too (after about 2,150 epochs at alpha = 0.99). ``_int_text``, the
+# one writer of ints, tries ``str`` and only where it refuses an int falls back
+# on ``decimal``, which has no such limit and writes the same digits; every int
+# is read back through ``decimal``. The snapshot is written with ``str``, and
+# again with ``_int_text`` only if ``str`` refused one of its ints.
 # Each account id goes through ``encode_basestring_ascii``, the encoder that
 # ``json.dumps`` calls for a string, without its per-call set-up.
 
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
-
-
-def _int_writer(largest: int):
-    """``str`` if it can write every int up to ``largest``, else ``Decimal``."""
-    limit = _int_max_str_digits() if _int_max_str_digits else 0  # 0: no limit
-    # below 2**(3 * limit) < 10**limit, an int has at most ``limit`` digits
-    return Decimal if limit and largest.bit_length() > 3 * limit else str
-
 
 def _int_text(value) -> str:
-    """``repr(value)``, but an int past the limit written as the snapshot writes it."""
-    return str(_int_writer(value)(value)) if _is_int(value) else repr(value)
+    """``repr(value)``, but an int past the int-to-str limit written through ``Decimal``."""
+    if not _is_int(value):
+        return repr(value)
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str limit
+        return str(Decimal(value))
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -702,10 +700,16 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def state_to_json(state: LedgerState) -> str:
+    try:
+        return _snapshot(state, str)
+    except ValueError:  # an int past the int-to-str limit
+        return _snapshot(state, _int_text)
+
+
+def _snapshot(state: LedgerState, write) -> str:
+    """The snapshot of ``state``, each int written by ``write``."""
     rate, balances = state.exchange_rate, state.balances
     index, flags, credit = balances.index, balances.flags, balances.credit
-    write = _int_writer(sum(balances.held) + balances.count * credit)
-    write_rate = _int_writer(max(rate.numerator, rate.denominator))
     keys = list(index)
     ordered = keys == sorted(keys)  # a run's table is in key order already
     rows = zip(keys, balances.held, flags)
@@ -717,10 +721,8 @@ def state_to_json(state: LedgerState) -> str:
             for key, poplets, member in rows
         ) + "}",
         "census": str(state.census),
-        "epoch": str(state.epoch),
-        "exchange_rate": (
-            f'{{"den":{write_rate(rate.denominator)},"num":{write_rate(rate.numerator)}}}'
-        ),
+        "epoch": write(state.epoch),
+        "exchange_rate": f'{{"den":{write(rate.denominator)},"num":{write(rate.numerator)}}}',
     }
     if balances.count != len(index):
         members = list(compress(keys, flags))
@@ -755,7 +757,7 @@ def state_from_json(text: str) -> LedgerState:
     except KeyError as err:
         raise ValueError(f"malformed ledger snapshot: missing {err}") from None
     if not _is_int(epoch) or epoch < 0:
-        raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
+        raise ValueError(f"epoch must be a non-negative integer, got {_int_text(epoch)}")
     if not _is_int(num) or not _is_int(den) or num < 1 or den < 1:
         raise ValueError("exchange_rate num/den must be positive integers")
     if not isinstance(balances, dict) or not balances:
@@ -773,7 +775,7 @@ def state_from_json(text: str) -> LedgerState:
             raise ValueError("duplicate ids in participants")
     state = LedgerState(epoch, Fraction(num, den), balances, participants)
     if not _is_int(census) or census != state.census:
-        raise ValueError(f"census {census!r} does not match {state.census} participants")
+        raise ValueError(f"census {_int_text(census)} does not match {state.census} participants")
     return state
 
 
@@ -838,7 +840,7 @@ def direct_transfer(
 ) -> DirectLedgerState:
     amount = exact(amount)
     if amount < 0:
-        raise ValueError(f"amount must be non-negative, got {amount}")
+        raise ValueError(f"amount must be non-negative, got {_fraction_text(amount)}")
     for account in (sender, recipient):
         if account not in state.balances:
             raise UnknownAccountError(f"unknown account: {account!r}")

@@ -28,6 +28,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
+def _check_income(basic_income: float) -> None:
+    if basic_income <= 0:
+        raise ValueError(f"basic_income must be positive, got {basic_income}")
+
+
 def interest_rate(census_growth: float, alpha: float) -> float:
     """Effective per-epoch rate on held balances, (1+n)(1-alpha) - 1.
 
@@ -48,8 +53,7 @@ def supply_step(
         raise ValueError(f"census growth must exceed -1, got {census_growth}")
     if census < 1:
         raise ValueError(f"census must be at least 1, got {census}")
-    if basic_income <= 0:
-        raise ValueError(f"basic_income must be positive, got {basic_income}")
+    _check_income(basic_income)
     if prev_supply < 0:
         raise ValueError(f"supply cannot be negative, got {prev_supply}")
     _check_alpha(alpha)
@@ -61,8 +65,7 @@ def steady_state_supply(basic_income: float, alpha: float, census: int) -> float
     for a census that never exceeds N."""
     if census < 1:
         raise ValueError(f"census must be at least 1, got {census}")
-    if basic_income <= 0:
-        raise ValueError(f"basic_income must be positive, got {basic_income}")
+    _check_income(basic_income)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return basic_income * census / alpha
@@ -103,6 +106,8 @@ def run_macro(
         raise ValueError("census path must be non-empty with every entry >= 1")
     if initial_supply < 0:
         raise ValueError(f"initial supply cannot be negative, got {initial_supply}")
+    _check_income(basic_income)  # here too, for a path of one entry, which takes no step
+    _check_alpha(alpha)
     states = []
     supply_prev = float(initial_supply)
     for t in range(1, len(census_path)):

@@ -141,7 +141,6 @@ import sys
 import tempfile
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, fields, replace
-from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, chain, islice, takewhile
 from pathlib import Path
@@ -169,6 +168,7 @@ from .ledger import (
     LedgerState,
     PolicyParams,
     Rate,
+    _int_text,
     _is_int,
     exact,
     genesis,
@@ -241,7 +241,7 @@ def census_path(population: dict, epochs: int) -> list[int]:
         n0, factor, at = population["N0"], population["factor"], population["at_epoch"]
         shocked = max(1, round(n0 * factor))
         return [n0 if t < at else shocked for t in range(epochs + 1)]
-    raise ValueError(f"unknown population kind {kind!r}")
+    raise ValueError(f"unknown population kind {_int_text(kind)}")
 
 
 # --- the config schema -------------------------------------------------------
@@ -278,19 +278,19 @@ def _is_number(value) -> bool:
 
 def _must(ok, expect: str):
     """A check that admits the values ``ok`` accepts and names any other."""
-    return lambda value: None if ok(value) else f"{expect}, got {value!r}"
+    return lambda value: None if ok(value) else f"{expect}, got {_int_text(value)}"
 
 
 def _at_most(check, limit: int):
     """The domain of ``check`` up to ``limit``; a larger value is named apart."""
     return lambda value: check(value) or (
-        f"be at most {limit}, got {value!r}" if value > limit else None
+        f"be at most {limit}, got {_int_text(value)}" if value > limit else None
     )
 
 
 def _reword(check, expect: str):
     """The domain of ``check``, with a diagnostic worded by ``expect``."""
-    return lambda value: check(value) and f"{expect}, got {value!r}"
+    return lambda value: check(value) and f"{expect}, got {_int_text(value)}"
 
 
 def _list_of(check, expect: str):
@@ -392,7 +392,8 @@ PROBLEM_FIELDS = (
 
 # An output selector: a study, which checks its own params.
 SELECTOR_FIELDS = (
-    Field("study", lambda v: None if v in STUDIES else f"be one of {', '.join(STUDIES)}; got {v!r}",
+    Field("study",
+          lambda v: None if v in STUDIES else f"be one of {', '.join(STUDIES)}; got {_int_text(v)}",
           required=True),
     Field("params", lambda params: None),
 )
@@ -426,7 +427,7 @@ def _walk(doc, fields, where: str, out: list[str], missing=None, unknown=None) -
     known = {spec.key for spec in fields}
     for key in doc:
         if key not in known:
-            out.append(unknown(key) if unknown else f"{label}: unknown key {key!r}")
+            out.append(unknown(key) if unknown else f"{label}: unknown key {_int_text(key)}")
     prefix = f"{where}." if where else ""
     values = {}
     for spec in fields:
@@ -479,7 +480,7 @@ def _population(doc, out: list[str]) -> dict | None:
         "population",
         out,
         missing=f"required for kind {kind!r}",
-        unknown=lambda key: f"population: unknown key {key!r} for kind {kind!r}",
+        unknown=lambda key: f"population: unknown key {_int_text(key)} for kind {kind!r}",
     )
     growth = population.get("n")
     if kind == "degrowth" and _is_number(growth) and growth >= 0:
@@ -494,7 +495,7 @@ def _exchange_params(params, where: str, out: list[str]) -> dict:
                 f"{where}.{key}: the policy currency's supply is census-determined "
                 "and cannot be shocked; only fiat_supply_shocks is supported"
             )
-        return f"{where}: unknown key {key!r}"
+        return f"{where}: unknown key {_int_text(key)}"
 
     return _walk(params, EXCHANGE_FIELDS, where, out, unknown=unknown)
 
@@ -573,7 +574,7 @@ def _normalize(doc) -> tuple[dict, list[str]]:
     """
     if not isinstance(doc, dict):
         return {}, ["config: must be a JSON object"]
-    out = [f"config: unknown key {key!r}" for key in doc if key not in CONFIG_KEYS]
+    out = [f"config: unknown key {_int_text(key)}" for key in doc if key not in CONFIG_KEYS]
     out += [
         f"config: missing required key {key!r}"
         for key in ("policy", "epochs", "population")
@@ -885,8 +886,8 @@ def run_epochs(config: ScenarioConfig):
             held, balances, image = _read_balances(state.balances, n_now, poplets, image, written)
             if held != poplets:
                 raise InvariantViolation(
-                    f"epoch {t}: the ledger holds {Decimal(held)} poplets, "
-                    f"not the {Decimal(poplets)} issued"
+                    f"epoch {t}: the ledger holds {_int_text(held)} poplets, "
+                    f"not the {_int_text(poplets)} issued"
                 )
 
             rate = state.rate

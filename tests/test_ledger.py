@@ -20,6 +20,7 @@ from popcoin_sim import (
     InsufficientBalanceError,
     InvalidGenesisError,
     LedgerState,
+    MintReport,
     PolicyParams,
     UnknownAccountError,
     balance_popcoin,
@@ -35,8 +36,9 @@ from popcoin_sim import (
     total_supply_popcoin,
     total_supply_popcoin_exact,
     transfer,
+    validate_config,
 )
-from popcoin_sim.ledger import Balances, _int_writer, exact
+from popcoin_sim.ledger import Balances, Rate, _int_text, exact
 
 DEFAULT = PolicyParams(basic_income=2922, demurrage_alpha=0.02)
 
@@ -727,18 +729,15 @@ def _sorted_snapshot(state) -> str:
     ``state_to_json`` sorts only a table whose keys are out of order."""
     rate, balances = state.exchange_rate, state.balances
     index, flags, credit = balances.index, balances.flags, balances.credit
-    write = _int_writer(sum(balances.held) + balances.count * credit)
-    write_rate = _int_writer(max(rate.numerator, rate.denominator))
+    write = _int_text
     fields = {  # in sorted key order
         "balances": "{" + ",".join(
             f"{encode_basestring_ascii(key)}:{write(poplets + credit if member else poplets)}"
             for key, poplets, member in sorted(zip(index, balances.held, flags))
         ) + "}",
-        "census": str(state.census),
-        "epoch": str(state.epoch),
-        "exchange_rate": (
-            f'{{"den":{write_rate(rate.denominator)},"num":{write_rate(rate.numerator)}}}'
-        ),
+        "census": write(state.census),
+        "epoch": write(state.epoch),
+        "exchange_rate": f'{{"den":{write(rate.denominator)},"num":{write(rate.numerator)}}}',
     }
     if balances.count != len(index):
         members = sorted(compress(index, flags))
@@ -834,11 +833,119 @@ def test_a_direct_transfer_past_the_digit_limit_raises_its_own_error():
     assert str(error.value) == f"'b' holds 7/3, cannot send {BIG_TEXT}/7"
 
 
+def test_a_mint_report_repr_writes_an_int_past_the_digit_limit():
+    assert repr(MintReport(BIG, -1)) == (
+        f"MintReport(issued_per_participant={BIG_TEXT}, rounding_residue_poplets=-1)"
+    )
+
+
+def test_a_snapshot_writes_an_epoch_past_the_digit_limit():
+    state = LedgerState(BIG, Fraction(1, 3), {"a": 5})
+    text = state_to_json(state)
+    assert text == f'{{"balances":{{"a":5}},"census":1,"epoch":{BIG_TEXT},' + (
+        '"exchange_rate":{"den":3,"num":1}}'
+    )
+    assert state_from_json(text) == state
+
+
+CONFIG = {
+    "policy": {"basic_income": 2922.0, "demurrage_alpha": 0.02},
+    "epochs": 5,
+    "population": {"kind": "fixed", "N": 4},
+}
+STEP_SHOCK = {"kind": "step_shock", "N0": 2, "factor": 2.0, "at_epoch": -BIG}
+SNAPSHOT = '{{"balances":{{"a":0}},"census":{census},"epoch":{epoch},' + (
+    '"exchange_rate":{{"den":1,"num":1}}}}'
+)
+
+
+# Each call quotes an int or Fraction of 5,001 digits in its own diagnostic: a
+# list from validate_config, its own exception from every other call.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: validate_config({**CONFIG, "epochs": BIG}), None,
+            f"epochs: must be at most 100000, got {BIG_TEXT}", id="config-epochs",
+        ),
+        pytest.param(
+            lambda: validate_config({**CONFIG, "seed": BIG}), None,
+            f"seed: must be a 64-bit integer, got {BIG_TEXT}", id="config-seed",
+        ),
+        pytest.param(
+            lambda: validate_config({**CONFIG, "population": STEP_SHOCK}), None,
+            f"population.at_epoch: must be an integer >= 1, got -{BIG_TEXT}", id="config-reworded",
+        ),
+        pytest.param(
+            lambda: validate_config({**CONFIG, "outputs": [{"study": BIG}]}), None,
+            f"outputs[0].study: must be one of supply, inequality, exchange, agent; got {BIG_TEXT}",
+            id="config-study",
+        ),
+        pytest.param(
+            lambda: validate_config({**CONFIG, BIG: 1}), None,
+            f"config: unknown key {BIG_TEXT}", id="config-key",
+        ),
+        pytest.param(
+            lambda: genesis(DEFAULT, ["a"], -BIG), InvalidGenesisError,
+            f"poplet_scale must be a positive integer, got -{BIG_TEXT}", id="genesis",
+        ),
+        pytest.param(
+            lambda: mint_epoch_poplet(genesis(DEFAULT, ["a"]), DEFAULT, -BIG), CensusMismatchError,
+            f"census must be a positive integer, got -{BIG_TEXT}", id="mint-census",
+        ),
+        pytest.param(
+            lambda: mint_epoch_poplet(genesis(DEFAULT, ["a"]), DEFAULT, BIG), CensusMismatchError,
+            f"declared census {BIG_TEXT} does not match 1 + 0 added - 0 removed = 1",
+            id="mint-declared-census",
+        ),
+        pytest.param(
+            lambda: transfer(genesis(DEFAULT, ["a", "b"]), "a", "b", -BIG), ValueError,
+            f"amount must be a non-negative integer, got -{BIG_TEXT}", id="transfer",
+        ),
+        pytest.param(
+            lambda: PolicyParams(-BIG, 0), ValueError,
+            f"basic_income must be positive, got -{BIG_TEXT}", id="policy-income",
+        ),
+        pytest.param(
+            lambda: PolicyParams(1, Fraction(BIG, 3)), ValueError,
+            f"demurrage_alpha must lie in [0, 1), got {BIG_TEXT}/3", id="policy-alpha",
+        ),
+        pytest.param(
+            lambda: Rate.of(Fraction(-1, BIG), 1), ValueError,
+            f"exchange_rate must be positive, got -1/{BIG_TEXT}", id="rate",
+        ),
+        pytest.param(
+            lambda: state_from_json(SNAPSHOT.format(census="1", epoch="-" + BIG_TEXT)), ValueError,
+            f"epoch must be a non-negative integer, got -{BIG_TEXT}", id="snapshot-epoch",
+        ),
+        pytest.param(
+            lambda: state_from_json(SNAPSHOT.format(census=BIG_TEXT, epoch="0")), ValueError,
+            f"census {BIG_TEXT} does not match 1 participants", id="snapshot-census",
+        ),
+        pytest.param(
+            lambda: direct_transfer(direct_genesis(["a", "b"]), "a", "b", Fraction(-BIG, 7)),
+            ValueError, f"amount must be non-negative, got -{BIG_TEXT}/7", id="direct-transfer",
+        ),
+    ],
+)
+def test_a_diagnostic_quotes_an_int_past_the_digit_limit(call, error, message):
+    if error is None:
+        assert call() == [message]
+    else:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(state=snapshot_states(small_rates), amount=st.integers(min_value=1, max_value=10**41))
 def test_reprs_and_messages_below_the_digit_limit_are_unchanged(state, amount):
     balances = state.balances
     assert repr(balances) == f"Balances({dict(balances)!r})"
+    report = MintReport(amount, -amount)
+    assert repr(report) == (
+        f"MintReport(issued_per_participant={amount!r}, rounding_residue_poplets={-amount!r})"
+    )
     assert repr(state) == (
         f"LedgerState(epoch={state.epoch!r}, exchange_rate={state.exchange_rate!r}, "
         f"balances={balances!r}, participants={state.participants!r})"

@@ -155,6 +155,23 @@ def test_run_macro_rejects_bad_paths():
         run_macro(2922, 0.02, [10, 10], initial_supply=-1.0)
 
 
+@pytest.mark.parametrize(
+    "income, alpha, message",
+    [
+        (-5.0, 0.02, "basic_income must be positive, got -5.0"),
+        (0.0, 0.02, "basic_income must be positive, got 0.0"),
+        (2922.0, 7.0, "alpha must lie in [0, 1), got 7.0"),
+        (2922.0, -0.5, "alpha must lie in [0, 1), got -0.5"),
+    ],
+)
+def test_run_macro_checks_income_and_alpha_on_a_path_of_one_entry(income, alpha, message):
+    # a path of one entry takes no step; a longer one raises supply_step's message
+    for path in ([10], [10, 10]):
+        with pytest.raises(ValueError) as raised:
+            run_macro(income, alpha, path)
+        assert str(raised.value) == message
+
+
 # --- stability band ----------------------------------------------------------------
 
 

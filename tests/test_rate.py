@@ -317,11 +317,16 @@ def test_a_long_run_decides_everything_from_the_bracket():
             break
 
 
+def _never_called(value):
+    raise AssertionError(f"Decimal called on an int of {value.bit_length()} bits")
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 @pytest.mark.parametrize("limit", [None, 0, 640, 4300])
 def test_the_snapshot_writes_the_same_digits_under_any_int_to_str_limit(monkeypatch, limit):
-    # str writes the ints within the limit, Decimal those past it, both the
-    # same digits; None stands for an interpreter without the limit
+    # str writes every int it can, Decimal only those past the limit, both the
+    # same digits; None stands for an interpreter without the limit, where str
+    # refuses none and Decimal is never called
     params = PolicyParams(2922, Fraction(1, 50))
     state = genesis(params, ["a", "b"], 10**8)
     for _ in range(40):
@@ -331,7 +336,7 @@ def test_the_snapshot_writes_the_same_digits_under_any_int_to_str_limit(monkeypa
     assert texts[1].startswith('{"balances":{"a":1' + "0" * 5000 + ',"b":7}')
     default = sys.get_int_max_str_digits()
     if limit is None:
-        monkeypatch.setattr(ledger, "_int_max_str_digits", None)
+        monkeypatch.setattr(ledger, "Decimal", _never_called)
     sys.set_int_max_str_digits(limit or 0)
     try:
         assert (state_to_json(state), state_to_json(big)) == texts
