@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEquilibriumError
+from .errors import (
+    NoEquilibriumError,
+    _check_above_minus_one,
+    _check_non_negative,
+    _check_positive,
+    _int_text,
+)
+from .monetary import _check_alpha
 
 
 @dataclass(frozen=True)
@@ -49,12 +56,9 @@ class AgentProblem:
     allow_borrowing: bool = False
 
     def __post_init__(self):
-        if self.basic_income < 0:
-            raise ValueError(f"basic_income must be non-negative, got {self.basic_income}")
-        if self.earned_income < 0:
-            raise ValueError(f"earned_income must be non-negative, got {self.earned_income}")
-        if self.interest_rate <= -1:
-            raise ValueError(f"interest_rate must exceed -1, got {self.interest_rate}")
+        _check_non_negative("basic_income", self.basic_income)
+        _check_non_negative("earned_income", self.earned_income)
+        _check_above_minus_one("interest_rate", self.interest_rate)
         if self.price_1 <= 0 or self.price_2 <= 0:
             raise ValueError("prices must be positive")
 
@@ -62,13 +66,15 @@ class AgentProblem:
 def budget_out2(problem: AgentProblem, out1: float) -> float:
     """Second-period spending implied by a first-period choice."""
     cash = problem.basic_income + problem.earned_income
-    if out1 < 0:
-        raise ValueError(f"out1 must be non-negative, got {out1}")
+    _check_non_negative("out1", out1)
     if not problem.allow_borrowing and out1 > cash:
-        raise ValueError(f"out1 = {out1} exceeds available cash {cash} and borrowing is off")
+        raise ValueError(
+            f"out1 = {_int_text(out1)} exceeds available cash {_int_text(cash)} "
+            "and borrowing is off"
+        )
     out2 = (cash - out1) * (1.0 + problem.interest_rate) + problem.basic_income
     if out2 < 0:
-        raise ValueError(f"out1 = {out1} leaves negative second-period spending {out2}")
+        raise ValueError(f"out1 = {_int_text(out1)} leaves negative second-period spending {out2}")
     return out2
 
 
@@ -116,8 +122,12 @@ def optimal_out1_oracle(problem: AgentProblem, grid_step: float = 1e-4) -> float
     """Brute-force argmax of utility over an evenly spaced out1 grid.
 
     Agrees with the closed form to within one grid step (concavity); used
-    as the independent check on the algebra.
+    as the independent check on the algebra. ``grid_step`` must be a positive
+    finite number.
     """
+    _check_positive("grid_step", grid_step)
+    if not math.isfinite(grid_step):
+        raise ValueError(f"grid_step must be finite, got {_int_text(grid_step)}")
     hi = max_affordable_out1(problem)
     if hi == 0.0:
         return 0.0
@@ -149,8 +159,7 @@ def effective_tax(problem: AgentProblem, alpha: float) -> TaxReport:
     The canonical setting pairs a stable census with R = -alpha; the report
     simply prices the problem's own optimum, whatever rate it carries.
     """
-    if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     savings = problem.basic_income + problem.earned_income - optimal_out1(problem)
     savings = max(savings, 0.0)  # borrowing means no balance to demur
     demurrage = alpha * savings

@@ -6,6 +6,44 @@ failures with ledger or configuration semantics that callers are expected
 to catch and map to exit codes.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
+
+def _is_int(value) -> bool:
+    """An int other than a bool: ``True`` is an int to Python but not to JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_text(value) -> str:
+    """How every diagnostic quotes ``value``: a string by ``repr``, anything else
+    by ``str``, but an int past the int-to-str limit through ``Decimal`` (the
+    same digits), and a ``Fraction``'s terms as ints."""
+    if isinstance(value, str):
+        return repr(value)
+    if isinstance(value, Fraction):
+        num, den = _int_text(value.numerator), _int_text(value.denominator)
+        return num if den == "1" else f"{num}/{den}"
+    try:
+        return str(value)
+    except ValueError:  # an int past the int-to-str limit
+        return str(Decimal(value))
+
+
+def _check_positive(name: str, value) -> None:
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {_int_text(value)}")
+
+
+def _check_non_negative(name: str, value) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {_int_text(value)}")
+
+
+def _check_above_minus_one(name: str, value) -> None:
+    if value <= -1:
+        raise ValueError(f"{name} must exceed -1, got {_int_text(value)}")
+
 
 class PopcoinError(Exception):
     """Base class for all simulator-specific errors."""

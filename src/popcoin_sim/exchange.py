@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import InvariantViolation, NoEquilibriumError
+from .errors import InvariantViolation, NoEquilibriumError, _check_non_negative, _check_positive
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class ExchangeScenario:
 
     def __post_init__(self):
         for name in LEVEL_FIELDS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_positive(name, getattr(self, name))
 
 
 # The levels, which must be positive: the fields whose baseline is positive.
@@ -119,15 +118,11 @@ def money_market_rate(
     float, as when extreme levels overflow or underflow it, or when the rate
     is not a finite float, as when a tiny eta overflows it.
     """
-    for name, value in (
-        ("money_supply", money_supply),
-        ("sticky_price", sticky_price),
-        ("income", income),
-        ("liquidity", liquidity),
-        ("elasticity", elasticity),
-    ):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    _check_positive("money_supply", money_supply)
+    _check_positive("sticky_price", sticky_price)
+    _check_positive("income", income)
+    _check_positive("liquidity", liquidity)
+    _check_positive("elasticity", elasticity)
     demand = sticky_price * income * liquidity
     ratio = money_supply / demand if demand else math.inf
     if not 0 < ratio < math.inf:
@@ -157,8 +152,7 @@ def uip_spot_rate(rate_pop: float, rate_fiat: float, expected_rate: float) -> fl
     ``1 + i_p - i_f`` is not positive, or the quotient underflows to 0 or
     overflows.
     """
-    if expected_rate <= 0:
-        raise ValueError(f"expected rate must be positive, got {expected_rate}")
+    _check_positive("expected rate", expected_rate)
     gross = 1.0 + rate_pop - rate_fiat
     spot = expected_rate / gross if gross else math.inf
     if not 0 < spot < math.inf:
@@ -199,10 +193,7 @@ def overshooting_experiment(
     violation raises InvariantViolation because it indicates a broken model,
     not bad input.
     """
-    if fiat_supply_shock < 0:
-        raise ValueError(
-            f"fiat_supply_shock must be non-negative, got {fiat_supply_shock}"
-        )
+    _check_non_negative("fiat_supply_shock", fiat_supply_shock)
     shocked = replace(
         scenario,
         money_supply_fiat=scenario.money_supply_fiat * (1.0 + fiat_supply_shock),

@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import UndefinedGiniError
-from .monetary import steady_state_supply
+from .errors import UndefinedGiniError, _check_non_negative, _check_positive
+from .monetary import _check_alpha, _check_alpha_closed, _check_census, steady_state_supply
 
 
 def _as_distribution(values) -> tuple[np.ndarray, np.ndarray]:
@@ -45,10 +45,8 @@ def _as_distribution(values) -> tuple[np.ndarray, np.ndarray]:
 def policy_transform(values, alpha: float, basic_income: float) -> np.ndarray:
     """Apply one constant-census epoch to a balance vector: (1-alpha)X + B."""
     arr = _as_distribution(values)[0]
-    if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if basic_income < 0:
-        raise ValueError(f"basic_income must be non-negative, got {basic_income}")
+    _check_alpha(alpha)
+    _check_non_negative("basic_income", basic_income)
     return (1.0 - alpha) * arr + basic_income
 
 
@@ -187,9 +185,9 @@ def max_inequality_ratio(values) -> float:
 def variance_bound(alpha: float, basic_income: float, census: int) -> float:
     """Supremum of variance over all reachable distributions of N accounts;
     inf at alpha = 0, or for N > 1 when it passes the floats."""
-    _check_bound_args(alpha, census)
-    if basic_income <= 0:
-        raise ValueError(f"basic_income must be positive, got {basic_income}")
+    _check_alpha_closed(alpha)
+    _check_census(census)
+    _check_positive("basic_income", basic_income)
     if not alpha > 0:
         return math.inf
     if census == 1:  # no spread, even where (1 - alpha) B / alpha is inf
@@ -202,14 +200,14 @@ def variance_bound(alpha: float, basic_income: float, census: int) -> float:
 
 def gini_bound(alpha: float, census: int) -> float:
     """Supremum of Gini at census N: (1-alpha)(N-1)/N."""
-    _check_bound_args(alpha, census)
+    _check_alpha_closed(alpha)
+    _check_census(census)
     return (1.0 - alpha) * (census - 1) / census
 
 
 def gini_bound_limit(alpha: float) -> float:
     """Large-population limit of the Gini supremum: 1 - alpha."""
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha_closed(alpha)
     return 1.0 - alpha
 
 
@@ -218,7 +216,8 @@ def ratio_bound(alpha: float, census: int) -> float:
 
     A single account is always exactly equal to itself, so N = 1 gives 1.
     """
-    _check_bound_args(alpha, census)
+    _check_alpha_closed(alpha)
+    _check_census(census)
     if census == 1:
         return 1.0
     if alpha == 0:
@@ -233,10 +232,3 @@ def worst_case_distribution(alpha: float, basic_income: float, census: int) -> n
     out = np.zeros(census)
     out[0] = supply
     return out
-
-
-def _check_bound_args(alpha: float, census: int) -> None:
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if census < 1:
-        raise ValueError(f"census must be at least 1, got {census}")

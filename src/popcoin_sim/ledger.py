@@ -102,14 +102,13 @@ from .errors import (
     InsufficientBalanceError,
     InvalidGenesisError,
     UnknownAccountError,
+    _check_non_negative,
+    _check_positive,
+    _int_text,
+    _is_int,
 )
 
 Account = str
-
-
-def _is_int(value) -> bool:
-    """An int other than a bool: ``True`` is an int to Python but not to JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def exact(value) -> Fraction:
@@ -148,10 +147,9 @@ class PolicyParams:
         income, alpha = exact(self.basic_income), exact(self.demurrage_alpha)
         object.__setattr__(self, "basic_income", income)
         object.__setattr__(self, "demurrage_alpha", alpha)
-        if income <= 0:
-            raise ValueError(f"basic_income must be positive, got {_fraction_text(income)}")
+        _check_positive("basic_income", income)
         if not 0 <= alpha < 1:
-            raise ValueError(f"demurrage_alpha must lie in [0, 1), got {_fraction_text(alpha)}")
+            raise ValueError(f"demurrage_alpha must lie in [0, 1), got {_int_text(alpha)}")
 
 
 class Balances(Mapping):
@@ -272,8 +270,7 @@ class Rate:
         """The rate ``value``, read by ``exact``, at ``census`` members, with a
         ``bits``-bit bracket. Raises ``ValueError`` unless ``value > 0``."""
         value = exact(value)
-        if value <= 0:
-            raise ValueError(f"exchange_rate must be positive, got {_fraction_text(value)}")
+        _check_positive("exchange_rate", value)
         bracket = _bracket(value.denominator, value.numerator, bits)
         return cls(value, 1, 1, 0, census, census, *bracket, bits, Counter())
 
@@ -674,29 +671,13 @@ def total_supply_popcoin(state: LedgerState) -> float:
 #
 # The rate's numerator and denominator pass the interpreter's 4300-digit
 # int-to-str limit after about 2,500 epochs at alpha = 0.02, and balances
-# pass it too (after about 2,150 epochs at alpha = 0.99). ``_int_text``, the
-# one writer of ints, tries ``str`` and only where it refuses an int falls back
-# on ``decimal``, which has no such limit and writes the same digits; every int
-# is read back through ``decimal``. The snapshot is written with ``str``, and
-# again with ``_int_text`` only if ``str`` refused one of its ints.
+# pass it too (after about 2,150 epochs at alpha = 0.99). ``errors._int_text``,
+# the one writer of ints, tries ``str`` and only where it refuses an int falls
+# back on ``decimal``, which has no such limit and writes the same digits; every
+# int is read back through ``decimal``. The snapshot is written with ``str``,
+# and again with ``_int_text`` only if ``str`` refused one of its ints.
 # Each account id goes through ``encode_basestring_ascii``, the encoder that
 # ``json.dumps`` calls for a string, without its per-call set-up.
-
-
-def _int_text(value) -> str:
-    """``repr(value)``, but an int past the int-to-str limit written through ``Decimal``."""
-    if not _is_int(value):
-        return repr(value)
-    try:
-        return str(value)
-    except ValueError:  # past the int-to-str limit
-        return str(Decimal(value))
-
-
-def _fraction_text(value: Fraction) -> str:
-    """``str(value)``, its numerator and denominator written by ``_int_text``."""
-    num, den = _int_text(value.numerator), _int_text(value.denominator)
-    return num if den == "1" else f"{num}/{den}"
 
 
 def state_to_json(state: LedgerState) -> str:
@@ -839,15 +820,14 @@ def direct_transfer(
     state: DirectLedgerState, sender: Account, recipient: Account, amount: Fraction
 ) -> DirectLedgerState:
     amount = exact(amount)
-    if amount < 0:
-        raise ValueError(f"amount must be non-negative, got {_fraction_text(amount)}")
+    _check_non_negative("amount", amount)
     for account in (sender, recipient):
         if account not in state.balances:
             raise UnknownAccountError(f"unknown account: {account!r}")
     if state.balances[sender] < amount:
         raise InsufficientBalanceError(
-            f"{sender!r} holds {_fraction_text(state.balances[sender])}, "
-            f"cannot send {_fraction_text(amount)}"
+            f"{sender!r} holds {_int_text(state.balances[sender])}, "
+            f"cannot send {_int_text(amount)}"
         )
     balances = dict(state.balances)
     balances[sender] -= amount

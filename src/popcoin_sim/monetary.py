@@ -22,15 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import _check_above_minus_one, _check_non_negative, _check_positive, _int_text
+
 
 def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in [0, 1), got {_int_text(alpha)}")
 
 
-def _check_income(basic_income: float) -> None:
-    if basic_income <= 0:
-        raise ValueError(f"basic_income must be positive, got {basic_income}")
+def _check_alpha_closed(alpha: float) -> None:
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {_int_text(alpha)}")
+
+
+def _check_census(census: int) -> None:
+    if census < 1:
+        raise ValueError(f"census must be at least 1, got {_int_text(census)}")
 
 
 def interest_rate(census_growth: float, alpha: float) -> float:
@@ -39,8 +46,7 @@ def interest_rate(census_growth: float, alpha: float) -> float:
     Positive only when census growth outruns demurrage; alpha = 0 is the
     pure-redenomination limit.
     """
-    if census_growth <= -1:
-        raise ValueError(f"census growth must exceed -1, got {census_growth}")
+    _check_above_minus_one("census growth", census_growth)
     _check_alpha(alpha)
     return (1.0 + census_growth) * (1.0 - alpha) - 1.0
 
@@ -49,13 +55,11 @@ def supply_step(
     prev_supply: float, census_growth: float, alpha: float, basic_income: float, census: int
 ) -> float:
     """One step of the aggregate supply recurrence; ``census`` is N_t (post-growth)."""
-    if census_growth <= -1:
-        raise ValueError(f"census growth must exceed -1, got {census_growth}")
-    if census < 1:
-        raise ValueError(f"census must be at least 1, got {census}")
-    _check_income(basic_income)
+    _check_above_minus_one("census growth", census_growth)
+    _check_census(census)
+    _check_positive("basic_income", basic_income)
     if prev_supply < 0:
-        raise ValueError(f"supply cannot be negative, got {prev_supply}")
+        raise ValueError(f"supply cannot be negative, got {_int_text(prev_supply)}")
     _check_alpha(alpha)
     return prev_supply * (1.0 + census_growth) * (1.0 - alpha) + basic_income * census
 
@@ -63,11 +67,10 @@ def supply_step(
 def steady_state_supply(basic_income: float, alpha: float, census: int) -> float:
     """Fixed point B*N/alpha of the supply recurrence; also the supply cap
     for a census that never exceeds N."""
-    if census < 1:
-        raise ValueError(f"census must be at least 1, got {census}")
-    _check_income(basic_income)
+    _check_census(census)
+    _check_positive("basic_income", basic_income)
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {_int_text(alpha)}")
     return basic_income * census / alpha
 
 
@@ -105,8 +108,8 @@ def run_macro(
     if len(census_path) < 1 or any(n < 1 for n in census_path):
         raise ValueError("census path must be non-empty with every entry >= 1")
     if initial_supply < 0:
-        raise ValueError(f"initial supply cannot be negative, got {initial_supply}")
-    _check_income(basic_income)  # here too, for a path of one entry, which takes no step
+        raise ValueError(f"initial supply cannot be negative, got {_int_text(initial_supply)}")
+    _check_positive("basic_income", basic_income)  # a path of one entry takes no step
     _check_alpha(alpha)
     states = []
     supply_prev = float(initial_supply)
@@ -130,10 +133,8 @@ def run_macro(
 
 def is_long_term_stable(census_path: Sequence[int], epsilon: float, tau: int = 0) -> bool:
     """True when |N_t/N_{t-1} - 1| <= epsilon for every epoch t > tau."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    _check_non_negative("epsilon", epsilon)
+    _check_non_negative("tau", tau)
     for t in range(max(1, tau + 1), len(census_path)):
         if abs(census_path[t] / census_path[t - 1] - 1.0) > epsilon:
             return False
@@ -146,8 +147,7 @@ def negative_rate_condition(epsilon: float, alpha: float) -> bool:
     Under |n| <= epsilon the rate (1+n)(1-alpha)-1 stays below zero exactly
     when epsilon < alpha/(1-alpha).
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    _check_non_negative("epsilon", epsilon)
     _check_alpha(alpha)
     if alpha == 0:
         return False

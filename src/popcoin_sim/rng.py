@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _check_non_negative, _check_positive, _int_text, _is_int
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -59,13 +61,13 @@ class SplitMix64:
     def draws(self, count: int) -> np.ndarray:
         """Return the next ``count`` outputs as a uint64 array, as ``next_uint64`` would.
 
-        ``count`` must be non-negative. The stream is counter-based: output i
+        ``count`` must be a non-negative int. The stream is counter-based: output i
         (from 1) of a generator in state s mixes ``s + i*GAMMA mod 2**64``,
         so the run of outputs is one vectorised pass over those states. The
         state then advances by ``count`` steps.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        _check_int("count", count)
+        _check_non_negative("count", count)
         state = self._state
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= _U_GAMMA
@@ -81,9 +83,14 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         """Return an integer in [0, bound) via one modulo-reduced draw.
 
-        ``bound`` must be positive. Consumes exactly one uint64 regardless
+        ``bound`` must be a positive int. Consumes exactly one uint64 regardless
         of the bound, which keeps draw counts config-independent.
         """
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        _check_int("bound", bound)
+        _check_positive("bound", bound)
         return self.next_uint64() % bound
+
+
+def _check_int(name: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {_int_text(value)}")

@@ -149,7 +149,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .agent import AgentProblem, effective_tax, optimal_out1
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, _int_text, _is_int
 from .exchange import LEVEL_FIELDS, ExchangeScenario, OvershootingResult, overshooting_experiment
 # The epoch generator calls neither the single-metric functions nor ``transfer``,
 # ``total_supply_popcoin_exact`` and ``interest_rate``; they stay attributes of
@@ -168,8 +168,6 @@ from .ledger import (
     LedgerState,
     PolicyParams,
     Rate,
-    _int_text,
-    _is_int,
     exact,
     genesis,
     mint_epoch_poplet,

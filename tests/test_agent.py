@@ -1,6 +1,8 @@
 """Two-period agent tests: budget identity, closed-form optimum against the
 grid oracle, and demurrage as a progressive effective tax."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,23 @@ def test_optimum_large_windfall_frozen_value():
 def test_optimum_degenerate_no_resources():
     assert optimal_out1(AgentProblem(basic_income=0.0)) == 0.0
     assert optimal_out1_oracle(AgentProblem(basic_income=0.0)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "grid_step, message",
+    [
+        (-1.0, "grid_step must be positive, got -1.0"),
+        (0.0, "grid_step must be positive, got 0.0"),
+        (math.inf, "grid_step must be finite, got inf"),
+        (math.nan, "grid_step must be finite, got nan"),
+    ],
+)
+def test_the_oracle_rejects_a_grid_step_that_is_not_positive_and_finite(grid_step, message):
+    # unchecked, a step of -1.0 or inf reads only the boundary 3.0, where the optimum is 2.0
+    for problem in (AgentProblem(1.0, 2.0), AgentProblem(basic_income=0.0)):
+        with pytest.raises(ValueError) as excinfo:
+            optimal_out1_oracle(problem, grid_step)
+        assert str(excinfo.value) == message
 
 
 def test_optimum_interior_oracle_agreement_examples():

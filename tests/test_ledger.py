@@ -38,7 +38,8 @@ from popcoin_sim import (
     transfer,
     validate_config,
 )
-from popcoin_sim.ledger import Balances, Rate, _int_text, exact
+from popcoin_sim.errors import _int_text
+from popcoin_sim.ledger import Balances, Rate, exact
 
 DEFAULT = PolicyParams(basic_income=2922, demurrage_alpha=0.02)
 

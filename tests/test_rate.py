@@ -28,7 +28,7 @@ from popcoin_sim import (
     state_to_json,
     transfer,
 )
-from popcoin_sim import ledger, scenario
+from popcoin_sim import errors, scenario
 from popcoin_sim.ledger import Rate, _issue, _round_half_even, _round_over
 
 # a rate's numerator and denominator: small, or of 10^4 bits and more
@@ -336,7 +336,7 @@ def test_the_snapshot_writes_the_same_digits_under_any_int_to_str_limit(monkeypa
     assert texts[1].startswith('{"balances":{"a":1' + "0" * 5000 + ',"b":7}')
     default = sys.get_int_max_str_digits()
     if limit is None:
-        monkeypatch.setattr(ledger, "Decimal", _never_called)
+        monkeypatch.setattr(errors, "Decimal", _never_called)
     sys.set_int_max_str_digits(limit or 0)
     try:
         assert (state_to_json(state), state_to_json(big)) == texts

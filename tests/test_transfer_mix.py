@@ -96,6 +96,17 @@ def test_a_negative_count_is_rejected_and_moves_nothing():
     assert rng._state == SplitMix64(5)._state
 
 
+@pytest.mark.parametrize("method, name", [("draws", "count"), ("below", "bound")])
+@pytest.mark.parametrize("value", [2.5, True, np.int64(2)])
+def test_a_count_or_bound_that_is_no_int_is_rejected_and_moves_nothing(method, name, value):
+    # unchecked, below(2.5) returns a float and draws(2.5) fails after drawing
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError) as excinfo:
+        getattr(rng, method)(value)
+    assert str(excinfo.value) == f"{name} must be an int, got {value}"
+    assert rng._state == SplitMix64(5)._state
+
+
 def epoch_draws(rng, state, count):
     """One epoch's transfer draws for the accounts of ``state``, as a run takes them."""
     return next(_transfer_draws(rng, [len(state.balances)], count))
