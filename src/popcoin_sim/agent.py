@@ -32,8 +32,9 @@ import numpy as np
 from .errors import (
     NoEquilibriumError,
     _check_above_minus_one,
+    _check_float,
     _check_non_negative,
-    _check_positive,
+    _check_positive_float,
     _int_text,
 )
 from .monetary import _check_alpha
@@ -61,12 +62,29 @@ class AgentProblem:
         _check_above_minus_one("interest_rate", self.interest_rate)
         if self.price_1 <= 0 or self.price_2 <= 0:
             raise ValueError("prices must be positive")
+        _check_float("price_1", self.price_1)
+        _check_float("price_2", self.price_2)
+
+
+def _cash(problem: AgentProblem, outcome: str):
+    """The cash on hand ``B + in1``. Raises NoEquilibriumError, "no
+    ``outcome``", where it passes the largest float: an inf sum, or an int sum
+    that no float holds, on which float arithmetic raises OverflowError."""
+    try:
+        cash = problem.basic_income + problem.earned_income
+    except OverflowError:  # an int past the floats plus a float
+        cash = math.inf
+    if cash > sys.float_info.max:
+        raise NoEquilibriumError(f"no {outcome}: the cash B + in1 passes the largest float")
+    return cash
 
 
 def budget_out2(problem: AgentProblem, out1: float) -> float:
-    """Second-period spending implied by a first-period choice."""
-    cash = problem.basic_income + problem.earned_income
+    """Second-period spending implied by a first-period choice; raises
+    NoEquilibriumError where the cash ``B + in1`` passes the largest float."""
+    cash = _cash(problem, "second-period spending")
     _check_non_negative("out1", out1)
+    _check_float("out1", out1)
     if not problem.allow_borrowing and out1 > cash:
         raise ValueError(
             f"out1 = {_int_text(out1)} exceeds available cash {_int_text(cash)} "
@@ -89,9 +107,10 @@ def max_affordable_out1(problem: AgentProblem) -> float:
     """Largest feasible first-period outlay.
 
     Without borrowing this is cash on hand; with borrowing it is the point
-    where out2 hits zero (repaying from the second basic income).
+    where out2 hits zero (repaying from the second basic income). Raises
+    NoEquilibriumError where the cash ``B + in1`` passes the largest float.
     """
-    cash = problem.basic_income + problem.earned_income
+    cash = _cash(problem, "largest first-period outlay")
     if not problem.allow_borrowing:
         return cash
     return cash + problem.basic_income / (1.0 + problem.interest_rate)
@@ -106,9 +125,7 @@ def optimal_out1(problem: AgentProblem) -> float:
     ``effective_tax`` finite.
     """
     gross = 1.0 + problem.interest_rate
-    cash = problem.basic_income + problem.earned_income
-    if cash > sys.float_info.max:  # inf, or an int sum that no float holds
-        raise NoEquilibriumError("no optimal out1: the cash B + in1 passes the largest float")
+    cash = _cash(problem, "optimal out1")
     unclamped = (gross * cash + problem.basic_income) / (
         gross * gross * (problem.price_1 / problem.price_2) + gross
     )
@@ -125,7 +142,7 @@ def optimal_out1_oracle(problem: AgentProblem, grid_step: float = 1e-4) -> float
     as the independent check on the algebra. ``grid_step`` must be a positive
     finite number.
     """
-    _check_positive("grid_step", grid_step)
+    _check_positive_float("grid_step", grid_step)
     if not math.isfinite(grid_step):
         raise ValueError(f"grid_step must be finite, got {_int_text(grid_step)}")
     hi = max_affordable_out1(problem)
@@ -160,9 +177,9 @@ def effective_tax(problem: AgentProblem, alpha: float) -> TaxReport:
     simply prices the problem's own optimum, whatever rate it carries.
     """
     _check_alpha(alpha)
-    savings = problem.basic_income + problem.earned_income - optimal_out1(problem)
-    savings = max(savings, 0.0)  # borrowing means no balance to demur
-    demurrage = alpha * savings
+    out1 = optimal_out1(problem)  # first: it rejects a cash that no float holds
     income = problem.basic_income + problem.earned_income
+    savings = max(income - out1, 0.0)  # borrowing means no balance to demur
+    demurrage = alpha * savings
     rate = demurrage / income if income > 0 else 0.0
     return TaxReport(savings=savings, demurrage_paid=demurrage, tax_rate=rate)

@@ -6,8 +6,12 @@ failures with ledger or configuration semantics that callers are expected
 to catch and map to exit codes.
 """
 
+import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
+
+_MAX_FLOAT = sys.float_info.max
 
 
 def _is_int(value) -> bool:
@@ -40,9 +44,27 @@ def _check_non_negative(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative, got {_int_text(value)}")
 
 
+def _check_float(name: str, value) -> None:
+    """Reject a float parameter past the largest float in magnitude but short
+    of inf: an int that no float holds, on which float arithmetic raises
+    ``OverflowError``. inf and nan pass. The two checks above admit any int,
+    as the ledger, ``Rate.of`` and ``SplitMix64.below`` must."""
+    if _MAX_FLOAT < abs(value) < math.inf:
+        raise ValueError(f"{name} must lie within the float range, got {_int_text(value)}")
+
+
+def _check_positive_float(name: str, value) -> None:
+    _check_positive(name, value)
+    _check_float(name, value)
+
+
 def _check_above_minus_one(name: str, value) -> None:
+    """A float parameter above -1; it checks the float range too, at one
+    comparison where the value passes."""
     if value <= -1:
         raise ValueError(f"{name} must exceed -1, got {_int_text(value)}")
+    if value > _MAX_FLOAT:
+        _check_float(name, value)
 
 
 class PopcoinError(Exception):

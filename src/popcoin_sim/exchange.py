@@ -32,7 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import InvariantViolation, NoEquilibriumError, _check_non_negative, _check_positive
+from .errors import (
+    InvariantViolation,
+    NoEquilibriumError,
+    _check_float,
+    _check_non_negative,
+    _check_positive_float,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class ExchangeScenario:
 
     def __post_init__(self):
         for name in LEVEL_FIELDS:
-            _check_positive(name, getattr(self, name))
+            _check_positive_float(name, getattr(self, name))
 
 
 # The levels, which must be positive: the fields whose baseline is positive.
@@ -118,11 +124,11 @@ def money_market_rate(
     float, as when extreme levels overflow or underflow it, or when the rate
     is not a finite float, as when a tiny eta overflows it.
     """
-    _check_positive("money_supply", money_supply)
-    _check_positive("sticky_price", sticky_price)
-    _check_positive("income", income)
-    _check_positive("liquidity", liquidity)
-    _check_positive("elasticity", elasticity)
+    _check_positive_float("money_supply", money_supply)
+    _check_positive_float("sticky_price", sticky_price)
+    _check_positive_float("income", income)
+    _check_positive_float("liquidity", liquidity)
+    _check_positive_float("elasticity", elasticity)
     demand = sticky_price * income * liquidity
     ratio = money_supply / demand if demand else math.inf
     if not 0 < ratio < math.inf:
@@ -152,7 +158,9 @@ def uip_spot_rate(rate_pop: float, rate_fiat: float, expected_rate: float) -> fl
     ``1 + i_p - i_f`` is not positive, or the quotient underflows to 0 or
     overflows.
     """
-    _check_positive("expected rate", expected_rate)
+    _check_positive_float("expected rate", expected_rate)
+    _check_float("rate_pop", rate_pop)
+    _check_float("rate_fiat", rate_fiat)
     gross = 1.0 + rate_pop - rate_fiat
     spot = expected_rate / gross if gross else math.inf
     if not 0 < spot < math.inf:

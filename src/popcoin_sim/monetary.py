@@ -22,7 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import _check_above_minus_one, _check_non_negative, _check_positive, _int_text
+from .errors import (
+    _MAX_FLOAT,
+    _check_above_minus_one,
+    _check_float,
+    _check_non_negative,
+    _check_positive,
+    _check_positive_float,
+    _int_text,
+)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -36,8 +44,12 @@ def _check_alpha_closed(alpha: float) -> None:
 
 
 def _check_census(census: int) -> None:
+    """A census of at least 1 that a float holds, checked at one more
+    comparison where it passes, since ``supply_step`` runs once per epoch."""
     if census < 1:
         raise ValueError(f"census must be at least 1, got {_int_text(census)}")
+    if census > _MAX_FLOAT:
+        _check_float("census", census)
 
 
 def interest_rate(census_growth: float, alpha: float) -> float:
@@ -58,8 +70,14 @@ def supply_step(
     _check_above_minus_one("census growth", census_growth)
     _check_census(census)
     _check_positive("basic_income", basic_income)
+    # the float range at one comparison each where the value passes, as in
+    # _check_census: the step runs once per epoch
+    if basic_income > _MAX_FLOAT:
+        _check_float("basic_income", basic_income)
     if prev_supply < 0:
         raise ValueError(f"supply cannot be negative, got {_int_text(prev_supply)}")
+    if prev_supply > _MAX_FLOAT:
+        _check_float("prev_supply", prev_supply)
     _check_alpha(alpha)
     return prev_supply * (1.0 + census_growth) * (1.0 - alpha) + basic_income * census
 
@@ -68,7 +86,7 @@ def steady_state_supply(basic_income: float, alpha: float, census: int) -> float
     """Fixed point B*N/alpha of the supply recurrence; also the supply cap
     for a census that never exceeds N."""
     _check_census(census)
-    _check_positive("basic_income", basic_income)
+    _check_positive_float("basic_income", basic_income)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {_int_text(alpha)}")
     return basic_income * census / alpha
@@ -109,7 +127,8 @@ def run_macro(
         raise ValueError("census path must be non-empty with every entry >= 1")
     if initial_supply < 0:
         raise ValueError(f"initial supply cannot be negative, got {_int_text(initial_supply)}")
-    _check_positive("basic_income", basic_income)  # a path of one entry takes no step
+    _check_float("initial_supply", initial_supply)
+    _check_positive_float("basic_income", basic_income)  # a path of one entry takes no step
     _check_alpha(alpha)
     states = []
     supply_prev = float(initial_supply)

@@ -739,8 +739,14 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
     ``(entry + credit) * num // den + 1 == (entry * num + credit * num +
     den) // den``, so the bound of a transfer is ``(entry * num + offset) //
     den``, where ``offset`` is ``credit * num + den`` for a member, computed
-    once per epoch, and ``den`` for a dormant holder. A ledger whose every
-    account is a member, as at every fixed census, reads no flag.
+    once per epoch, and ``den`` for a dormant holder.
+
+    There are three loops. A ledger with a dormant holder reads each
+    sender's flag. A ledger whose every account is a member, as at every
+    fixed census, reads no flag; where ``frac`` is ``1/2**k`` its bound is
+    ``(entry + credit + 2**k) >> k``, one add and one shift, since ``>>``
+    floors exactly as ``// 2**k`` does, negative values included, and every
+    other fraction takes the multiply and the division.
     """
     balances = state.balances
     accounts, senders, recipients, amounts = draws
@@ -754,16 +760,23 @@ def _mix_transfers(state, draws, count: int, frac: Fraction):
         raise InvariantViolation(f"transfer mix fraction {frac} lies outside (0, 1]")
     held, flags = balances.held, balances.flags
     member = balances.credit * num + den
-    if balances.count == accounts:  # every account is a member
+    if balances.count != accounts:  # a dormant holder, whose bound has no credit
         for sender, recipient, amount_raw in zip(senders, recipients, amounts):
             entry = held[sender]
-            amount = amount_raw % ((entry * num + member) // den)
+            amount = amount_raw % ((entry * num + (member if flags[sender] else den)) // den)
+            held[sender] = entry - amount
+            held[recipient] += amount
+    elif num == 1 and not den & (den - 1):  # frac is 1/2**shift
+        shift = den.bit_length() - 1
+        for sender, recipient, amount_raw in zip(senders, recipients, amounts):
+            entry = held[sender]
+            amount = amount_raw % ((entry + member) >> shift)
             held[sender] = entry - amount
             held[recipient] += amount
     else:
         for sender, recipient, amount_raw in zip(senders, recipients, amounts):
             entry = held[sender]
-            amount = amount_raw % ((entry * num + (member if flags[sender] else den)) // den)
+            amount = amount_raw % ((entry * num + member) // den)
             held[sender] = entry - amount
             held[recipient] += amount
     return senders + recipients

@@ -10,6 +10,7 @@ from pytest import approx
 
 from popcoin_sim import (
     AgentProblem,
+    NoEquilibriumError,
     budget_out2,
     effective_tax,
     max_affordable_out1,
@@ -213,3 +214,30 @@ def test_tax_monotone_in_earned_income():
     assert rates == sorted(rates)  # progressive: richer pays a larger share
     assert rates[0] == approx(0.0)
     assert rates[-1] < alpha  # never exceeds the headline demurrage rate
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (optimal_out1, "optimal out1"),
+        (lambda p: effective_tax(p, 0.5), "optimal out1"),
+        (lambda p: budget_out2(p, 1.0), "second-period spending"),
+        (max_affordable_out1, "largest first-period outlay"),
+    ],
+    ids=["optimal_out1", "effective_tax", "budget_out2", "max_affordable_out1"],
+)
+@pytest.mark.parametrize(
+    "problem",
+    [
+        AgentProblem(10**400),  # an int plus the float default 0.0
+        AgentProblem(10**400, 0),  # an int sum
+        AgentProblem(1.0, 10**400, allow_borrowing=True),
+        AgentProblem(1e308, 1e308),  # a float sum that overflows to inf
+    ],
+    ids=["int-float", "int-int", "borrowing", "inf"],
+)
+def test_a_cash_that_no_float_holds_has_no_equilibrium(call, outcome, problem):
+    message = f"no {outcome}: the cash B + in1 passes the largest float"
+    with pytest.raises(NoEquilibriumError) as excinfo:
+        call(problem)
+    assert str(excinfo.value) == message

@@ -1,5 +1,8 @@
 """Every public model function that rejects a parameter quotes it in full.
 
+A float parameter is also rejected when it is an int that no float holds,
+on which the function's float arithmetic would raise ``OverflowError``.
+
 A 5,001-digit int is past the interpreter's default int-to-str limit of 4,300
 digits, so a message written by a bare f-string would raise the limit's own
 ``ValueError`` in its place. The messages are compared with digits written out
@@ -20,8 +23,10 @@ from popcoin_sim import (
     is_long_term_stable,
     money_market_rate,
     negative_rate_condition,
+    optimal_out1_oracle,
     overshooting_experiment,
     policy_transform,
+    ppp_rate,
     ratio_bound,
     run_macro,
     steady_state_supply,
@@ -86,3 +91,54 @@ def test_a_rejected_parameter_is_quoted_in_full(call, message):
         call(HUGE)
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message + DIGITS
+
+
+PAST = 10**5000
+PAST_DIGITS = "1" + "0" * 5000
+
+# each float parameter past the largest float, and the name its message gives
+PAST_THE_FLOATS = {
+    "steady_state_supply-basic_income": (lambda x: steady_state_supply(x, 0.5, 1), "basic_income"),
+    "steady_state_supply-census": (lambda x: steady_state_supply(1.0, 0.5, x), "census"),
+    "supply_step-prev_supply": (lambda x: supply_step(x, 0.0, 0.5, 1.0, 1), "prev_supply"),
+    "supply_step-census_growth": (lambda x: supply_step(1.0, x, 0.5, 1.0, 1), "census growth"),
+    "supply_step-basic_income": (lambda x: supply_step(1.0, 0.0, 0.5, x, 1), "basic_income"),
+    "supply_step-census": (lambda x: supply_step(1.0, 0.0, 0.5, 1.0, x), "census"),
+    "interest_rate": (lambda x: interest_rate(x, 0.5), "census growth"),
+    "run_macro-initial_supply": (
+        lambda x: run_macro(1.0, 0.5, [1, 2], initial_supply=x),
+        "initial_supply",
+    ),
+    "run_macro-basic_income": (lambda x: run_macro(x, 0.5, [1]), "basic_income"),
+    "gini_bound": (lambda x: gini_bound(0.5, x), "census"),
+    "ratio_bound": (lambda x: ratio_bound(0.5, x), "census"),
+    "variance_bound": (lambda x: variance_bound(0.5, 1.0, x), "census"),
+    "uip_spot_rate-expected_rate": (lambda x: uip_spot_rate(0.0, 0.0, x), "expected rate"),
+    "uip_spot_rate-rate_pop": (lambda x: uip_spot_rate(x, 0.0, 1.0), "rate_pop"),
+    "uip_spot_rate-rate_fiat": (lambda x: uip_spot_rate(0.0, x, 1.0), "rate_fiat"),
+    "ppp_rate": (lambda x: ppp_rate(ExchangeScenario(money_supply_pop=x)), "money_supply_pop"),
+    "money_market_rate-money_supply": (lambda x: money_market_rate(x, 1, 1, 1, 1), "money_supply"),
+    "money_market_rate-elasticity": (lambda x: money_market_rate(1, 1, 1, 1, x), "elasticity"),
+    "AgentProblem-interest_rate": (lambda x: AgentProblem(1.0, interest_rate=x), "interest_rate"),
+    "AgentProblem-price_1": (lambda x: AgentProblem(1.0, price_1=x), "price_1"),
+    "AgentProblem-price_2": (lambda x: AgentProblem(1.0, price_2=x), "price_2"),
+    "budget_out2-out1": (lambda x: budget_out2(AgentProblem(1.0, allow_borrowing=True), x), "out1"),
+    "optimal_out1_oracle-grid_step": (
+        lambda x: optimal_out1_oracle(AgentProblem(1.0), x),
+        "grid_step",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", PAST_THE_FLOATS.values(), ids=PAST_THE_FLOATS.keys())
+def test_an_int_that_no_float_holds_is_rejected_by_name(call, name):
+    with pytest.raises(ValueError) as excinfo:
+        call(PAST)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"{name} must lie within the float range, got {PAST_DIGITS}"
+
+
+def test_a_parameter_of_either_sign_is_checked_against_the_float_range():
+    with pytest.raises(ValueError) as excinfo:
+        uip_spot_rate(0.0, -PAST, 1.0)
+    assert str(excinfo.value) == f"rate_fiat must lie within the float range, got -{PAST_DIGITS}"

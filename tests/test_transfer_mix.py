@@ -160,8 +160,12 @@ def ledger_states(draw):
     )
 
 
-fractions_in_unit_interval = st.integers(min_value=1, max_value=10**6).flatmap(
-    lambda den: st.integers(min_value=1, max_value=den).map(lambda num: Fraction(num, den))
+fractions_in_unit_interval = st.one_of(
+    # about half the draws 1/2**k, where an all-member ledger's bound is a shift
+    st.integers(min_value=0, max_value=70).map(lambda k: Fraction(1, 2**k)),
+    st.integers(min_value=1, max_value=10**6).flatmap(
+        lambda den: st.integers(min_value=1, max_value=den).map(lambda num: Fraction(num, den))
+    ),
 )
 
 
@@ -188,12 +192,45 @@ def funded(*ids):
 @example(state=funded("c", "a", "b"), seed=7, count=1, frac=Fraction(1))
 # one transfer among nine accounts writes its sender and recipient
 @example(state=funded(*"abcdefghi"), seed=7, count=1, frac=Fraction(1))
-# every account a member, past int64, late joiners below zero in ``held``
+# every account a member, past int64, late joiners below zero in ``held``,
+# at 1/2**k for k = 0, 2 and 70, where the bound is a shift; at 1/2**70 every
+# balance is below 2**70, so every bound is 1 and every amount 0
 @example(
     state=LedgerState(0, Fraction(1), Balances.from_entries({"a": 1, "b": -(2**69)}, None, 2**70)),
     seed=7,
     count=6,
     frac=Fraction(1),
+)
+@example(
+    state=LedgerState(0, Fraction(1), Balances.from_entries({"a": 1, "b": -(2**69)}, None, 2**70)),
+    seed=7,
+    count=6,
+    frac=Fraction(1, 4),
+)
+@example(
+    state=LedgerState(0, Fraction(1), Balances.from_entries({"a": 1, "b": -(2**68)}, None, 2**69)),
+    seed=7,
+    count=6,
+    frac=Fraction(1, 2**70),
+)
+# every account a member, within int64, where a bound below 2**64 shapes
+# each amount, at 3/4 and 1/3: a power-of-two denominator or a numerator of
+# one alone, where the bound takes the multiply and the division
+@example(
+    state=LedgerState(
+        0, Fraction(1), Balances.from_entries({"a": 10**6, "b": -(5 * 10**5)}, None, 10**6)
+    ),
+    seed=7,
+    count=6,
+    frac=Fraction(3, 4),
+)
+@example(
+    state=LedgerState(
+        0, Fraction(1), Balances.from_entries({"a": 10**6, "b": -(5 * 10**5)}, None, 10**6)
+    ),
+    seed=7,
+    count=6,
+    frac=Fraction(1, 3),
 )
 # a dormant holder, past int64, at a numerator above one
 @example(
